@@ -67,7 +67,8 @@ pub struct DeviceStats {
     pub bytes_down: u64,
     /// Kernels launched (including reduction passes).
     pub kernels: u64,
-    /// Device-to-device buffer copies issued (no PCIe traffic).
+    /// Device-to-device copies issued by group sweeps for stolen stripe
+    /// blocks and retained-contribution gathers (no PCIe traffic).
     pub d2d_copies: u64,
     /// Bytes duplicated device-to-device.
     pub bytes_d2d: u64,
@@ -152,8 +153,8 @@ struct Timing {
 /// The handle can only be manipulated through [`Device`] methods, which
 /// charge the appropriate transfer/kernel costs; reading data back requires
 /// an explicit [`Device::download`]. Deliberately not `Clone`: duplicating
-/// device memory is a real device operation and must go through
-/// [`Device::copy_buffer`] so the copy is charged.
+/// device memory is a real device operation, so the only way to copy a
+/// buffer is a charged [`Device::download`] and [`Device::upload`].
 ///
 /// Buffers created through a [`Device`] carry a handle to that device's
 /// buffer pool; dropping the buffer recycles its storage onto a
@@ -564,81 +565,6 @@ impl Device {
         )
     }
 
-    /// Duplicates a buffer on-device: one copy kernel, no PCIe traffic.
-    ///
-    /// This is the only way to duplicate device memory —
-    /// [`DeviceBuffer`] is intentionally not `Clone`, so every copy is
-    /// charged (one read + one write per element at device bandwidth).
-    pub fn copy_buffer(&self, buf: &DeviceBuffer) -> DeviceBuffer {
-        let bytes = std::mem::size_of_val(buf.data.as_slice());
-        self.charge(
-            Launch::kernel(LaunchKind::CopyBuffer, buf.data.len(), 2.0, 0),
-            self.cost.kernel(buf.data.len(), 2.0),
-            |s| {
-                s.kernels += 1;
-                s.d2d_copies += 1;
-                s.bytes_d2d += bytes as u64;
-            },
-            || self.wrap(self.pool.acquire_copy(&buf.data)),
-        )
-    }
-
-    /// Backend dispatch for a row→scalar map; no cost accounting — shared
-    /// by the charged `map_rows` / `map_rows_reduce` entry points so the
-    /// fused and unfused paths execute bit-identically. Fills the
-    /// caller's (pooled) output slice instead of allocating.
-    fn run_map_rows<F>(&self, buf: &DeviceBuffer, dims: usize, f: F, out: &mut [f64])
-    where
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
-        match self.backend {
-            Backend::CpuSeq => {
-                for (o, row) in out.iter_mut().zip(buf.data.chunks_exact(dims)) {
-                    *o = f(row);
-                }
-            }
-            Backend::CpuPar | Backend::SimGpu => {
-                kdesel_par::par_for_each_mut(out, |i, o| {
-                    *o = f(&buf.data[i * dims..(i + 1) * dims])
-                });
-            }
-        }
-    }
-
-    /// Backend dispatch for a row→`out_width`-values map; no cost
-    /// accounting — shared by `map_rows_multi` / `map_rows_multi_reduce`.
-    /// Fills the caller's (pooled) output slice instead of allocating.
-    fn run_map_rows_multi<F>(
-        &self,
-        buf: &DeviceBuffer,
-        dims: usize,
-        out_width: usize,
-        f: F,
-        data: &mut [f64],
-    ) where
-        F: Fn(&[f64], &mut [f64]) + Sync,
-    {
-        assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
-        assert!(out_width > 0);
-        match self.backend {
-            Backend::CpuSeq => {
-                for (row, out) in buf
-                    .data
-                    .chunks_exact(dims)
-                    .zip(data.chunks_exact_mut(out_width))
-                {
-                    f(row, out);
-                }
-            }
-            Backend::CpuPar | Backend::SimGpu => {
-                kdesel_par::par_for_each_row_mut(data, out_width, |i, out| {
-                    f(&buf.data[i * dims..(i + 1) * dims], out)
-                });
-            }
-        }
-    }
-
     /// Runs a kernel mapping each `dims`-wide row of `buf` to one output
     /// value. `flops_per_row` feeds the cost model.
     ///
@@ -654,191 +580,29 @@ impl Device {
     where
         F: Fn(&[f64]) -> f64 + Sync,
     {
+        assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
         let rows = buf.data.len() / dims;
         self.charge(
             Launch::kernel(LaunchKind::MapRows, rows, flops_per_row, 0),
             self.cost.kernel(rows, flops_per_row),
             |s| s.kernels += 1,
             || {
-                let mut data = self.pool.acquire_zeroed(rows);
-                self.run_map_rows(buf, dims, f, &mut data);
-                self.wrap(data)
-            },
-        )
-    }
-
-    /// Fused map + tree-reduce: a single launch maps each `dims`-wide row
-    /// to one value and reduces the values in place, downloading only the
-    /// 8-byte scalar. Bit-identical to `map_rows` followed by
-    /// `reduce_sum` — the pairwise summation order is part of the device
-    /// contract — but costs one kernel instead of three and skips the
-    /// intermediate buffer round-trip.
-    ///
-    /// With `retain`, the per-row map outputs are additionally kept
-    /// device-resident (the retained-contributions side output the Karma
-    /// maintenance path of §5.4 consumes); on a real GPU the map stage
-    /// writes them on the way into the reduction at no extra launch.
-    ///
-    /// # Panics
-    /// Panics if the buffer length is not a multiple of `dims`.
-    pub fn map_rows_reduce<F>(
-        &self,
-        buf: &DeviceBuffer,
-        dims: usize,
-        flops_per_row: f64,
-        retain: bool,
-        f: F,
-    ) -> (f64, Option<DeviceBuffer>)
-    where
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
-        let rows = buf.data.len() / dims;
-        // The reduction's ~4 FLOP/item ride along in the same launch;
-        // only the scalar result crosses PCIe.
-        let modeled = self.cost.kernel(rows, flops_per_row + 4.0)
-            + self.cost.transfer(std::mem::size_of::<f64>());
-        self.charge(
-            Launch::kernel(
-                LaunchKind::MapRowsReduce,
-                rows,
-                flops_per_row + 4.0,
-                std::mem::size_of::<f64>(),
-            ),
-            modeled,
-            |s| {
-                s.kernels += 1;
-                s.downloads += 1;
-                s.bytes_down += std::mem::size_of::<f64>() as u64;
-            },
-            || {
-                let mut data = self.pool.acquire_zeroed(rows);
-                self.run_map_rows(buf, dims, f, &mut data);
-                let sum = pairwise_sum(&data);
-                if retain {
-                    (sum, Some(self.wrap(data)))
-                } else {
-                    self.pool.release(data);
-                    (sum, None)
-                }
-            },
-        )
-    }
-
-    /// Runs a kernel mapping each `dims`-wide row to `out_width` outputs
-    /// (e.g. the per-point gradient contributions of paper eq. 16).
-    pub fn map_rows_multi<F>(
-        &self,
-        buf: &DeviceBuffer,
-        dims: usize,
-        out_width: usize,
-        flops_per_row: f64,
-        f: F,
-    ) -> DeviceBuffer
-    where
-        F: Fn(&[f64], &mut [f64]) + Sync,
-    {
-        let rows = buf.data.len() / dims;
-        self.charge(
-            Launch::kernel(LaunchKind::MapRowsMulti, rows, flops_per_row, 0),
-            self.cost.kernel(rows, flops_per_row),
-            |s| s.kernels += 1,
-            || {
-                let mut data = self.pool.acquire_zeroed(rows * out_width);
-                self.run_map_rows_multi(buf, dims, out_width, f, &mut data);
-                self.wrap(data)
-            },
-        )
-    }
-
-    /// Fused multi-output map + column reduction: a single launch maps
-    /// each `dims`-wide row to `out_width` values and tree-reduces each
-    /// column, downloading the `out_width` column sums. Bit-identical to
-    /// `map_rows_multi` followed by `reduce_sum_columns`, in one kernel
-    /// instead of three — the pattern behind `estimate_with_gradient`
-    /// (eq. 16 shares per-dimension factors between p̂ and ∂p̂/∂h).
-    ///
-    /// With `retain_first`, column 0 of the map output is additionally
-    /// kept device-resident as a contiguous buffer — bitwise equal to
-    /// what `map_rows` would have produced for that output — so the
-    /// Karma path keeps its retained contributions.
-    ///
-    /// # Panics
-    /// Panics if the buffer length is not a multiple of `dims` or
-    /// `out_width` is zero.
-    pub fn map_rows_multi_reduce<F>(
-        &self,
-        buf: &DeviceBuffer,
-        dims: usize,
-        out_width: usize,
-        flops_per_row: f64,
-        retain_first: bool,
-        f: F,
-    ) -> (Vec<f64>, Option<DeviceBuffer>)
-    where
-        F: Fn(&[f64], &mut [f64]) + Sync,
-    {
-        assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
-        assert!(out_width > 0);
-        let rows = buf.data.len() / dims;
-        let result_bytes = out_width * std::mem::size_of::<f64>();
-        let modeled = self
-            .cost
-            .kernel(rows, flops_per_row + 4.0 * out_width as f64)
-            + self.cost.transfer(result_bytes);
-        self.charge(
-            Launch::kernel(
-                LaunchKind::MapRowsMultiReduce,
-                rows,
-                flops_per_row + 4.0 * out_width as f64,
-                result_bytes,
-            ),
-            modeled,
-            |s| {
-                s.kernels += 1;
-                s.downloads += 1;
-                s.bytes_down += result_bytes as u64;
-            },
-            || {
-                let mut data = self.pool.acquire_zeroed(rows * out_width);
-                self.run_map_rows_multi(buf, dims, out_width, f, &mut data);
-                let sums = pairwise_sum_columns(&data, out_width);
-                let retained = retain_first.then(|| {
-                    let mut first = self.pool.acquire_zeroed(rows);
-                    for (o, row) in first.iter_mut().zip(data.chunks_exact(out_width)) {
-                        *o = row[0];
+                let mut out = self.pool.acquire_zeroed(rows);
+                match self.backend {
+                    Backend::CpuSeq => {
+                        for (o, row) in out.iter_mut().zip(buf.data.chunks_exact(dims)) {
+                            *o = f(row);
+                        }
                     }
-                    self.wrap(first)
-                });
-                self.pool.release(data);
-                (sums, retained)
+                    Backend::CpuPar | Backend::SimGpu => {
+                        kdesel_par::par_for_each_mut(&mut out, |i, o| {
+                            *o = f(&buf.data[i * dims..(i + 1) * dims])
+                        });
+                    }
+                }
+                self.wrap(out)
             },
         )
-    }
-
-    /// Fused batched evaluation: one launch maps each row to `batch`
-    /// outputs (one per query rectangle) and column-reduces them,
-    /// returning the `batch` sums. Equivalent to `batch` separate
-    /// `map_rows` + `reduce_sum` round-trips — each sum is bit-identical
-    /// — while amortizing launch latency and the sample traversal
-    /// `batch`-fold and downloading one `batch`-scalar result.
-    ///
-    /// # Panics
-    /// Panics if the buffer length is not a multiple of `dims` or
-    /// `batch` is zero.
-    pub fn map_rows_batch<F>(
-        &self,
-        buf: &DeviceBuffer,
-        dims: usize,
-        batch: usize,
-        flops_per_row: f64,
-        f: F,
-    ) -> Vec<f64>
-    where
-        F: Fn(&[f64], &mut [f64]) + Sync,
-    {
-        self.map_rows_multi_reduce(buf, dims, batch, flops_per_row, false, f)
-            .0
     }
 
     /// Stages host rows column-major on the device (one transfer): each
@@ -912,29 +676,6 @@ impl Device {
         )
     }
 
-    /// Reads a staged sample back row-major (one transfer, the inverse
-    /// of [`Device::stage_rows_soa`]'s transpose).
-    pub fn download_rows_soa(&self, buf: &SoaBuffer) -> Vec<f64> {
-        let bytes = std::mem::size_of_val(buf.buf.data.as_slice());
-        self.charge(
-            Launch::transfer(LaunchKind::DownloadRowsSoa, bytes),
-            self.cost.transfer(bytes),
-            |s| {
-                s.downloads += 1;
-                s.bytes_down += bytes as u64;
-            },
-            || {
-                let mut out = vec![0.0; buf.rows * buf.dims];
-                for (r, row) in out.chunks_exact_mut(buf.dims).enumerate() {
-                    for (d, o) in row.iter_mut().enumerate() {
-                        *o = buf.buf.data[d * buf.rows + r];
-                    }
-                }
-                out
-            },
-        )
-    }
-
     /// Backend dispatch for a columnar sweep: hands each fixed-size
     /// block of rows to `f` as a [`ColsView`] window plus that block's
     /// `out_width`-wide output chunk. Block boundaries depend only on
@@ -969,12 +710,12 @@ impl Device {
         }
     }
 
-    /// Columnar fused map + tree-reduce over a staged sample: the SoA
-    /// counterpart of [`Device::map_rows_reduce`] with identical cost
-    /// accounting (one vectorized launch, one 8-byte download) and an
-    /// identical pairwise reduction over the per-row values — so a sweep
-    /// kernel that computes each row's value bitwise like its row-major
-    /// map produces a bitwise-identical sum.
+    /// Columnar fused map + tree-reduce over a staged sample: one
+    /// vectorized launch maps every row to one value and pairwise-reduces
+    /// the values in place, downloading only the 8-byte scalar. The sum
+    /// is bitwise the pairwise sum of the per-row values — the reduction
+    /// order is part of the device contract — in one kernel instead of a
+    /// map, a two-pass reduction and a readback.
     ///
     /// With `retain`, the per-row values stay device-resident (the
     /// Karma retained-contributions side output).
@@ -1018,10 +759,9 @@ impl Device {
         )
     }
 
-    /// Columnar multi-output sweep without reduction: the SoA
-    /// counterpart of [`Device::map_rows_multi`] (one vectorized launch,
-    /// no transfer), returning the `rows × out_width` row-major output
-    /// buffer device-resident.
+    /// Columnar multi-output sweep without reduction (one vectorized
+    /// launch, no transfer), returning the `rows × out_width` row-major
+    /// output buffer device-resident.
     pub fn sweep_multi<F>(
         &self,
         sample: &SoaBuffer,
@@ -1045,11 +785,15 @@ impl Device {
         )
     }
 
-    /// Columnar fused multi-output sweep + column reduction: the SoA
-    /// counterpart of [`Device::map_rows_multi_reduce`] with identical
-    /// cost accounting and reduction order. With `retain_first`, column
-    /// 0 of the sweep output is kept device-resident as a contiguous
-    /// buffer.
+    /// Columnar fused multi-output sweep + column reduction: one launch
+    /// maps each row to `out_width` values and pairwise-reduces each
+    /// column, downloading the `out_width` sums. Bit-identical to
+    /// [`Device::sweep_multi`] followed by [`Device::reduce_sum_columns`],
+    /// in one kernel instead of three — the pattern behind
+    /// `estimate_with_gradient` (eq. 16 shares per-dimension factors
+    /// between p̂ and ∂p̂/∂h). With `retain_first`, column 0 of the sweep
+    /// output is kept device-resident as a contiguous buffer (the Karma
+    /// retained contributions).
     ///
     /// # Panics
     /// Panics when `out_width` is zero.
@@ -1101,9 +845,10 @@ impl Device {
         )
     }
 
-    /// Columnar fused batched evaluation: the SoA counterpart of
-    /// [`Device::map_rows_batch`] — one vectorized launch maps every
-    /// staged row to `batch` outputs and column-reduces them.
+    /// Columnar fused batched evaluation: one vectorized launch maps
+    /// every staged row to `batch` outputs (one per query rectangle) and
+    /// column-reduces them, amortizing launch latency and the sample
+    /// traversal `batch`-fold.
     pub fn sweep_batch<F>(
         &self,
         sample: &SoaBuffer,
@@ -1116,30 +861,6 @@ impl Device {
     {
         self.sweep_multi_reduce(sample, batch, flops_per_row, false, f)
             .0
-    }
-
-    /// Updates each element of `buf` in place from its index and current
-    /// value (the Karma accumulation pass, paper eq. 8).
-    pub fn update_inplace<F>(&self, buf: &mut DeviceBuffer, flops_per_item: f64, f: F)
-    where
-        F: Fn(usize, f64) -> f64 + Sync,
-    {
-        let n = buf.data.len();
-        self.charge(
-            Launch::kernel(LaunchKind::UpdateInplace, n, flops_per_item, 0),
-            self.cost.kernel(n, flops_per_item),
-            |s| s.kernels += 1,
-            || match self.backend {
-                Backend::CpuSeq => {
-                    for (i, v) in buf.data.iter_mut().enumerate() {
-                        *v = f(i, *v);
-                    }
-                }
-                Backend::CpuPar | Backend::SimGpu => {
-                    kdesel_par::par_for_each_mut(&mut buf.data, |i, v| *v = f(i, *v));
-                }
-            },
-        )
     }
 
     /// Updates each element of `target` in place from its index, its current
@@ -1179,23 +900,6 @@ impl Device {
                     kdesel_par::par_for_each_mut(&mut target.data, |i, t| *t = f(i, *t, src[i]));
                 }
             },
-        )
-    }
-
-    /// Sums a device buffer via parallel binary reduction and downloads the
-    /// scalar result.
-    pub fn reduce_sum(&self, buf: &DeviceBuffer) -> f64 {
-        let n = buf.data.len();
-        let modeled = self.cost.reduction(n) + self.cost.transfer(std::mem::size_of::<f64>());
-        self.charge(
-            Launch::kernel(LaunchKind::ReduceSum, n, 4.0, std::mem::size_of::<f64>()),
-            modeled,
-            |s| {
-                s.kernels += 2;
-                s.downloads += 1;
-                s.bytes_down += std::mem::size_of::<f64>() as u64;
-            },
-            || pairwise_sum(&buf.data),
         )
     }
 
@@ -1384,6 +1088,20 @@ mod tests {
 
     const BACKENDS: [Backend; 3] = [Backend::CpuSeq, Backend::CpuPar, Backend::SimGpu];
 
+    /// Reads a staged sample back row-major through a `dims`-wide copy
+    /// sweep: the columnar layout's only readback path.
+    fn soa_rows(d: &Device, soa: &SoaBuffer) -> Vec<f64> {
+        let dims = soa.dims();
+        let out = d.sweep_multi(soa, dims, 0.0, |cols, out| {
+            for c in 0..dims {
+                for (o, &v) in out[c..].iter_mut().step_by(dims).zip(cols.col(c)) {
+                    *o = v;
+                }
+            }
+        });
+        d.download(&out)
+    }
+
     #[test]
     fn upload_download_roundtrip() {
         for b in BACKENDS {
@@ -1401,7 +1119,7 @@ mod tests {
             let d = Device::new(b);
             let buf = d.upload(&host);
             let mapped = d.map_rows(&buf, 2, 10.0, |row| row[0] * row[1] + 1.0);
-            let sum = d.reduce_sum(&mapped);
+            let sum = d.reduce_sum_columns(&mapped, 1);
             outputs.push((d.download(&mapped), sum));
         }
         assert_eq!(outputs[0], outputs[1]);
@@ -1409,19 +1127,15 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_matches_naive_sum() {
-        let d = Device::new(Backend::CpuSeq);
+    fn pairwise_sum_matches_naive_sum() {
         let vals: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let buf = d.upload(&vals);
-        assert_eq!(d.reduce_sum(&buf), 5050.0);
+        assert_eq!(pairwise_sum(&vals), 5050.0);
         // Odd, non-power-of-two lengths.
-        let buf = d.upload(&vals[..97]);
         let naive: f64 = vals[..97].iter().sum();
-        assert!((d.reduce_sum(&buf) - naive).abs() < 1e-9);
+        assert!((pairwise_sum(&vals[..97]) - naive).abs() < 1e-9);
         // Empty and singleton.
-        assert_eq!(d.reduce_sum(&d.alloc_zeroed(0)), 0.0);
-        let one = d.upload(&[7.5]);
-        assert_eq!(d.reduce_sum(&one), 7.5);
+        assert_eq!(pairwise_sum(&[]), 0.0);
+        assert_eq!(pairwise_sum(&[7.5]), 7.5);
     }
 
     #[test]
@@ -1430,28 +1144,6 @@ mod tests {
         // rows: (1,10), (2,20), (3,30)
         let buf = d.upload(&[1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
         assert_eq!(d.reduce_sum_columns(&buf, 2), vec![6.0, 60.0]);
-    }
-
-    #[test]
-    fn map_rows_multi_produces_per_row_vectors() {
-        let d = Device::new(Backend::SimGpu);
-        let buf = d.upload(&[1.0, 2.0, 3.0, 4.0]);
-        let out = d.map_rows_multi(&buf, 2, 3, 5.0, |row, out| {
-            out[0] = row[0];
-            out[1] = row[1];
-            out[2] = row[0] + row[1];
-        });
-        assert_eq!(d.download(&out), vec![1.0, 2.0, 3.0, 3.0, 4.0, 7.0]);
-    }
-
-    #[test]
-    fn update_inplace_applies_function() {
-        for b in BACKENDS {
-            let d = Device::new(b);
-            let mut buf = d.upload(&[1.0, 2.0, 3.0]);
-            d.update_inplace(&mut buf, 2.0, |i, v| v + i as f64);
-            assert_eq!(d.download(&buf), vec![1.0, 3.0, 5.0], "{}", b.name());
-        }
     }
 
     #[test]
@@ -1489,33 +1181,24 @@ mod tests {
             // Each map/update launch is exactly one kernel; allocation
             // charges nothing.
             let mapped = d.map_rows(&buf, 3, 1.0, |r| r[0] + r[1] + r[2]);
-            let _multi = d.map_rows_multi(&buf, 3, 2, 1.0, |r, o| {
-                o[0] = r[0];
-                o[1] = r[2];
-            });
             let mut acc = d.alloc_zeroed(32);
-            d.update_inplace(&mut acc, 1.0, |_, v| v + 1.0);
             d.zip_update_inplace(&mut acc, &mapped, 1.0, |_, t, src| t + src);
             let s = d.stats();
-            assert_eq!(s.kernels, 4, "{name}");
+            assert_eq!(s.kernels, 2, "{name}");
             assert_eq!((s.downloads, s.bytes_down), (0, 0), "{name}");
 
-            // Reductions are multi-pass: two launches plus the result
-            // readback (one scalar, or `width` scalars for columns).
-            let _ = d.reduce_sum(&mapped);
-            let s = d.stats();
-            assert_eq!(s.kernels, 6, "{name}");
-            assert_eq!((s.downloads, s.bytes_down), (1, 8), "{name}");
+            // Standalone reductions are multi-pass: two launches plus the
+            // readback of the `width` column sums.
             let _ = d.reduce_sum_columns(&buf, 3);
             let s = d.stats();
-            assert_eq!(s.kernels, 8, "{name}");
-            assert_eq!((s.downloads, s.bytes_down), (2, 8 + 24), "{name}");
+            assert_eq!(s.kernels, 4, "{name}");
+            assert_eq!((s.downloads, s.bytes_down), (1, 24), "{name}");
 
             // A full download moves the whole buffer.
             let host = d.download(&buf);
             assert_eq!(host.len(), 96);
             let s = d.stats();
-            assert_eq!((s.downloads, s.bytes_down), (3, 8 + 24 + 96 * 8), "{name}");
+            assert_eq!((s.downloads, s.bytes_down), (2, 24 + 96 * 8), "{name}");
 
             // Partial writes charge only the written region.
             d.write_at(&mut acc, 0, &[5.0; 4]);
@@ -1533,7 +1216,7 @@ mod tests {
         kdesel_telemetry::set_enabled(true);
         let d = Device::new(Backend::CpuSeq);
         let buf = d.upload(&[1.0; 8]);
-        let _ = d.reduce_sum(&buf);
+        let _ = d.reduce_sum_columns(&buf, 1);
         kdesel_telemetry::set_enabled(false);
         // `>=`: other tests in this binary may run concurrently while the
         // global flag is up; this device alone contributes 2 kernels and
@@ -1628,85 +1311,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_map_reduce_is_bit_identical_to_unfused() {
-        let host: Vec<f64> = (0..999).map(|i| (i as f64).sin() * 1e3).collect();
-        for b in BACKENDS {
-            let d = Device::new(b);
-            let buf = d.upload(&host);
-            let f = |row: &[f64]| row[0].mul_add(row[1], row[2].exp().recip());
-            let mapped = d.map_rows(&buf, 3, 10.0, f);
-            let unfused = d.reduce_sum(&mapped);
-            let (fused, retained) = d.map_rows_reduce(&buf, 3, 10.0, true, f);
-            assert_eq!(fused, unfused, "{}", b.name());
-            assert_eq!(
-                d.download(retained.as_ref().unwrap()),
-                d.download(&mapped),
-                "{}",
-                b.name()
-            );
-
-            let g = |row: &[f64], out: &mut [f64]| {
-                out[0] = f(row);
-                out[1] = row[0] - row[1];
-            };
-            let multi = d.map_rows_multi(&buf, 3, 2, 10.0, g);
-            let unfused_cols = d.reduce_sum_columns(&multi, 2);
-            let (fused_cols, first) = d.map_rows_multi_reduce(&buf, 3, 2, 10.0, true, g);
-            assert_eq!(fused_cols, unfused_cols, "{}", b.name());
-            // Retained column 0 is bitwise what `map_rows` would produce.
-            assert_eq!(
-                d.download(first.as_ref().unwrap()),
-                d.download(&mapped),
-                "{}",
-                b.name()
-            );
-            assert_eq!(
-                d.map_rows_batch(&buf, 3, 2, 10.0, g),
-                fused_cols,
-                "{}",
-                b.name()
-            );
-        }
-    }
-
-    #[test]
-    fn fused_paths_charge_one_launch_and_one_download() {
-        let d = Device::new(Backend::SimGpu);
-        let buf = d.upload(&[1.0; 96]);
-        let s0 = d.stats();
-        let _ = d.map_rows_reduce(&buf, 3, 5.0, true, |r| r[0]);
-        let s1 = d.stats();
-        assert_eq!(s1.kernels - s0.kernels, 1);
-        assert_eq!(s1.downloads - s0.downloads, 1);
-        assert_eq!(s1.bytes_down - s0.bytes_down, 8);
-        let _ = d.map_rows_multi_reduce(&buf, 3, 4, 5.0, false, |r, o| o.fill(r[0]));
-        let s2 = d.stats();
-        assert_eq!(s2.kernels - s1.kernels, 1);
-        assert_eq!(s2.downloads - s1.downloads, 1);
-        assert_eq!(s2.bytes_down - s1.bytes_down, 32);
-        // No uploads anywhere in the fused paths.
-        assert_eq!(s2.uploads, s0.uploads);
-    }
-
-    #[test]
-    fn copy_buffer_charges_a_device_to_device_copy() {
-        let d = Device::new(Backend::SimGpu);
-        let buf = d.upload(&[2.0; 64]);
-        let s0 = d.stats();
-        let m0 = d.modeled_seconds();
-        let copy = d.copy_buffer(&buf);
-        let s1 = d.stats();
-        assert_eq!(s1.kernels - s0.kernels, 1);
-        assert_eq!(s1.d2d_copies - s0.d2d_copies, 1);
-        assert_eq!(s1.bytes_d2d - s0.bytes_d2d, 64 * 8);
-        // No PCIe traffic.
-        assert_eq!(s1.uploads, s0.uploads);
-        assert_eq!(s1.downloads, s0.downloads);
-        assert!(d.modeled_seconds() > m0);
-        assert_eq!(d.download(&copy), vec![2.0; 64]);
-    }
-
-    #[test]
     fn soa_staging_roundtrips_and_charges_one_transfer() {
         for b in BACKENDS {
             let d = Device::new(b);
@@ -1719,7 +1323,7 @@ mod tests {
             assert_eq!(s1.uploads - s0.uploads, 1, "{}", b.name());
             assert_eq!(s1.bytes_up - s0.bytes_up, (rows.len() * 8) as u64);
             assert_eq!((soa.rows(), soa.dims()), (rows.len() / 2, 2));
-            assert_eq!(d.download_rows_soa(&soa), rows, "{}", b.name());
+            assert_eq!(soa_rows(&d, &soa), rows, "{}", b.name());
         }
     }
 
@@ -1732,10 +1336,7 @@ mod tests {
         let s1 = d.stats();
         assert_eq!(s1.uploads - s0.uploads, 1);
         assert_eq!(s1.bytes_up - s0.bytes_up, 24);
-        assert_eq!(
-            d.download_rows_soa(&soa),
-            vec![1.0, 2.0, 3.0, 7.0, 8.0, 9.0]
-        );
+        assert_eq!(soa_rows(&d, &soa), vec![1.0, 2.0, 3.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -1748,93 +1349,96 @@ mod tests {
 
     #[test]
     fn sweeps_match_row_major_maps_bitwise_across_backends() {
-        // A sweep kernel that computes each row's value with the same
-        // scalar expressions as its row-major counterpart must reproduce
-        // the fused map results bitwise — reductions included — on every
-        // backend, across block boundaries and the ragged tail.
+        // Every sweep must reproduce a plain row-major loop that
+        // evaluates the same scalar expressions per row and sums with the
+        // device's pairwise reduction — bitwise, on every backend, across
+        // block boundaries and the ragged tail. The unfused sweep plus
+        // `reduce_sum_columns` lands on the same sums as the fused one.
         let n = SWEEP_BLOCK_ROWS * 2 + 77;
         let host: Vec<f64> = (0..n * 3).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
         let row_f = |row: &[f64]| row[0] * row[1] + row[2].exp().recip();
+        let per_row: Vec<f64> = host.chunks_exact(3).map(row_f).collect();
+        let per_row_pairs: Vec<f64> = host
+            .chunks_exact(3)
+            .flat_map(|row| [row_f(row), row[0] - row[2]])
+            .collect();
+        let sum = pairwise_sum(&per_row);
+        let pair_sums = pairwise_sum_columns(&per_row_pairs, 2);
+
         let col_f = |cols: ColsView<'_>, out: &mut [f64]| {
             let (c0, c1, c2) = (cols.col(0), cols.col(1), cols.col(2));
             for i in 0..cols.rows() {
                 out[i] = c0[i] * c1[i] + c2[i].exp().recip();
             }
         };
+        let col_g = |cols: ColsView<'_>, out: &mut [f64]| {
+            let (c0, c1, c2) = (cols.col(0), cols.col(1), cols.col(2));
+            for i in 0..cols.rows() {
+                out[2 * i] = c0[i] * c1[i] + c2[i].exp().recip();
+                out[2 * i + 1] = c0[i] - c2[i];
+            }
+        };
         for b in BACKENDS {
+            let name = b.name();
             let d = Device::new(b);
-            let aos = d.upload(&host);
             let soa = d.stage_rows_soa(&host, 3);
-            let (sum_aos, kept_aos) = d.map_rows_reduce(&aos, 3, 10.0, true, row_f);
-            let (sum_soa, kept_soa) = d.sweep_reduce(&soa, 10.0, true, col_f);
-            assert_eq!(sum_aos, sum_soa, "{}", b.name());
-            assert_eq!(
-                d.download(kept_aos.as_ref().unwrap()),
-                d.download(kept_soa.as_ref().unwrap()),
-                "{}",
-                b.name()
-            );
+            let (swept, kept) = d.sweep_reduce(&soa, 10.0, true, col_f);
+            assert_eq!(swept.to_bits(), sum.to_bits(), "{name}");
+            assert_eq!(d.download(kept.as_ref().unwrap()), per_row, "{name}");
 
-            let row_g = |row: &[f64], out: &mut [f64]| {
-                out[0] = row_f(row);
-                out[1] = row[0] - row[2];
-            };
-            let col_g = |cols: ColsView<'_>, out: &mut [f64]| {
-                let (c0, c1, c2) = (cols.col(0), cols.col(1), cols.col(2));
-                for i in 0..cols.rows() {
-                    out[2 * i] = c0[i] * c1[i] + c2[i].exp().recip();
-                    out[2 * i + 1] = c0[i] - c2[i];
-                }
-            };
-            let (cols_aos, first_aos) = d.map_rows_multi_reduce(&aos, 3, 2, 10.0, true, row_g);
-            let (cols_soa, first_soa) = d.sweep_multi_reduce(&soa, 2, 10.0, true, col_g);
-            assert_eq!(cols_aos, cols_soa, "{}", b.name());
-            assert_eq!(
-                d.download(first_aos.as_ref().unwrap()),
-                d.download(first_soa.as_ref().unwrap()),
-                "{}",
-                b.name()
-            );
-            assert_eq!(
-                d.map_rows_batch(&aos, 3, 2, 10.0, row_g),
-                d.sweep_batch(&soa, 2, 10.0, col_g),
-                "{}",
-                b.name()
-            );
-            let unfused_aos = d.map_rows_multi(&aos, 3, 2, 10.0, row_g);
-            let unfused_soa = d.sweep_multi(&soa, 2, 10.0, col_g);
-            assert_eq!(
-                d.download(&unfused_aos),
-                d.download(&unfused_soa),
-                "{}",
-                b.name()
-            );
+            let (cols, first) = d.sweep_multi_reduce(&soa, 2, 10.0, true, col_g);
+            assert_eq!(cols, pair_sums, "{name}");
+            assert_eq!(d.download(first.as_ref().unwrap()), per_row, "{name}");
+            assert_eq!(d.sweep_batch(&soa, 2, 10.0, col_g), pair_sums, "{name}");
+
+            let unfused = d.sweep_multi(&soa, 2, 10.0, col_g);
+            assert_eq!(d.download(&unfused), per_row_pairs, "{name}");
+            assert_eq!(d.reduce_sum_columns(&unfused, 2), pair_sums, "{name}");
         }
     }
 
     #[test]
-    fn sweep_charges_match_map_rows_charges() {
-        // Identical stats and (at the default vector_width = 1.0)
-        // identical modeled seconds: the layout rewire must not shift
-        // the calibrated Figure-7 numbers.
+    fn fused_sweeps_charge_one_launch_and_one_download() {
+        // Absolute pins: a fused sweep is one kernel plus one readback of
+        // its result, never an upload. At vector_width = 1 its modeled
+        // cost is one scalar kernel carrying the ~4 FLOP/item reduction
+        // per output column, plus the result transfer — the calibrated
+        // Figure-7 numbers.
         let host: Vec<f64> = (0..96).map(|i| i as f64).collect();
         let d = Device::new(Backend::SimGpu);
-        let aos = d.upload(&host);
+        assert_eq!(d.cost_model().profile().vector_width, 1.0);
+        let cost = d.cost_model();
         let soa = d.stage_rows_soa(&host, 3);
-        d.reset_timing();
-        let _ = d.map_rows_reduce(&aos, 3, 5.0, false, |r| r[0]);
-        let m_map = d.modeled_seconds();
-        let s_map = d.stats();
+
         d.reset_timing();
         let _ = d.sweep_reduce(&soa, 5.0, false, |cols, out| {
-            out.copy_from_slice(&cols.col(0)[..out.len()])
+            out.copy_from_slice(cols.col(0))
         });
-        let m_sweep = d.modeled_seconds();
-        let s_sweep = d.stats();
-        assert_eq!(m_map, m_sweep, "modeled cost differs");
-        assert_eq!(s_map.kernels, s_sweep.kernels);
-        assert_eq!(s_map.downloads, s_sweep.downloads);
-        assert_eq!(s_map.bytes_down, s_sweep.bytes_down);
+        let s = d.stats();
+        assert_eq!(
+            (s.kernels, s.downloads, s.bytes_down, s.uploads),
+            (1, 1, 8, 0)
+        );
+        assert_eq!(
+            d.modeled_seconds(),
+            cost.kernel(32, 5.0 + 4.0) + cost.transfer(8)
+        );
+
+        d.reset_timing();
+        let _ = d.sweep_multi_reduce(&soa, 4, 5.0, false, |cols, out| {
+            for (o, &v) in out.chunks_exact_mut(4).zip(cols.col(0)) {
+                o.fill(v);
+            }
+        });
+        let s = d.stats();
+        assert_eq!(
+            (s.kernels, s.downloads, s.bytes_down, s.uploads),
+            (1, 1, 32, 0)
+        );
+        assert_eq!(
+            d.modeled_seconds(),
+            cost.kernel(32, 5.0 + 4.0 * 4.0) + cost.transfer(32)
+        );
     }
 
     #[test]
@@ -1860,7 +1464,7 @@ mod tests {
         let map_cost = |d: &Device| {
             let buf = d.upload(&host);
             d.reset_timing();
-            let _ = d.map_rows_reduce(&buf, 1, 480.0, false, |r| r[0]);
+            let _ = d.map_rows(&buf, 1, 480.0, |r| r[0]);
             d.modeled_seconds()
         };
         assert!(
@@ -1937,8 +1541,8 @@ mod tests {
         let host: Vec<f64> = (0..4096).map(|i| i as f64).collect();
         let bf = full.upload(&host);
         let bt = tenth.upload(&host);
-        let rf = full.reduce_sum(&full.map_rows(&bf, 1, 480.0, |r| r[0].sqrt()));
-        let rt = tenth.reduce_sum(&tenth.map_rows(&bt, 1, 480.0, |r| r[0].sqrt()));
+        let rf = full.download(&full.map_rows(&bf, 1, 480.0, |r| r[0].sqrt()));
+        let rt = tenth.download(&tenth.map_rows(&bt, 1, 480.0, |r| r[0].sqrt()));
         assert_eq!(rf, rt);
         // Compute-bound cost scales ~10x on a big kernel.
         let cost = |d: &Device| {
@@ -2042,11 +1646,18 @@ mod tests {
         let buf = d.upload(&host);
         let soa = d.stage_rows_soa(&host, 3);
         let mapped = d.map_rows(&buf, 3, 5.0, |r| r[0]);
-        let _ = d.map_rows_reduce(&buf, 3, 5.0, false, |r| r[0]);
+        let first_two = |cols: ColsView<'_>, out: &mut [f64]| {
+            let (c0, c1) = (cols.col(0), cols.col(1));
+            for (o, (&a, &b)) in out.chunks_exact_mut(2).zip(c0.iter().zip(c1)) {
+                o[0] = a;
+                o[1] = b;
+            }
+        };
+        let _ = d.sweep_multi_reduce(&soa, 2, 5.0, false, first_two);
         let _ = d.sweep_reduce(&soa, 5.0, false, |cols, out| {
             out.copy_from_slice(&cols.col(0)[..out.len()])
         });
-        let _ = d.reduce_sum(&mapped);
+        let _ = d.reduce_sum_columns(&mapped, 1);
         let _ = d.download(&mapped);
 
         let p = d.profile();
@@ -2065,9 +1676,12 @@ mod tests {
         assert!(sweep.measured_p50 > 0.0);
         assert!(sweep.measured_p95 >= sweep.measured_p50);
 
-        let mr = p.kind(LaunchKind::MapRowsReduce).expect("fused profiled");
-        assert_eq!((mr.launches, mr.items, mr.bytes), (1, 32, 8));
-        assert!(p.kind(LaunchKind::ReduceSum).is_some());
+        let mr = p
+            .kind(LaunchKind::SweepMultiReduce)
+            .expect("fused profiled");
+        assert_eq!((mr.launches, mr.items, mr.bytes), (1, 32, 16));
+        assert!(p.kind(LaunchKind::MapRows).is_some());
+        assert!(p.kind(LaunchKind::ReduceSumColumns).is_some());
         assert!(p.kind(LaunchKind::Download).is_some());
         assert!(p.kind(LaunchKind::StageRowsSoa).is_some());
         // Never ran: omitted rather than zero-filled.
@@ -2078,10 +1692,10 @@ mod tests {
         // Rolling quantiles move with recent samples; totals keep
         // growing past the window.
         for _ in 0..200 {
-            let _ = d.map_rows_reduce(&buf, 3, 5.0, false, |r| r[0]);
+            let _ = d.sweep_multi_reduce(&soa, 2, 5.0, false, first_two);
         }
         let mr = d.profile();
-        let mr = mr.kind(LaunchKind::MapRowsReduce).unwrap();
+        let mr = mr.kind(LaunchKind::SweepMultiReduce).unwrap();
         assert_eq!(mr.launches, 201);
         assert_eq!(mr.items, 201 * 32);
     }
@@ -2091,15 +1705,10 @@ mod tests {
         kdesel_telemetry::set_enabled(true);
         let d = Device::new(Backend::CpuSeq);
         let buf = d.upload(&[1.0; 32]);
-        let _ = d.map_rows_reduce(&buf, 2, 4.0, false, |r| r[0]);
+        let _ = d.map_rows(&buf, 2, 4.0, |r| r[0]);
         kdesel_telemetry::set_enabled(false);
         let reg = kdesel_telemetry::registry();
         assert!(reg.histogram("device.kernel.upload").summary().count >= 1);
-        assert!(
-            reg.histogram("device.kernel.map_rows_reduce")
-                .summary()
-                .count
-                >= 1
-        );
+        assert!(reg.histogram("device.kernel.map_rows").summary().count >= 1);
     }
 }

@@ -22,6 +22,18 @@
 //! *measured* wall time, plus transfer-volume counters used to validate the
 //! paper's transfer-efficiency claims for sample maintenance (§4.2).
 //!
+//! # One staging layout
+//!
+//! A sample is staged one way: column-major stripes ([`SoaBuffer`], via
+//! [`Device::stage_rows_soa`], or [`PartitionedSoa`] sharded across a
+//! [`DeviceGroup`]), read by the `sweep_*` kernels. The estimate, the
+//! fused estimate+gradient and the batched estimate are sweeps; the
+//! unfused gradient is [`Device::sweep_multi`] plus
+//! [`Device::reduce_sum_columns`]. Row-major [`DeviceBuffer`]s remain
+//! for what is not a sample: query bounds, the per-point contributions a
+//! sweep retains, and Karma's ledger, which [`Device::zip_update_inplace`]
+//! accumulates and [`Device::map_rows`] flags.
+//!
 //! # Thread-ownership contract
 //!
 //! The serving layer (`kdesel-serve`) moves estimators — and therefore
@@ -41,8 +53,9 @@
 //!   interleave counter updates.
 //! * [`DeviceBuffer`] is `Send + Sync` as plain owned memory, but it is
 //!   deliberately *not* `Clone`: all mutation flows through `Device`
-//!   methods (`upload`, `write_at`, `update_inplace`, …) on the owning
-//!   thread, mirroring device memory that host threads cannot alias.
+//!   methods (`upload`, `write_at`, `zip_update_inplace`, …) on the
+//!   owning thread, mirroring device memory that host threads cannot
+//!   alias.
 //! * The parallel backends run on `kdesel-par`'s *scoped* threads with a
 //!   fixed chunk count, so results are deterministic and identical no
 //!   matter which thread — or how many sibling executors — issue the
@@ -73,7 +86,7 @@ pub use cost::{CostModel, CostProfile};
 pub use device::{
     Backend, ColsView, Device, DeviceBuffer, DeviceStats, SoaBuffer, SWEEP_BLOCK_ROWS,
 };
-pub use multi::{DeviceGroup, GroupStats, Partition, PartitionedBuffer, PartitionedSoa};
+pub use multi::{DeviceGroup, GroupStats, Partition, PartitionedSoa};
 pub use profile::{DeviceProfile, KindProfile, Launch, LaunchKind};
 
 /// Compile-time pin of the thread-ownership contract documented above.
@@ -87,7 +100,6 @@ fn thread_contract() {
     send_and_sync::<DeviceStats>();
     send_and_sync::<SoaBuffer>();
     send_and_sync::<DeviceGroup>();
-    send_and_sync::<PartitionedBuffer>();
     send_and_sync::<PartitionedSoa>();
     send_and_sync::<GroupStats>();
     send_and_sync::<DeviceProfile>();

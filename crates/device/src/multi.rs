@@ -137,23 +137,6 @@ pub struct DeviceGroup {
     counters: Mutex<GroupCounters>,
 }
 
-/// A sample partitioned row-major across the group (one row-major buffer
-/// per device) — the legacy layout consumed by
-/// [`DeviceGroup::map_reduce_sum`] and the calibration harness.
-#[derive(Debug)]
-pub struct PartitionedBuffer {
-    group_id: u64,
-    parts: Vec<DeviceBuffer>,
-    dims: usize,
-}
-
-impl PartitionedBuffer {
-    /// Total rows across all partitions.
-    pub fn rows(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum::<usize>() / self.dims
-    }
-}
-
 /// One member device's contiguous slice of the sharded sample: the SoA
 /// stripes of its seeded block range, staged on that device.
 #[derive(Debug)]
@@ -382,33 +365,6 @@ impl DeviceGroup {
             blocks_executed: c.blocks_executed,
             imbalance: c.imbalance,
             per_device_blocks: c.per_device_blocks.clone(),
-        }
-    }
-
-    /// Uploads a row-major sample, split into contiguous per-device chunks
-    /// of (nearly) equal row counts.
-    ///
-    /// # Panics
-    /// Panics on ragged data.
-    pub fn upload_partitioned(&self, sample: &[f64], dims: usize) -> PartitionedBuffer {
-        assert!(dims > 0);
-        assert_eq!(sample.len() % dims, 0, "ragged sample");
-        let rows = sample.len() / dims;
-        let n = self.devices.len();
-        let base = rows / n;
-        let extra = rows % n;
-        let mut parts = Vec::with_capacity(n);
-        let mut offset = 0;
-        for (i, device) in self.devices.iter().enumerate() {
-            let take = base + usize::from(i < extra);
-            let end = offset + take * dims;
-            parts.push(device.upload(&sample[offset..end]));
-            offset = end;
-        }
-        PartitionedBuffer {
-            group_id: self.id,
-            parts,
-            dims,
         }
     }
 
@@ -794,38 +750,6 @@ impl DeviceGroup {
         }
     }
 
-    /// Runs a per-row kernel on every partition concurrently and returns
-    /// the total sum of outputs (the distributed version of the estimate
-    /// pipeline: map on each device, reduce on each device, combine on the
-    /// host).
-    ///
-    /// The caller reads the modeled wall time via
-    /// [`modeled_seconds_parallel`](Self::modeled_seconds_parallel), which
-    /// accounts for the devices running side by side.
-    ///
-    /// # Panics
-    /// Panics when `buffer` was uploaded through a different group.
-    pub fn map_reduce_sum<F>(&self, buffer: &PartitionedBuffer, flops_per_row: f64, f: F) -> f64
-    where
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        assert_eq!(
-            buffer.group_id, self.id,
-            "partitioned buffer was uploaded through device group #{}, not this group #{}",
-            buffer.group_id, self.id
-        );
-        let mut total = 0.0;
-        for (device, part) in self.devices.iter().zip(&buffer.parts) {
-            if part.is_empty() {
-                continue;
-            }
-            // Fused map+reduce: one launch per device instead of three.
-            let (sum, _) = device.map_rows_reduce(part, buffer.dims, flops_per_row, false, &f);
-            total += sum;
-        }
-        total
-    }
-
     /// Modeled wall time of the group under concurrent execution: the
     /// slowest device's accumulated modeled time.
     pub fn modeled_seconds_parallel(&self) -> f64 {
@@ -858,16 +782,9 @@ mod tests {
         DeviceGroup::new((0..n).map(|_| Device::new(Backend::SimGpu)).collect())
     }
 
-    #[test]
-    fn partitioning_covers_all_rows() {
-        let g = group(3);
-        let sample: Vec<f64> = (0..20).map(|i| i as f64).collect(); // 10 rows × 2
-        let buf = g.upload_partitioned(&sample, 2);
-        assert_eq!(buf.rows(), 10);
-        // 10 rows over 3 devices: 4 + 3 + 3.
-        assert_eq!(buf.parts[0].len(), 8);
-        assert_eq!(buf.parts[1].len(), 6);
-        assert_eq!(buf.parts[2].len(), 6);
+    /// A copy sweep over column 0, the kernel of the scaling tests.
+    fn copy_col0(view: ColsView<'_>, out: &mut [f64]) {
+        out.copy_from_slice(view.col(0));
     }
 
     #[test]
@@ -875,26 +792,30 @@ mod tests {
         let sample: Vec<f64> = (0..4000).map(|i| (i as f64).sin()).collect();
         let single = group(1);
         let quad = group(4);
-        let b1 = single.upload_partitioned(&sample, 2);
-        let b4 = quad.upload_partitioned(&sample, 2);
-        let f = |row: &[f64]| row[0] * row[0] + row[1];
-        let s1 = single.map_reduce_sum(&b1, 10.0, f);
-        let s4 = quad.map_reduce_sum(&b4, 10.0, f);
-        assert!((s1 - s4).abs() < 1e-9 * s1.abs().max(1.0), "{s1} vs {s4}");
+        let p1 = single.stage_partitioned_soa(&sample, 2);
+        let p4 = quad.stage_partitioned_soa(&sample, 2);
+        let f = |view: ColsView<'_>, out: &mut [f64]| {
+            for (o, (&x, &y)) in out.iter_mut().zip(view.col(0).iter().zip(view.col(1))) {
+                *o = x * x + y;
+            }
+        };
+        let (s1, _) = single.sweep_reduce(&p1, 10.0, false, f);
+        let (s4, _) = quad.sweep_reduce(&p4, 10.0, false, f);
+        assert_eq!(s1.to_bits(), s4.to_bits(), "{s1} vs {s4}");
     }
 
     #[test]
     fn four_devices_approach_4x_speedup_when_compute_bound() {
         let rows = 1 << 20;
         let sample: Vec<f64> = vec![1.0; rows];
-        let single = group(1);
-        let quad = group(4);
-        let b1 = single.upload_partitioned(&sample, 1);
-        let b4 = quad.upload_partitioned(&sample, 1);
+        let single = group(1).with_stealing(false);
+        let quad = group(4).with_stealing(false);
+        let p1 = single.stage_partitioned_soa_with(&sample, 1, Partition::Equal);
+        let p4 = quad.stage_partitioned_soa_with(&sample, 1, Partition::Equal);
         single.reset_timing();
         quad.reset_timing();
-        let _ = single.map_reduce_sum(&b1, 480.0, |r| r[0]);
-        let _ = quad.map_reduce_sum(&b4, 480.0, |r| r[0]);
+        let _ = single.sweep_reduce(&p1, 480.0, false, copy_col0);
+        let _ = quad.sweep_reduce(&p4, 480.0, false, copy_col0);
         let speedup = single.modeled_seconds_parallel() / quad.modeled_seconds_parallel();
         assert!((3.0..4.2).contains(&speedup), "speedup {speedup}");
     }
@@ -903,14 +824,14 @@ mod tests {
     fn latency_floor_does_not_shrink_with_more_devices() {
         // Tiny model: adding devices cannot beat the per-device latency.
         let sample: Vec<f64> = vec![1.0; 64];
-        let single = group(1);
-        let quad = group(4);
-        let b1 = single.upload_partitioned(&sample, 1);
-        let b4 = quad.upload_partitioned(&sample, 1);
+        let single = group(1).with_stealing(false);
+        let quad = group(4).with_stealing(false);
+        let p1 = single.stage_partitioned_soa_with(&sample, 1, Partition::Equal);
+        let p4 = quad.stage_partitioned_soa_with(&sample, 1, Partition::Equal);
         single.reset_timing();
         quad.reset_timing();
-        let _ = single.map_reduce_sum(&b1, 480.0, |r| r[0]);
-        let _ = quad.map_reduce_sum(&b4, 480.0, |r| r[0]);
+        let _ = single.sweep_reduce(&p1, 480.0, false, copy_col0);
+        let _ = quad.sweep_reduce(&p4, 480.0, false, copy_col0);
         assert!(
             quad.modeled_seconds_parallel() >= single.modeled_seconds_parallel() * 0.95,
             "latency-bound work should not speed up: {} vs {}",
@@ -921,10 +842,11 @@ mod tests {
 
     #[test]
     fn more_devices_than_rows_is_fine() {
-        let g = group(4);
-        let buf = g.upload_partitioned(&[1.0, 2.0], 1); // 2 rows, 4 devices
-        assert_eq!(buf.rows(), 2);
-        let s = g.map_reduce_sum(&buf, 1.0, |r| r[0]);
+        let g = group(4).with_stealing(false);
+        // 2 rows, 4 devices.
+        let part = g.stage_partitioned_soa_with(&[1.0, 2.0], 1, Partition::Equal);
+        assert_eq!(part.rows(), 2);
+        let (s, _) = g.sweep_reduce(&part, 1.0, false, copy_col0);
         assert_eq!(s, 3.0);
     }
 
@@ -932,15 +854,6 @@ mod tests {
     #[should_panic(expected = "empty device group")]
     fn empty_group_rejected() {
         DeviceGroup::new(Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "not this group")]
-    fn cross_group_partitioned_buffer_rejected() {
-        let a = group(2);
-        let b = group(2);
-        let buf = a.upload_partitioned(&[1.0, 2.0, 3.0, 4.0], 1);
-        let _ = b.map_reduce_sum(&buf, 1.0, |r| r[0]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The cost model (`crate::cost`) predicts what an operation *should*
 //! cost; this module records what each launch *did* cost. Every charged
-//! device operation — transfers, row-major maps, columnar sweeps,
-//! in-place updates, reductions — is tagged with a [`LaunchKind`] and an
-//! attribution record ([`Launch`]: items touched, bytes moved, FLOPs
-//! claimed). The profiler keeps, per kind:
+//! device operation — transfers, columnar sweeps, the row-major map and
+//! in-place update behind Karma's ledger, reductions — is tagged with a
+//! [`LaunchKind`] and an attribution record ([`Launch`]: items touched,
+//! bytes moved, FLOPs claimed). The profiler keeps, per kind:
 //!
 //! * lifetime totals (launches, items, bytes, FLOPs, measured and
 //!   modeled seconds), and
@@ -22,12 +22,11 @@
 use std::sync::Arc;
 
 /// Number of distinct launch kinds (the length of [`LaunchKind::ALL`]).
-pub const LAUNCH_KIND_COUNT: usize = 20;
+pub const LAUNCH_KIND_COUNT: usize = 13;
 
 /// Identifies which device hot path issued a launch. One variant per
-/// charged `Device` operation; the batch entry points (`map_rows_batch`,
-/// `sweep_batch`) delegate to their `*_multi_reduce` kind, matching how
-/// they are charged.
+/// charged `Device` operation; the batch entry point `sweep_batch`
+/// delegates to `sweep_multi_reduce`'s kind, matching how it is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LaunchKind {
     /// Host→device transfer of a fresh buffer.
@@ -36,23 +35,12 @@ pub enum LaunchKind {
     WriteAt,
     /// Device→host transfer of a whole buffer.
     Download,
-    /// On-device buffer duplication (`copy_buffer`).
-    CopyBuffer,
     /// Row-major map kernel.
     MapRows,
-    /// Fused row-major map + tree reduction.
-    MapRowsReduce,
-    /// Row-major multi-output map.
-    MapRowsMulti,
-    /// Fused row-major multi-output map + column reduction (also the
-    /// batched entry point `map_rows_batch`).
-    MapRowsMultiReduce,
     /// Columnar (SoA) staging transfer.
     StageRowsSoa,
     /// Single-row columnar overwrite.
     WriteRowSoa,
-    /// Device→host readback of a staged sample.
-    DownloadRowsSoa,
     /// Fused columnar sweep + tree reduction.
     SweepReduce,
     /// Columnar multi-output sweep.
@@ -60,12 +48,8 @@ pub enum LaunchKind {
     /// Fused columnar multi-output sweep + column reduction (also the
     /// batched entry point `sweep_batch`).
     SweepMultiReduce,
-    /// In-place per-element update kernel.
-    UpdateInplace,
     /// In-place per-element update reading a second buffer.
     ZipUpdateInplace,
-    /// Standalone tree reduction + scalar readback.
-    ReduceSum,
     /// Standalone blocked column reduction + vector readback.
     ReduceSumColumns,
     /// One member device's share of a group stripe-block sweep + tree
@@ -84,20 +68,13 @@ impl LaunchKind {
         LaunchKind::Upload,
         LaunchKind::WriteAt,
         LaunchKind::Download,
-        LaunchKind::CopyBuffer,
         LaunchKind::MapRows,
-        LaunchKind::MapRowsReduce,
-        LaunchKind::MapRowsMulti,
-        LaunchKind::MapRowsMultiReduce,
         LaunchKind::StageRowsSoa,
         LaunchKind::WriteRowSoa,
-        LaunchKind::DownloadRowsSoa,
         LaunchKind::SweepReduce,
         LaunchKind::SweepMulti,
         LaunchKind::SweepMultiReduce,
-        LaunchKind::UpdateInplace,
         LaunchKind::ZipUpdateInplace,
-        LaunchKind::ReduceSum,
         LaunchKind::ReduceSumColumns,
         LaunchKind::GroupSweepReduce,
         LaunchKind::GroupSweepMultiReduce,
@@ -110,20 +87,13 @@ impl LaunchKind {
             LaunchKind::Upload => "upload",
             LaunchKind::WriteAt => "write_at",
             LaunchKind::Download => "download",
-            LaunchKind::CopyBuffer => "copy_buffer",
             LaunchKind::MapRows => "map_rows",
-            LaunchKind::MapRowsReduce => "map_rows_reduce",
-            LaunchKind::MapRowsMulti => "map_rows_multi",
-            LaunchKind::MapRowsMultiReduce => "map_rows_multi_reduce",
             LaunchKind::StageRowsSoa => "stage_rows_soa",
             LaunchKind::WriteRowSoa => "write_row_soa",
-            LaunchKind::DownloadRowsSoa => "download_rows_soa",
             LaunchKind::SweepReduce => "sweep_reduce",
             LaunchKind::SweepMulti => "sweep_multi",
             LaunchKind::SweepMultiReduce => "sweep_multi_reduce",
-            LaunchKind::UpdateInplace => "update_inplace",
             LaunchKind::ZipUpdateInplace => "zip_update_inplace",
-            LaunchKind::ReduceSum => "reduce_sum",
             LaunchKind::ReduceSumColumns => "reduce_sum_columns",
             LaunchKind::GroupSweepReduce => "group_sweep_reduce",
             LaunchKind::GroupSweepMultiReduce => "group_sweep_multi_reduce",
@@ -140,7 +110,6 @@ impl LaunchKind {
                 | LaunchKind::Download
                 | LaunchKind::StageRowsSoa
                 | LaunchKind::WriteRowSoa
-                | LaunchKind::DownloadRowsSoa
         )
     }
 
@@ -393,7 +362,7 @@ mod tests {
         assert!(!LaunchKind::Upload.is_kernel());
         assert!(!LaunchKind::StageRowsSoa.is_kernel());
         assert!(LaunchKind::SweepReduce.is_kernel());
-        assert!(LaunchKind::ReduceSum.is_kernel());
+        assert!(LaunchKind::ReduceSumColumns.is_kernel());
     }
 
     #[test]

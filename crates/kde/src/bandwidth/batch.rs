@@ -384,4 +384,49 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         optimize_bandwidth(&estimator, &[], &BatchConfig::default(), &mut rng);
     }
+
+    /// The §8 claim on the *published* estimator: the batch optimizer drives
+    /// a discrete attribute's Gaussian bandwidth toward a very small value,
+    /// degrading to counting.
+    #[test]
+    fn batch_optimizer_shrinks_bandwidth_on_discrete_attribute() {
+        use crate::bandwidth::batch::{optimize_bandwidth, BatchConfig};
+        use crate::estimator::KdeEstimator;
+        use kdesel_device::{Backend, Device};
+        use kdesel_types::LabelledQuery;
+
+        let mut rng = StdRng::seed_from_u64(7);
+        // dim 0 continuous, dim 1 binary {0, 10}.
+        let rows = 4000;
+        let mut data = Vec::new();
+        for _ in 0..rows {
+            data.push(rng.gen_range(0.0f64..100.0));
+            data.push(if rng.gen_bool(0.5) { 0.0 } else { 10.0 });
+        }
+        let sample: Vec<f64> = data[..2 * 256].to_vec();
+        let estimator =
+            KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
+        let scott = estimator.bandwidth().to_vec();
+
+        // Training queries that isolate single categories.
+        let mut train = Vec::new();
+        for i in 0..60 {
+            let cat = if i % 2 == 0 { 0.0 } else { 10.0 };
+            let c0: f64 = rng.gen_range(10.0..90.0);
+            let region = Rect::from_intervals(&[(c0 - 10.0, c0 + 10.0), (cat - 1.0, cat + 1.0)]);
+            let sel =
+                data.chunks_exact(2).filter(|r| region.contains(r)).count() as f64 / rows as f64;
+            train.push(LabelledQuery::new(region, sel));
+        }
+        let result = optimize_bandwidth(&estimator, &train, &BatchConfig::default(), &mut rng);
+        // The discrete dimension's bandwidth must shrink far below Scott's
+        // (categories are 10 apart; anything ≲ 1 behaves like counting).
+        assert!(
+            result.bandwidth[1] < scott[1] * 0.5,
+            "discrete bw {} vs scott {}",
+            result.bandwidth[1],
+            scott[1]
+        );
+        assert!(result.bandwidth[1] < 2.0, "bw {}", result.bandwidth[1]);
+    }
 }

@@ -6,9 +6,10 @@
 //! * [`kernel`] — Gaussian & Epanechnikov product kernels; the closed-form
 //!   per-dimension range factor (eq. 13) and its bandwidth derivative
 //!   (eq. 17's inner factor),
-//! * [`estimator`] — the device-resident KDE model: estimate (eq. 2),
-//!   estimator gradient (eqs. 15-17), single-transfer point replacement
-//!   (§5.1), retained contribution buffer (§5.4),
+//! * [`estimator`] — the device-resident KDE model, staged as SoA
+//!   stripes on one device or sharded across a device group: estimate
+//!   (eq. 2), estimator gradient (eqs. 15-17), single-transfer point
+//!   replacement (§5.1), retained contribution buffer (§5.4),
 //! * [`loss`] — differentiable loss functions and their derivatives
 //!   (Appendix C.1),
 //! * [`bandwidth`] — Scott's rule (eq. 3), batch optimization over query
@@ -19,7 +20,12 @@
 //! * [`karma`] — Karma-based sample maintenance (eqs. 6-8) with the
 //!   empty-region shortcut (Appendix E, eq. 20),
 //! * [`estimators`] — the `SelectivityEstimator` wrappers evaluated in §6:
-//!   Heuristic, SCV, Batch, and Adaptive KDE.
+//!   Heuristic, SCV, Batch, and Adaptive KDE,
+//! * [`persist`] — model snapshots for checkpoint and warm restart.
+//!
+//! Of the §8 outlook, discrete attributes need no separate model: the
+//! batch optimizer already drives a discrete dimension's bandwidth toward
+//! counting (pinned by a test in [`bandwidth::batch`]).
 
 pub mod bandwidth;
 pub mod estimator;
@@ -27,10 +33,8 @@ pub mod estimators;
 pub mod karma;
 pub mod kernel;
 pub mod loss;
-pub mod mixed;
 pub mod persist;
 pub(crate) mod sweep;
-pub mod variable;
 
 pub use bandwidth::adaptive::{AdaptiveConfig, AdaptiveTuner};
 pub use bandwidth::batch::{optimize_bandwidth, BatchConfig, WorkloadObjective};
@@ -42,6 +46,4 @@ pub use karma::{KarmaConfig, KarmaMaintenance};
 pub use kdesel_solver::online::RmsPropConfig;
 pub use kernel::KernelFn;
 pub use loss::LossFunction;
-pub use mixed::{AttributeKind, MixedKde};
 pub use persist::ModelSnapshot;
-pub use variable::VariableKde;

@@ -16,12 +16,12 @@
 //! launch overhead modeled by `kdesel-device` is not drowned in real
 //! thread overhead on the hot small-query path.
 //!
-//! The device layer's *fused* kernels (`map_rows_reduce`,
-//! `map_rows_multi_reduce`, `map_rows_batch`) lean on the same guarantee
-//! from the other direction: because `par_map_collect` /
-//! `par_for_each_row_mut` place every output at its input index
-//! regardless of scheduling, a fused launch feeds the pairwise reduction
-//! the exact element order the unfused two-launch path would — which is
+//! The device layer's *fused* sweeps (`sweep_reduce`,
+//! `sweep_multi_reduce`, `sweep_batch`) lean on the same guarantee from
+//! the other direction: because `par_for_each_block_mut` places every
+//! block's outputs at their row index regardless of scheduling, a fused
+//! launch feeds the pairwise reduction the exact element order the
+//! unfused `sweep_multi` + `reduce_sum_columns` path would — which is
 //! what makes fused-vs-unfused bit-identity a structural property rather
 //! than a numerical accident.
 
@@ -117,44 +117,6 @@ where
             scope.spawn(move || {
                 for (i, item) in head.iter_mut().enumerate() {
                     f(base + i, item);
-                }
-            });
-        }
-    });
-}
-
-/// Calls `f(row_index, &mut out[row*width..][..width])` for every
-/// `width`-wide output row, in parallel over contiguous row ranges.
-///
-/// # Panics
-/// Panics when `out.len()` is not a multiple of `width`.
-pub fn par_for_each_row_mut<T, F>(out: &mut [T], width: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(width > 0, "zero row width");
-    assert_eq!(out.len() % width, 0, "ragged row buffer");
-    let rows = out.len() / width;
-    if rows < PARALLEL_THRESHOLD || workers() == 1 {
-        for (i, row) in out.chunks_exact_mut(width).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let splits = ranges(rows, workers());
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut row_offset = 0;
-        for range in splits {
-            let (head, tail) = rest.split_at_mut(range.len() * width);
-            rest = tail;
-            let base = row_offset;
-            row_offset += range.len();
-            let f = &f;
-            scope.spawn(move || {
-                for (i, row) in head.chunks_exact_mut(width).enumerate() {
-                    f(base + i, row);
                 }
             });
         }
@@ -269,21 +231,6 @@ mod tests {
         par_for_each_mut(&mut items, |i, v| *v = i as u64 + 1);
         for (i, &v) in items.iter().enumerate() {
             assert_eq!(v, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn row_helper_writes_disjoint_rows() {
-        let width = 3;
-        let rows = PARALLEL_THRESHOLD + 11;
-        let mut out = vec![0.0f64; rows * width];
-        par_for_each_row_mut(&mut out, width, |i, row| {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (i * width + j) as f64;
-            }
-        });
-        for (k, &v) in out.iter().enumerate() {
-            assert_eq!(v, k as f64);
         }
     }
 

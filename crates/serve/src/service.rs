@@ -35,6 +35,9 @@ pub enum ServeError {
     Config(String),
     /// Workload capture or metrics-dump IO failed.
     Capture(String),
+    /// A request carried a value the model must never see (e.g. a
+    /// feedback selectivity that is NaN or outside `[0, 1]`).
+    InvalidInput(String),
 }
 
 impl fmt::Display for ServeError {
@@ -49,6 +52,7 @@ impl fmt::Display for ServeError {
             Self::DuplicateModel(key) => write!(f, "model {key} registered twice"),
             Self::Config(what) => write!(f, "invalid serve config: {what}"),
             Self::Capture(what) => write!(f, "capture error: {what}"),
+            Self::InvalidInput(what) => write!(f, "invalid input: {what}"),
         }
     }
 }
@@ -174,6 +178,10 @@ impl ServeHandle {
     /// [`PendingEstimate::trace`]), closing the loop the paper's §4
     /// feedback cycle describes: the `serve.feedback` span becomes a
     /// child of that request's root span.
+    ///
+    /// Feedback whose `estimate` or `actual` is NaN or outside `[0, 1]`
+    /// is rejected with [`ServeError::InvalidInput`] and never reaches
+    /// the executor.
     pub fn feedback_traced(
         &self,
         key: &ModelKey,
@@ -186,6 +194,17 @@ impl ServeHandle {
                 expected: port.dims,
                 got: feedback.region.dims(),
             });
+        }
+        // A selectivity outside [0, 1] is a caller bug, and a single NaN
+        // would turn the adaptive tuner's RMSprop state NaN for good,
+        // freezing the bandwidth: reject both before the executor sees
+        // them.
+        for (name, value) in [("estimate", feedback.estimate), ("actual", feedback.actual)] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(ServeError::InvalidInput(format!(
+                    "feedback {name} {value} is not a selectivity in [0, 1]"
+                )));
+            }
         }
         port.tx
             .send(Msg::Feedback { feedback, trace })

@@ -6,14 +6,14 @@
 //!
 //! * [`Objective`] / [`Bounds`] — the problem interface,
 //! * [`lbfgs`] — projected-gradient L-BFGS for box-constrained problems,
-//! * [`gradient_descent`] — a robust first-order fallback,
+//!   the one local method (multistart refines each start with it; the
+//!   line searches live in [`linesearch`]),
 //! * [`multistart`] — an MLSL-style clustered-multistart global phase,
 //! * [`online`] — the Rprop/RMSprop adaptive updaters driving the
 //!   self-tuning bandwidth loop (paper §4.1, Listing 1),
 //! * [`testfns`] — standard optimization test functions used by the test
 //!   suite and benches.
 
-pub mod gradient_descent;
 pub mod lbfgs;
 pub mod linesearch;
 pub mod multistart;
@@ -21,7 +21,6 @@ pub mod online;
 pub mod problem;
 pub mod testfns;
 
-pub use gradient_descent::{gradient_descent, GradientDescentConfig};
 pub use lbfgs::{lbfgs, LbfgsConfig};
 pub use multistart::{multistart, MultistartConfig};
 pub use online::{RmsProp, RmsPropConfig, Rprop, RpropConfig};

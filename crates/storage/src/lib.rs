@@ -9,14 +9,15 @@
 //!
 //! * [`Table`] — row-major storage with insert/delete/update, full-scan
 //!   range counting, and tombstone-based row identity,
-//! * [`TableEvent`] — a drainable change log the maintenance layer consumes
-//!   (standing in for Postgres' trigger notifications),
 //! * [`sampling`] — uniform random sampling of live rows (standing in for
 //!   Postgres' `ANALYZE` row sampling).
+//!
+//! The table keeps no change log: its caller observes the update stream.
+//! `kdesel_engine::Database::insert` hands each inserted row to the
+//! estimator's reservoir path in the same call, and deletions reach the
+//! model through query feedback (Karma, §4.2).
 
-pub mod events;
 pub mod sampling;
 pub mod table;
 
-pub use events::TableEvent;
 pub use table::{RowId, Table};

@@ -1,6 +1,5 @@
 //! In-memory relation with real-valued attributes.
 
-use crate::events::TableEvent;
 use kdesel_types::Rect;
 
 /// Stable identifier of a row slot.
@@ -27,9 +26,6 @@ pub struct Table {
     free: Vec<RowId>,
     /// Number of live rows.
     row_count: usize,
-    /// Change log, populated only when event recording is on.
-    events: Vec<TableEvent>,
-    events_enabled: bool,
 }
 
 impl Table {
@@ -45,8 +41,6 @@ impl Table {
             live: Vec::new(),
             free: Vec::new(),
             row_count: 0,
-            events: Vec::new(),
-            events_enabled: false,
         }
     }
 
@@ -86,23 +80,6 @@ impl Table {
         self.live.len()
     }
 
-    /// Starts recording change events (drained via
-    /// [`drain_events`](Self::drain_events)).
-    pub fn enable_events(&mut self) {
-        self.events_enabled = true;
-    }
-
-    /// Stops recording and discards any pending events.
-    pub fn disable_events(&mut self) {
-        self.events_enabled = false;
-        self.events.clear();
-    }
-
-    /// Removes and returns all recorded events since the last drain.
-    pub fn drain_events(&mut self) -> Vec<TableEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Inserts a row, returning its slot id.
     ///
     /// # Panics
@@ -121,12 +98,6 @@ impl Table {
             self.live.len() - 1
         };
         self.row_count += 1;
-        if self.events_enabled {
-            self.events.push(TableEvent::Inserted {
-                row: id,
-                values: row.to_vec(),
-            });
-        }
         id
     }
 
@@ -147,13 +118,6 @@ impl Table {
         self.live[slot] = false;
         self.free.push(slot);
         self.row_count -= 1;
-        if self.events_enabled {
-            let base = slot * self.dims;
-            self.events.push(TableEvent::Deleted {
-                row: slot,
-                values: self.data[base..base + self.dims].to_vec(),
-            });
-        }
         true
     }
 
@@ -168,13 +132,6 @@ impl Table {
             return false;
         }
         let base = slot * self.dims;
-        if self.events_enabled {
-            self.events.push(TableEvent::Updated {
-                row: slot,
-                old: self.data[base..base + self.dims].to_vec(),
-                new: row.to_vec(),
-            });
-        }
         self.data[base..base + self.dims].copy_from_slice(row);
         true
     }
@@ -295,30 +252,6 @@ mod tests {
         t.delete(1);
         let live: Vec<RowId> = t.rows().map(|(id, _)| id).collect();
         assert_eq!(live, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn events_record_changes_in_order() {
-        let mut t = Table::new(1);
-        t.enable_events();
-        let a = t.insert(&[1.0]);
-        t.update(a, &[2.0]);
-        t.delete(a);
-        let evs = t.drain_events();
-        assert_eq!(evs.len(), 3);
-        assert!(matches!(&evs[0], TableEvent::Inserted { values, .. } if values == &[1.0]));
-        assert!(
-            matches!(&evs[1], TableEvent::Updated { old, new, .. } if old == &[1.0] && new == &[2.0])
-        );
-        assert!(matches!(&evs[2], TableEvent::Deleted { values, .. } if values == &[2.0]));
-        assert!(t.drain_events().is_empty(), "drain must consume");
-    }
-
-    #[test]
-    fn events_disabled_by_default() {
-        let mut t = Table::new(1);
-        t.insert(&[1.0]);
-        assert!(t.drain_events().is_empty());
     }
 
     #[test]

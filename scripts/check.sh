@@ -27,6 +27,11 @@ run cargo test -q --offline --release -p kdesel --test multi_device -- --ignored
 # change can't slip through a filtered test run.
 run cargo test -q --offline --release -p kdesel --test bakeoff \
     hybrid_snapshot_roundtrip_through_serve
+# The benchmark harness (perfbench/, its own package outside the
+# workspace) builds against the library crates: build it and run its
+# tests, so a removed or renamed API it calls fails here rather than in
+# a benchmark run.
+run cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check --all
 

@@ -4,11 +4,13 @@
 //! scalar row-major (AoS) path they replaced, on a single thread:
 //!
 //! * **estimate sweep** — `KdeEstimator::estimate` (SoA stripes +
-//!   `F64s` lanes) vs a hand-rolled `map_rows_reduce` over the AoS
-//!   buffer calling `KernelFn::contribution` per row — exactly the
-//!   pre-SoA hot path,
-//! * **fused gradient sweep** — `estimate_with_gradient` vs the AoS
-//!   `map_rows_multi_reduce` + `contribution_with_gradient` equivalent.
+//!   `F64s` lanes) vs a host loop over the row-major sample calling
+//!   `KernelFn::contribution` per row into a buffer that is kept on the
+//!   device and pairwise-summed there — the work of the pre-SoA hot
+//!   path,
+//! * **fused gradient sweep** — `estimate_with_gradient` vs the same
+//!   loop over `contribution_with_gradient`, writing `1 + d` outputs per
+//!   row and pairwise-summing the columns.
 //!
 //! Both kernels are measured; the Epanechnikov estimate sweep is the
 //! gated one (pure polynomial arithmetic, so lane speedup is the whole
@@ -25,7 +27,7 @@
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
-use kdesel_device::{Backend, Device};
+use kdesel_device::{Backend, Device, DeviceBuffer};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn};
 use kdesel_types::Rect;
@@ -45,6 +47,26 @@ impl PathReport {
     fn speedup(&self) -> f64 {
         self.scalar_seconds / self.simd_seconds
     }
+}
+
+/// The scalar row-major baseline: a host loop runs `f` on every
+/// `dims`-wide row of `sample`, writing its `width` outputs into one row
+/// of a `rows × width` buffer. The buffer is kept on `device` (the
+/// retained per-row contributions) and its columns are summed there with
+/// the pairwise reduction the sweeps use.
+fn row_major_sums(
+    device: &Device,
+    sample: &[f64],
+    dims: usize,
+    width: usize,
+    f: impl Fn(&[f64], &mut [f64]),
+) -> (Vec<f64>, DeviceBuffer) {
+    let mut out = vec![0.0; sample.len() / dims * width];
+    for (row, o) in sample.chunks_exact(dims).zip(out.chunks_exact_mut(width)) {
+        f(row, o);
+    }
+    let kept = device.upload(&out);
+    (device.reduce_sum_columns(&kept, width), kept)
 }
 
 /// Median wall time of `reps` runs of `f`.
@@ -86,24 +108,21 @@ fn bench_kernel(
     let bw: Vec<f64> = est.bandwidth().to_vec();
     let n = sample.len() / dims;
 
-    // Scalar side: the pre-SoA hot path — a row-major device buffer and
-    // the per-row scalar kernel, one launch via `map_rows_reduce`, with
-    // the same bounds transfer and retained contribution buffer the old
-    // `estimate` performed.
+    // Scalar side: the pre-SoA hot path — the per-row scalar kernel over
+    // the row-major sample, with the same bounds transfer and kept
+    // per-row contribution buffer the old `estimate` performed.
     let aos_device = Device::new(Backend::CpuSeq);
-    let aos = aos_device.upload(sample);
     let (lo, hi) = (region.lo(), region.hi());
-    let flops = kernel.flops_per_factor() * dims as f64;
     let scalar_estimate = || {
         let mut bounds = Vec::with_capacity(2 * dims);
         bounds.extend_from_slice(lo);
         bounds.extend_from_slice(hi);
         let _bounds_buf = aos_device.upload(&bounds);
-        let (sum, contributions) = aos_device.map_rows_reduce(&aos, dims, flops, true, |row| {
-            kernel.contribution(row, lo, hi, &bw)
+        let (sums, contributions) = row_major_sums(&aos_device, sample, dims, 1, |row, out| {
+            out[0] = kernel.contribution(row, lo, hi, &bw);
         });
         black_box(contributions);
-        (sum / n as f64).clamp(0.0, 1.0)
+        (sums[0] / n as f64).clamp(0.0, 1.0)
     };
 
     // The SoA sweep multiplies by hoisted bandwidth reciprocals where
@@ -127,13 +146,11 @@ fn bench_kernel(
     };
 
     // Fused value+gradient sweep (width 1+d), scalar AoS equivalent.
-    let gflops = kernel.flops_per_factor() * (dims * 2) as f64 + (dims * dims) as f64;
     let width = 1 + dims;
     let scalar_fused = || {
-        let (sums, _) =
-            aos_device.map_rows_multi_reduce(&aos, dims, width, gflops, false, |row, out| {
-                out[0] = kernel.contribution_with_gradient(row, lo, hi, &bw, &mut out[1..]);
-            });
+        let (sums, _) = row_major_sums(&aos_device, sample, dims, width, |row, out| {
+            out[0] = kernel.contribution_with_gradient(row, lo, hi, &bw, &mut out[1..]);
+        });
         black_box(sums);
     };
     let fused = PathReport {

@@ -4,11 +4,13 @@
 //! round-trips.
 
 use kdesel::device::{Backend, Device};
-use kdesel::kde::{KdeEstimator, KernelFn, ModelSnapshot};
+use kdesel::kde::{
+    AdaptiveConfig, AdaptiveKde, KarmaConfig, KdeEstimator, KernelFn, ModelSnapshot,
+};
 use kdesel::serve::{
     AdaptiveWaitConfig, CheckpointPolicy, ModelKey, ServeConfig, ServeError, ServedModel, Service,
 };
-use kdesel::Rect;
+use kdesel::{QueryFeedback, Rect};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -357,6 +359,69 @@ fn request_validation_errors_are_clean() {
         handle.estimate(&key, &Rect::cube(2, 0.0, 1.0)),
         Err(ServeError::Disconnected(_))
     ));
+}
+
+/// Feedback whose selectivities are NaN, infinite or outside `[0, 1]`
+/// is refused at the front door with a typed error. One NaN reaching the
+/// adaptive tuner would make its RMSprop state NaN, after which every step
+/// is zero and healthy feedback never moves the bandwidth again.
+#[test]
+fn invalid_feedback_is_rejected_and_tuning_continues() {
+    let dims = 2;
+    let key = ModelKey::new("t", &["a", "b"]);
+    let service = Service::builder(ServeConfig::default())
+        .register(
+            key.clone(),
+            ServedModel::adaptive(AdaptiveKde::new(
+                Device::new(Backend::CpuSeq),
+                &sample(512, dims, 41),
+                dims,
+                KernelFn::Gaussian,
+                AdaptiveConfig::default(),
+                KarmaConfig::default(),
+            )),
+        )
+        .build()
+        .unwrap();
+    let handle = service.handle();
+    let region = Rect::from_intervals(&[(0.1, 0.4), (0.1, 0.4)]);
+    let feedback = |estimate: f64, actual: f64| QueryFeedback {
+        region: region.clone(),
+        estimate,
+        actual,
+        cardinality: 0,
+    };
+    let initial = handle.report(&key).unwrap().bandwidth;
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.5] {
+        for rejected in [feedback(bad, 0.3), feedback(0.05, bad)] {
+            assert!(
+                matches!(
+                    handle.feedback(&key, rejected),
+                    Err(ServeError::InvalidInput(_))
+                ),
+                "feedback with {bad} accepted"
+            );
+        }
+    }
+    handle.flush(&key).unwrap();
+    assert_eq!(handle.report(&key).unwrap().bandwidth, initial);
+
+    for _ in 0..3 * AdaptiveConfig::default().mini_batch {
+        let estimate = handle.estimate(&key, &region).unwrap();
+        handle
+            .feedback(&key, feedback(estimate, (estimate + 0.3).min(1.0)))
+            .unwrap();
+        handle.flush(&key).unwrap();
+    }
+    let tuned = handle.report(&key).unwrap().bandwidth;
+    assert!(tuned.iter().all(|h| h.is_finite() && *h > 0.0), "{tuned:?}");
+    let moved = tuned.iter().zip(&initial).map(|(t, h)| (t / h).ln().abs());
+    assert!(
+        moved.fold(0.0, f64::max) > 0.1,
+        "healthy feedback must still step the bandwidth: {initial:?} -> {tuned:?}"
+    );
+    service.shutdown().unwrap();
 }
 
 proptest! {
