@@ -16,6 +16,7 @@
 //! that regressed, with measured-vs-threshold values — the `perf_smoke.sh`
 //! failure report.
 
+use kdesel_telemetry::Json;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -62,23 +63,23 @@ impl HistoryEntry {
     }
 
     fn to_json_line(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|(name, value)| format!("\"{}\":{:?}", escape(name), value))
-            .collect();
-        format!(
-            "{{\"v\":{HISTORY_VERSION},\"bench\":\"{}\",\"git\":\"{}\",\"unix_s\":{},\"metrics\":{{{}}}}}",
-            escape(&self.bench),
-            escape(&self.git),
-            self.unix_s,
-            metrics.join(",")
-        )
+        Json::object([
+            ("v", Json::from(HISTORY_VERSION)),
+            ("bench", Json::from(self.bench.as_str())),
+            ("git", Json::from(self.git.as_str())),
+            ("unix_s", Json::from(self.unix_s)),
+            (
+                "metrics",
+                Json::Obj(
+                    self.metrics
+                        .iter()
+                        .map(|(name, value)| (name.clone(), Json::from(*value)))
+                        .collect(),
+                ),
+            ),
+        ])
+        .to_string()
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The history file for this run: `BENCH_HISTORY_OUT` or
@@ -158,52 +159,28 @@ pub fn load(path: &Path) -> Vec<HistoryEntry> {
     text.lines().filter_map(parse_line).collect()
 }
 
+/// Decodes one history line; `None` for malformed or version-skewed
+/// lines. A metric written as `null` (non-finite) reads back as NaN.
 fn parse_line(line: &str) -> Option<HistoryEntry> {
-    let line = line.trim();
-    if line.is_empty() {
+    let doc = Json::parse(line).ok()?;
+    if doc.u64("v").ok()? != HISTORY_VERSION {
         return None;
     }
-    if extract_u64(line, "v")? != HISTORY_VERSION {
+    let Json::Obj(metrics) = doc.field("metrics").ok()? else {
         return None;
-    }
-    let metrics_body = {
-        let start = line.find("\"metrics\"")?;
-        let open = line[start..].find('{')? + start;
-        let close = line[open..].find('}')? + open;
-        &line[open + 1..close]
     };
-    let mut metrics = Vec::new();
-    for pair in metrics_body.split(',').filter(|p| !p.trim().is_empty()) {
-        let (name, value) = pair.split_once(':')?;
-        metrics.push((
-            name.trim().trim_matches('"').to_string(),
-            value.trim().parse().ok()?,
-        ));
-    }
     Some(HistoryEntry {
-        bench: extract_str(line, "bench")?,
-        git: extract_str(line, "git")?,
-        unix_s: extract_u64(line, "unix_s")?,
-        metrics,
+        bench: doc.str("bench").ok()?.to_string(),
+        git: doc.str("git").ok()?.to_string(),
+        unix_s: doc.u64("unix_s").ok()?,
+        metrics: metrics
+            .iter()
+            .map(|(name, value)| match value {
+                Json::Null => Some((name.clone(), f64::NAN)),
+                value => Some((name.clone(), value.as_f64()?)),
+            })
+            .collect::<Option<_>>()?,
     })
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .ok()
 }
 
 /// Which way a metric is supposed to move.
@@ -377,6 +354,30 @@ mod tests {
         let loaded = load(&path);
         assert_eq!(loaded, runs);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The checked-in history must decode and re-encode byte for byte:
+    /// the format is pinned by real data, not only by round trips.
+    #[test]
+    fn checked_in_history_reencodes_byte_identically() {
+        let checked_in = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_history.jsonl"
+        ));
+        let original = std::fs::read_to_string(checked_in).expect("checked-in history");
+        let entries = load(checked_in);
+        assert_eq!(entries.len(), original.lines().count());
+        let path = std::env::temp_dir().join(format!(
+            "kdesel-bench-history-pin-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        for entry in &entries {
+            append(&path, entry).expect("append");
+        }
+        let reencoded = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(reencoded, original);
     }
 
     #[test]

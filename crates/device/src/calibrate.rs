@@ -15,8 +15,9 @@
 //!    Positivity is enforced by optimizing `u = ln θ`; log-space
 //!    residuals weigh a 2x error on a 1 µs launch the same as a 2x
 //!    error on a 10 ms sweep.
-//! 3. The result is a versioned [`MeasuredProfile`] (JSON round-trip,
-//!    hand-rolled like `kdesel-kde`'s snapshots) carrying the fitted
+//! 3. The result is a versioned [`MeasuredProfile`] (JSON round-trip
+//!    through the workspace's one codec, `kdesel_telemetry::json`,
+//!    like `kdesel-kde`'s snapshots) carrying the fitted
 //!    profile, every point's modeled-vs-measured residual, and the
 //!    median relative error — the number the `kdesel-calibrate` binary
 //!    gates on.
@@ -30,6 +31,7 @@
 use crate::cost::CostProfile;
 use crate::device::{Backend, Device};
 use kdesel_solver::{lbfgs, Bounds, FnObjective, LbfgsConfig, OptOutcome};
+use kdesel_telemetry::Json;
 use std::time::Instant;
 
 /// Schema version of the [`MeasuredProfile`] JSON.
@@ -477,267 +479,89 @@ impl MeasuredProfile {
     /// so [`MeasuredProfile::from_json`] recovers them bit-exactly.
     pub fn to_json(&self) -> String {
         let p = &self.profile;
-        let mut out = String::with_capacity(256 + self.points.len() * 160);
-        out.push_str(&format!(
-            "{{\"v\":{},\"backend\":\"{}\",\"median_residual\":{:?},",
-            self.version, self.backend, self.median_residual
-        ));
-        out.push_str(&format!(
-            "\"profile\":{{\"kernel_launch_latency\":{:?},\"transfer_latency\":{:?},\
-             \"transfer_bandwidth\":{:?},\"compute_throughput\":{:?},\"vector_width\":{:?}}},",
-            p.kernel_launch_latency,
-            p.transfer_latency,
-            p.transfer_bandwidth,
-            p.compute_throughput,
-            p.vector_width
-        ));
-        out.push_str("\"points\":[");
-        for (i, point) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"op\":\"{}\",\"items\":{},\"flops_per_item\":{:?},\"bytes\":{},\
-                 \"measured_seconds\":{:?},\"modeled_seconds\":{:?},\"residual\":{:?}}}",
-                point.op.name(),
-                point.items,
-                point.flops_per_item,
-                point.bytes,
-                point.measured_seconds,
-                point.modeled_seconds,
-                point.residual
-            ));
-        }
-        out.push_str("]}");
-        out
+        let point = |point: &MeasuredPoint| {
+            Json::object([
+                ("op", Json::from(point.op.name())),
+                ("items", Json::from(point.items)),
+                ("flops_per_item", Json::from(point.flops_per_item)),
+                ("bytes", Json::from(point.bytes)),
+                ("measured_seconds", Json::from(point.measured_seconds)),
+                ("modeled_seconds", Json::from(point.modeled_seconds)),
+                ("residual", Json::from(point.residual)),
+            ])
+        };
+        Json::object([
+            ("v", Json::from(self.version)),
+            ("backend", Json::from(self.backend.as_str())),
+            ("median_residual", Json::from(self.median_residual)),
+            (
+                "profile",
+                Json::object([
+                    ("kernel_launch_latency", Json::from(p.kernel_launch_latency)),
+                    ("transfer_latency", Json::from(p.transfer_latency)),
+                    ("transfer_bandwidth", Json::from(p.transfer_bandwidth)),
+                    ("compute_throughput", Json::from(p.compute_throughput)),
+                    ("vector_width", Json::from(p.vector_width)),
+                ]),
+            ),
+            ("points", self.points.iter().map(point).collect()),
+        ])
+        .to_string()
     }
 
     /// Parses a profile serialized by [`MeasuredProfile::to_json`]. Keys
     /// may appear in any order; unknown keys and version mismatches are
     /// errors (a newer writer must not be silently misread).
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut p = json::Parser::new(json);
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut version = None;
-        let mut backend = None;
-        let mut median_residual = None;
-        let mut profile = None;
-        let mut points = None;
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            match key.as_str() {
-                "v" => version = Some(p.number()? as u64),
-                "backend" => backend = Some(p.string()?),
-                "median_residual" => median_residual = Some(p.number()?),
-                "profile" => profile = Some(parse_profile(&mut p)?),
-                "points" => points = Some(parse_points(&mut p)?),
-                other => return Err(format!("unknown measured-profile key {other:?}")),
-            }
-            p.skip_ws();
-            match p.next()? {
-                b',' => continue,
-                b'}' => break,
-                c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-            }
-        }
-        let version = version.ok_or("missing v")?;
+        let doc = Json::parse(json)?;
+        let version = doc.u64("v")?;
         if version != MEASURED_PROFILE_VERSION {
             return Err(format!(
                 "measured-profile version {version} (supported: {MEASURED_PROFILE_VERSION})"
             ));
         }
+        doc.check_keys(&["v", "backend", "median_residual", "profile", "points"])?;
+        let p = doc.field("profile")?;
+        p.check_keys(&[
+            "kernel_launch_latency",
+            "transfer_latency",
+            "transfer_bandwidth",
+            "compute_throughput",
+            "vector_width",
+        ])?;
+        let points = doc.array("points")?.iter().map(|point| {
+            point.check_keys(&[
+                "op",
+                "items",
+                "flops_per_item",
+                "bytes",
+                "measured_seconds",
+                "modeled_seconds",
+                "residual",
+            ])?;
+            Ok(MeasuredPoint {
+                op: PointOp::parse(point.str("op")?)?,
+                items: point.u64("items")?,
+                flops_per_item: point.f64("flops_per_item")?,
+                bytes: point.u64("bytes")?,
+                measured_seconds: point.f64("measured_seconds")?,
+                modeled_seconds: point.f64("modeled_seconds")?,
+                residual: point.f64("residual")?,
+            })
+        });
         Ok(Self {
             version,
-            backend: backend.ok_or("missing backend")?,
-            profile: profile.ok_or("missing profile")?,
-            median_residual: median_residual.ok_or("missing median_residual")?,
-            points: points.ok_or("missing points")?,
+            backend: doc.str("backend")?.to_string(),
+            profile: CostProfile {
+                kernel_launch_latency: p.f64("kernel_launch_latency")?,
+                transfer_latency: p.f64("transfer_latency")?,
+                transfer_bandwidth: p.f64("transfer_bandwidth")?,
+                compute_throughput: p.f64("compute_throughput")?,
+                vector_width: p.f64("vector_width")?,
+            },
+            points: points.collect::<Result<_, String>>()?,
+            median_residual: doc.f64("median_residual")?,
         })
-    }
-}
-
-fn parse_profile(p: &mut json::Parser<'_>) -> Result<CostProfile, String> {
-    p.expect(b'{')?;
-    let mut launch = None;
-    let mut transfer_lat = None;
-    let mut bandwidth = None;
-    let mut throughput = None;
-    let mut width = None;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "kernel_launch_latency" => launch = Some(p.number()?),
-            "transfer_latency" => transfer_lat = Some(p.number()?),
-            "transfer_bandwidth" => bandwidth = Some(p.number()?),
-            "compute_throughput" => throughput = Some(p.number()?),
-            "vector_width" => width = Some(p.number()?),
-            other => return Err(format!("unknown profile key {other:?}")),
-        }
-        p.skip_ws();
-        match p.next()? {
-            b',' => continue,
-            b'}' => break,
-            c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-        }
-    }
-    Ok(CostProfile {
-        kernel_launch_latency: launch.ok_or("missing kernel_launch_latency")?,
-        transfer_latency: transfer_lat.ok_or("missing transfer_latency")?,
-        transfer_bandwidth: bandwidth.ok_or("missing transfer_bandwidth")?,
-        compute_throughput: throughput.ok_or("missing compute_throughput")?,
-        vector_width: width.ok_or("missing vector_width")?,
-    })
-}
-
-fn parse_points(p: &mut json::Parser<'_>) -> Result<Vec<MeasuredPoint>, String> {
-    p.expect(b'[')?;
-    let mut points = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.next()?;
-        return Ok(points);
-    }
-    loop {
-        p.skip_ws();
-        points.push(parse_point(p)?);
-        p.skip_ws();
-        match p.next()? {
-            b',' => continue,
-            b']' => break,
-            c => return Err(format!("expected ',' or ']', found {:?}", c as char)),
-        }
-    }
-    Ok(points)
-}
-
-fn parse_point(p: &mut json::Parser<'_>) -> Result<MeasuredPoint, String> {
-    p.expect(b'{')?;
-    let mut op = None;
-    let mut items = None;
-    let mut flops = None;
-    let mut bytes = None;
-    let mut measured = None;
-    let mut modeled = None;
-    let mut residual = None;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "op" => op = Some(PointOp::parse(&p.string()?)?),
-            "items" => items = Some(p.number()? as u64),
-            "flops_per_item" => flops = Some(p.number()?),
-            "bytes" => bytes = Some(p.number()? as u64),
-            "measured_seconds" => measured = Some(p.number()?),
-            "modeled_seconds" => modeled = Some(p.number()?),
-            "residual" => residual = Some(p.number()?),
-            other => return Err(format!("unknown point key {other:?}")),
-        }
-        p.skip_ws();
-        match p.next()? {
-            b',' => continue,
-            b'}' => break,
-            c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-        }
-    }
-    Ok(MeasuredPoint {
-        op: op.ok_or("missing op")?,
-        items: items.ok_or("missing items")?,
-        flops_per_item: flops.ok_or("missing flops_per_item")?,
-        bytes: bytes.ok_or("missing bytes")?,
-        measured_seconds: measured.ok_or("missing measured_seconds")?,
-        modeled_seconds: modeled.ok_or("missing modeled_seconds")?,
-        residual: residual.ok_or("missing residual")?,
-    })
-}
-
-/// Minimal byte-level JSON scanner, following the `kdesel-kde`
-/// persistence idiom (strict: unknown keys are errors, floats round-trip
-/// through `{:?}`).
-mod json {
-    pub(super) struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        pub(super) fn new(text: &'a str) -> Self {
-            Self {
-                bytes: text.as_bytes(),
-                pos: 0,
-            }
-        }
-
-        pub(super) fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        pub(super) fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        pub(super) fn next(&mut self) -> Result<u8, String> {
-            let b = self.peek().ok_or("unexpected end of input")?;
-            self.pos += 1;
-            Ok(b)
-        }
-
-        pub(super) fn expect(&mut self, want: u8) -> Result<(), String> {
-            let got = self.next()?;
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?}, found {:?} at byte {}",
-                    want as char,
-                    got as char,
-                    self.pos - 1
-                ))
-            }
-        }
-
-        pub(super) fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b != b'"') {
-                self.pos += 1;
-            }
-            let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|e| e.to_string())?
-                .to_string();
-            self.expect(b'"')?;
-            Ok(s)
-        }
-
-        pub(super) fn number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while self.peek().is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'i' | b'n')
-            }) {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            text.parse()
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
     }
 }
 
@@ -840,6 +664,8 @@ mod tests {
         let skewed = measured.to_json().replacen("\"v\":1", "\"v\":2", 1);
         let err = MeasuredProfile::from_json(&skewed).unwrap_err();
         assert!(err.contains("version"), "{err}");
+        let fractional = measured.to_json().replacen("\"v\":1", "\"v\":1.5", 1);
+        assert!(MeasuredProfile::from_json(&fractional).is_err());
         let unknown = measured
             .to_json()
             .replacen("\"backend\"", "\"surprise\"", 1);

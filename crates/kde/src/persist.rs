@@ -3,14 +3,17 @@
 //! A production optimizer keeps its statistics in the catalog (Postgres:
 //! `pg_statistic`) so they survive restarts; the paper's estimator would
 //! live there too. [`ModelSnapshot`] captures everything a KDE model needs
-//! — the sample, the kernel, the bandwidth — with a first-party JSON
-//! round-trip (no external serialization crates); restoring uploads the
-//! sample to a fresh device and reinstates the tuned bandwidth, skipping
-//! both ANALYZE and re-optimization.
+//! — the sample, the kernel, the bandwidth, and a hybrid model's
+//! [`RouterState`] — and this module owns its JSON format, router state
+//! included, mapped onto the workspace's one codec
+//! ([`kdesel_telemetry::json`]). Restoring uploads the sample to a fresh
+//! device and reinstates the tuned bandwidth, skipping both ANALYZE and
+//! re-optimization.
 
 use crate::estimator::KdeEstimator;
 use crate::kernel::KernelFn;
 use kdesel_device::Device;
+use kdesel_telemetry::Json;
 use kdesel_types::RouterState;
 
 /// Serializable snapshot of a KDE model.
@@ -68,180 +71,81 @@ impl ModelSnapshot {
     /// round-trip (`{:?}`) formatting, so `from_json` recovers them
     /// bit-exactly.
     pub fn to_json(&self) -> String {
-        fn push_floats(out: &mut String, values: &[f64]) {
-            out.push('[');
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{v:?}"));
-            }
-            out.push(']');
-        }
-        let mut out = String::with_capacity(32 + self.sample.len() * 20);
-        out.push_str("{\"sample\":");
-        push_floats(&mut out, &self.sample);
-        out.push_str(&format!(",\"dims\":{}", self.dims));
-        // Kernel names are identifiers from `KernelFn::name` — no
-        // escaping needed, but reject surprises rather than emit bad JSON.
-        assert!(
-            self.kernel
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_'),
-            "kernel name {:?} is not a plain identifier",
-            self.kernel
-        );
-        out.push_str(&format!(",\"kernel\":\"{}\"", self.kernel));
-        out.push_str(",\"bandwidth\":");
-        push_floats(&mut out, &self.bandwidth);
+        let mut fields = vec![
+            ("sample", self.sample.iter().copied().collect()),
+            ("dims", Json::from(self.dims as u64)),
+            ("kernel", Json::from(self.kernel.as_str())),
+            ("bandwidth", self.bandwidth.iter().copied().collect()),
+        ];
         if let Some(router) = &self.router {
-            out.push_str(",\"router\":");
-            out.push_str(&router.to_json());
+            fields.push(("router", router_to_json(router)));
         }
-        out.push('}');
-        out
+        Json::object(fields).to_string()
     }
 
     /// Parses a snapshot serialized by [`ModelSnapshot::to_json`]. Keys
-    /// may appear in any order; unknown keys are an error.
+    /// may appear in any order; unknown keys are an error, and an
+    /// embedded router state must pass [`RouterState::validate`].
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            bytes: json.as_bytes(),
-            pos: 0,
-        };
-        let mut sample = None;
-        let mut dims = None;
-        let mut kernel = None;
-        let mut bandwidth = None;
-        let mut router = None;
-        p.skip_ws();
-        p.expect(b'{')?;
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            match key.as_str() {
-                "sample" => sample = Some(p.float_array()?),
-                "bandwidth" => bandwidth = Some(p.float_array()?),
-                "dims" => dims = Some(p.number()? as usize),
-                "kernel" => kernel = Some(p.string()?),
-                "router" => {
-                    // The router state parses (and validates) itself;
-                    // resume this parser just past its closing brace.
-                    let (state, end) = RouterState::parse_embedded(p.bytes, p.pos)?;
-                    p.pos = end;
-                    router = Some(state);
-                }
-                other => return Err(format!("unknown snapshot key {other:?}")),
-            }
-            p.skip_ws();
-            match p.next()? {
-                b',' => continue,
-                b'}' => break,
-                c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing data after snapshot object".to_string());
-        }
+        let doc = Json::parse(json)?;
+        doc.check_keys(&["sample", "dims", "kernel", "bandwidth", "router"])?;
         Ok(Self {
-            sample: sample.ok_or("missing key \"sample\"")?,
-            dims: dims.ok_or("missing key \"dims\"")?,
-            kernel: kernel.ok_or("missing key \"kernel\"")?,
-            bandwidth: bandwidth.ok_or("missing key \"bandwidth\"")?,
-            router,
+            sample: doc.f64s("sample")?,
+            dims: doc.usize("dims")?,
+            kernel: doc.str("kernel")?.to_string(),
+            bandwidth: doc.f64s("bandwidth")?,
+            router: doc.get("router").map(router_from_json).transpose()?,
         })
     }
 }
 
-/// Minimal parser for the snapshot's own JSON dialect (objects of
-/// strings, integers, and flat float arrays; strings without escapes).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn router_to_json(router: &RouterState) -> Json {
+    Json::object([
+        (
+            "families",
+            router.families.iter().map(String::as_str).collect(),
+        ),
+        (
+            "windows",
+            router
+                .windows
+                .iter()
+                .map(|w| w.iter().copied().collect::<Json>())
+                .collect(),
+        ),
+        ("decisions", router.decisions.iter().copied().collect()),
+        (
+            "last",
+            router.last.as_deref().map_or(Json::Null, Json::from),
+        ),
+    ])
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = *self.bytes.get(self.pos).ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?}, found {:?}",
-                want as char, got as char
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.next()? {
-                b'"' => break,
-                b'\\' => return Err("escapes are not used in snapshots".to_string()),
-                _ => {}
-            }
-        }
-        String::from_utf8(self.bytes[start..self.pos - 1].to_vec())
-            .map_err(|_| "invalid UTF-8 in string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "invalid number".to_string())
-    }
-
-    fn float_array(&mut self) -> Result<Vec<f64>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.number()?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => continue,
-                b']' => break,
-                c => return Err(format!("expected ',' or ']', found {:?}", c as char)),
-            }
-        }
-        Ok(out)
-    }
+fn router_from_json(doc: &Json) -> Result<RouterState, String> {
+    doc.check_keys(&["families", "windows", "decisions", "last"])?;
+    let state = RouterState {
+        families: doc.field_as("families", "an array of strings", |v| {
+            v.as_array()?
+                .iter()
+                .map(|f| f.as_str().map(str::to_string))
+                .collect()
+        })?,
+        windows: doc.field_as("windows", "an array of number arrays", |v| {
+            v.as_array()?
+                .iter()
+                .map(|w| w.as_array()?.iter().map(Json::as_f64).collect())
+                .collect()
+        })?,
+        decisions: doc.field_as("decisions", "an array of counts", |v| {
+            v.as_array()?.iter().map(Json::as_u64).collect()
+        })?,
+        last: match doc.field("last")? {
+            Json::Null => None,
+            _ => Some(doc.str("last")?.to_string()),
+        },
+    };
+    state.validate()?;
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -333,6 +237,105 @@ mod tests {
         // An embedded-but-invalid router state is rejected, not dropped.
         let bad = json.replace("\"last\":\"exact\"", "\"last\":\"stholes\"");
         assert!(ModelSnapshot::from_json(&bad).is_err());
+    }
+
+    fn router() -> RouterState {
+        RouterState {
+            families: vec!["kde".into(), "learned".into(), "exact".into()],
+            windows: vec![vec![1.0, 2.5], vec![], vec![1.0]],
+            decisions: vec![2, 0, 1],
+            last: Some("kde".into()),
+        }
+    }
+
+    /// A minimal snapshot document embedding `router` verbatim.
+    fn with_router_json(router: &str) -> String {
+        format!(
+            r#"{{"sample":[1.0],"dims":1,"kernel":"gaussian","bandwidth":[0.5],"router":{router}}}"#
+        )
+    }
+
+    #[test]
+    fn router_json_roundtrips_bit_exactly() {
+        let mut state = router();
+        state.windows[0].push(1.0 + f64::EPSILON);
+        let mut none_last = state.clone();
+        none_last.last = None;
+        for state in [state, none_last] {
+            let snapshot = ModelSnapshot::of(&model()).with_router(state);
+            assert_eq!(ModelSnapshot::from_json(&snapshot.to_json()), Ok(snapshot));
+        }
+    }
+
+    #[test]
+    fn router_json_accepts_whitespace_and_reordering() {
+        let json = with_router_json(
+            r#" { "last" : null , "decisions" : [ 1 , 0 ] ,
+                  "windows" : [ [ 1.5 ] , [ ] ] ,
+                  "families" : [ "kde" , "exact" ] } "#,
+        );
+        let state = ModelSnapshot::from_json(&json)
+            .expect("parse")
+            .router
+            .expect("router state");
+        assert_eq!(state.families, vec!["kde", "exact"]);
+        assert_eq!(state.windows, vec![vec![1.5], vec![]]);
+        assert_eq!(state.decisions, vec![1, 0]);
+        assert_eq!(state.last, None);
+    }
+
+    #[test]
+    fn router_json_rejects_garbage_and_invalid_states() {
+        for bad in [
+            "",
+            "{",
+            "null",
+            r#"{"families":["kde"]}"#,
+            r#"{"families":["kde"],"windows":[[]],"decisions":[0],"last":null}x"#,
+            r#"{"families":["kde"],"windows":[[0.5]],"decisions":[0],"last":null}"#,
+            r#"{"families":["kde"],"windows":[[]],"decisions":[1.5],"last":null}"#,
+            r#"{"families":["kde"],"windows":[[]],"decisions":[0],"last":"exact"}"#,
+            r#"{"mystery":3}"#,
+        ] {
+            let json = with_router_json(bad);
+            assert!(
+                ModelSnapshot::from_json(&json).is_err(),
+                "accepted {json:?}"
+            );
+        }
+    }
+
+    /// The snapshot format is persisted state: a change that encodes and
+    /// decodes symmetrically differently would pass every round trip, so
+    /// the bytes themselves are pinned.
+    #[test]
+    fn snapshot_encoding_is_pinned() {
+        let snapshot = ModelSnapshot {
+            sample: vec![0.1, -0.2, 1e-310, 4.0, 5e22, -0.0, 1.0 / 3.0, 123456789.125],
+            dims: 2,
+            kernel: "gaussian".into(),
+            bandwidth: vec![0.5, 2.0f64.sqrt()],
+            router: Some(RouterState {
+                families: vec!["kde".into(), "learned".into(), "exact".into()],
+                windows: vec![
+                    vec![1.0, 2.5, 1.0 + f64::EPSILON],
+                    vec![],
+                    vec![1.25, 3e300],
+                ],
+                decisions: vec![7, 0, u64::MAX],
+                last: Some("exact".into()),
+            }),
+        };
+        assert_eq!(
+            snapshot.to_json(),
+            concat!(
+                r#"{"sample":[0.1,-0.2,1e-310,4.0,5e22,-0.0,0.3333333333333333,123456789.125],"#,
+                r#""dims":2,"kernel":"gaussian","bandwidth":[0.5,1.4142135623730951],"#,
+                r#""router":{"families":["kde","learned","exact"],"#,
+                r#""windows":[[1.0,2.5,1.0000000000000002],[],[1.25,3e300]],"#,
+                r#""decisions":[7,0,18446744073709551615],"last":"exact"}}"#
+            )
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use kdesel_estimators::{
 use kdesel_kde::{
     AdaptiveConfig, AdaptiveKde, KarmaConfig, LossFunction, ModelSnapshot, RmsPropConfig,
 };
-use kdesel_telemetry::JSONL_SCHEMA_VERSION;
+use kdesel_telemetry::{Json, JSONL_SCHEMA_VERSION};
 use kdesel_types::{QueryFeedback, Rect};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -170,7 +170,7 @@ impl Capture {
         let mut footer: Option<(usize, u64)> = None;
         for (i, line) in lines.iter().enumerate() {
             let last = i + 1 == lines.len();
-            let record = match parse_record(line) {
+            let record = match Json::parse(line) {
                 Ok(record) => record,
                 Err(e) if last => {
                     return Err(format!("truncated capture: unparsable final line: {e}"))
@@ -186,44 +186,48 @@ impl Capture {
                 }
                 Err(_) => return Err(format!("line {}: missing schema version field", i + 1)),
             }
-            match record.str("event")? {
-                "capture.header" => declared_models = Some(record.u64("models")?),
-                "capture.model" => models.push(parse_model(&record)?),
-                "serve.request" => {
-                    spans.push(record.span()?);
-                    ops.push(Op::Estimate {
-                        model: record.u64("m")?,
-                        trace: record.u64("trace")?,
-                        region: Rect::new(record.f64s("lo")?, record.f64s("hi")?),
-                        estimate: record.f64("estimate")?,
-                        at: record.f64("t")?,
-                    });
-                }
-                "serve.batch" | "serve.launch" => spans.push(record.span()?),
-                "serve.feedback" => {
-                    spans.push(record.span()?);
-                    let model = record.u64("m")?;
-                    let dims = models
-                        .iter()
-                        .find(|m| m.id == model)
-                        .map(|m| m.snapshot.dims)
-                        .ok_or_else(|| format!("feedback for undeclared model {model}"))?;
-                    ops.push(Op::Feedback {
-                        model,
-                        trace: record.u64("trace")?,
-                        feedback: QueryFeedback {
-                            region: Rect::new(record.f64s("lo")?, record.f64s("hi")?),
+            let mut apply = || -> Result<(), String> {
+                match record.str("event")? {
+                    "capture.header" => declared_models = Some(record.u64("models")?),
+                    "capture.model" => models.push(parse_model(&record)?),
+                    "serve.request" => {
+                        spans.push(span_record(&record)?);
+                        ops.push(Op::Estimate {
+                            model: record.u64("m")?,
+                            trace: record.u64("trace")?,
+                            region: region(&record)?,
                             estimate: record.f64("estimate")?,
-                            actual: record.f64("actual")?,
-                            cardinality: record.u64("cardinality")?,
-                        },
-                        replacements: parse_replacements(&record, dims)?,
-                        at: record.f64("t")?,
-                    });
+                            at: record.f64("t")?,
+                        });
+                    }
+                    "serve.batch" | "serve.launch" => spans.push(span_record(&record)?),
+                    "serve.feedback" => {
+                        spans.push(span_record(&record)?);
+                        let model = record.u64("m")?;
+                        let dims = models
+                            .iter()
+                            .find(|m| m.id == model)
+                            .map(|m| m.snapshot.dims)
+                            .ok_or_else(|| format!("feedback for undeclared model {model}"))?;
+                        ops.push(Op::Feedback {
+                            model,
+                            trace: record.u64("trace")?,
+                            feedback: QueryFeedback {
+                                region: region(&record)?,
+                                estimate: record.f64("estimate")?,
+                                actual: record.f64("actual")?,
+                                cardinality: record.u64("cardinality")?,
+                            },
+                            replacements: parse_replacements(&record, dims)?,
+                            at: record.f64("t")?,
+                        });
+                    }
+                    "capture.end" => footer = Some((i, record.u64("records")?)),
+                    _ => {} // forward compatibility: unknown record kinds are skipped
                 }
-                "capture.end" => footer = Some((i, record.u64("records")?)),
-                _ => {} // forward compatibility: unknown record kinds are skipped
-            }
+                Ok(())
+            };
+            apply().map_err(|e| format!("capture line {}: {e}", i + 1))?;
         }
         match footer {
             None => Err("truncated capture: no capture.end footer".to_string()),
@@ -482,7 +486,7 @@ impl Capture {
     }
 }
 
-fn parse_model(record: &Record) -> Result<CapturedModel, String> {
+fn parse_model(record: &Json) -> Result<CapturedModel, String> {
     let columns: Vec<String> = record
         .str("columns")?
         .split(COLUMN_SEPARATOR)
@@ -496,18 +500,17 @@ fn parse_model(record: &Record) -> Result<CapturedModel, String> {
         other => return Err(format!("unknown backend {other:?}")),
     };
     let snapshot = ModelSnapshot {
-        sample: record.f64s("sample")?,
-        dims: usize::try_from(record.u64("dims")?).map_err(|e| e.to_string())?,
+        sample: f64_slice(record, "sample")?,
+        dims: record.usize("dims")?,
         kernel: record.str("kernel")?.to_string(),
-        bandwidth: record.f64s("bandwidth")?,
+        bandwidth: f64_slice(record, "bandwidth")?,
         router: None,
     };
-    fn parse_tuning(record: &Record) -> Result<(AdaptiveConfig, KarmaConfig), String> {
+    fn parse_tuning(record: &Json) -> Result<(AdaptiveConfig, KarmaConfig), String> {
         Ok((
             AdaptiveConfig {
                 loss: parse_loss(record.str("loss")?)?,
-                mini_batch: usize::try_from(record.u64("mini_batch")?)
-                    .map_err(|e| e.to_string())?,
+                mini_batch: record.usize("mini_batch")?,
                 log_updates: record.u64("log_updates")? != 0,
                 rmsprop: RmsPropConfig {
                     smoothing: record.f64("rms_smoothing")?,
@@ -544,16 +547,13 @@ fn parse_model(record: &Record) -> Result<CapturedModel, String> {
                 adaptive,
                 karma,
                 router: RouterConfig {
-                    window: usize::try_from(record.u64("router_window")?)
-                        .map_err(|e| e.to_string())?,
+                    window: record.usize("router_window")?,
                     latency_budget: record.f64("router_budget")?,
                     probe_every: record.u64("router_probe")?,
                 },
                 learned: LearnedConfig {
-                    bins: usize::try_from(record.u64("learned_bins")?)
-                        .map_err(|e| e.to_string())?,
-                    paths: usize::try_from(record.u64("learned_paths")?)
-                        .map_err(|e| e.to_string())?,
+                    bins: record.usize("learned_bins")?,
+                    paths: record.usize("learned_paths")?,
                     l2: record.f64("learned_l2")?,
                     ..LearnedConfig::default()
                 },
@@ -580,14 +580,14 @@ fn parse_loss(name: &str) -> Result<LossFunction, String> {
 
 /// Decodes the `slots` (space-separated indices) and `rows` (flattened
 /// row-major floats) fields back into `(slot, row)` pairs.
-fn parse_replacements(record: &Record, dims: usize) -> Result<Vec<(usize, Vec<f64>)>, String> {
+fn parse_replacements(record: &Json, dims: usize) -> Result<Vec<(usize, Vec<f64>)>, String> {
     let slots: Vec<usize> = record
         .str("slots")?
         .split(' ')
         .filter(|s| !s.is_empty())
         .map(|s| s.parse::<usize>().map_err(|e| format!("slot {s:?}: {e}")))
         .collect::<Result<_, _>>()?;
-    let rows = record.f64s("rows")?;
+    let rows = f64_slice(record, "rows")?;
     if rows.len() != slots.len() * dims {
         return Err(format!(
             "{} replacement slots but {} row values for dims {dims}",
@@ -602,186 +602,34 @@ fn parse_replacements(record: &Record, dims: usize) -> Result<Vec<(usize, Vec<f6
         .collect())
 }
 
-/// One flat JSON object, values kept as raw text (numbers) or unescaped
-/// strings, so numeric fields can be re-parsed exactly on demand.
-#[derive(Debug)]
-struct Record {
-    fields: Vec<(String, Field)>,
-}
-
-#[derive(Debug)]
-enum Field {
-    Str(String),
-    Num(String),
-}
-
-impl Record {
-    fn field(&self, key: &str) -> Result<&Field, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.field(key)? {
-            Field::Str(s) => Ok(s),
-            Field::Num(_) => Err(format!("field {key:?} is not a string")),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.field(key)? {
-            Field::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|e| format!("field {key:?}={raw:?}: {e}")),
-            Field::Str(_) => Err(format!("field {key:?} is not an integer")),
-        }
-    }
-
-    /// Exact float decode: capture floats are written with round-trip
-    /// (`{:?}`) formatting and Rust's float parser is correctly rounded,
-    /// so the value read back is bit-identical to the value recorded.
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.field(key)? {
-            Field::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|e| format!("field {key:?}={raw:?}: {e}")),
-            Field::Str(_) => Err(format!("field {key:?} is not a number")),
-        }
-    }
-
-    /// Decodes a space-separated float-slice field (see
-    /// `kdesel_telemetry::EventBuilder::f64_slice`).
-    fn f64s(&self, key: &str) -> Result<Vec<f64>, String> {
-        self.str(key)?
-            .split(' ')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse::<f64>()
-                    .map_err(|e| format!("field {key:?} element {s:?}: {e}"))
-            })
-            .collect()
-    }
-
-    fn span(&self) -> Result<SpanRecord, String> {
-        Ok(SpanRecord {
-            name: self.str("event")?.to_string(),
-            trace: self.u64("trace")?,
-            span: self.u64("span")?,
-            parent: self.u64("parent")?,
+/// Decodes a space-separated float-slice field (see
+/// `kdesel_telemetry::EventBuilder::f64_slice`). Elements were written
+/// with round-trip (`{:?}`) formatting and Rust's float parser is
+/// correctly rounded, so each decodes bit-identically.
+fn f64_slice(record: &Json, key: &str) -> Result<Vec<f64>, String> {
+    record
+        .str(key)?
+        .split(' ')
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.parse::<f64>()
+                .map_err(|e| format!("key {key:?} element {s:?}: {e}"))
         })
-    }
+        .collect()
 }
 
-/// Parses one flat JSON object (string and number values only — the
-/// telemetry JSONL encoder emits nothing else).
-fn parse_record(line: &str) -> Result<Record, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut fields = Vec::new();
+/// The queried region of a `serve.request` / `serve.feedback` record.
+fn region(record: &Json) -> Result<Rect, String> {
+    Rect::try_new(f64_slice(record, "lo")?, f64_slice(record, "hi")?)
+}
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(c), *pos))
-        }
-    }
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint {code:#x}"))?,
-                            );
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    expect(bytes, &mut pos, b'{')?;
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Err("empty record".to_string());
-    }
-    loop {
-        let key = parse_string(bytes, &mut pos)?;
-        expect(bytes, &mut pos, b':')?;
-        skip_ws(bytes, &mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => Field::Str(parse_string(bytes, &mut pos)?),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = pos;
-                while pos < bytes.len()
-                    && matches!(bytes[pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    pos += 1;
-                }
-                Field::Num(line[start..pos].to_string())
-            }
-            other => return Err(format!("unsupported value start {other:?} at byte {pos}")),
-        };
-        fields.push((key, value));
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                break;
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes after record at {pos}"));
-    }
-    Ok(Record { fields })
+fn span_record(record: &Json) -> Result<SpanRecord, String> {
+    Ok(SpanRecord {
+        name: record.str("event")?.to_string(),
+        trace: record.u64("trace")?,
+        span: record.u64("span")?,
+        parent: record.u64("parent")?,
+    })
 }
 
 #[cfg(test)]
@@ -789,7 +637,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parser_round_trips_floats_bit_exactly() {
+    fn float_slices_decode_bit_exactly() {
         let values = [0.1, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -0.0];
         let joined = values
             .iter()
@@ -797,29 +645,14 @@ mod tests {
             .collect::<Vec<_>>()
             .join(" ");
         let line = format!(r#"{{"v":1,"event":"x","t":0.5,"xs":"{joined}","n":42}}"#);
-        let record = parse_record(&line).unwrap();
-        let decoded = record.f64s("xs").unwrap();
+        let record = Json::parse(&line).unwrap();
+        let decoded = f64_slice(&record, "xs").unwrap();
         assert_eq!(decoded.len(), values.len());
         for (a, b) in values.iter().zip(&decoded) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a:?} vs {b:?}");
         }
         assert_eq!(record.u64("n").unwrap(), 42);
         assert_eq!(record.f64("t").unwrap(), 0.5);
-    }
-
-    #[test]
-    fn parser_unescapes_strings() {
-        let line = "{\"v\":1,\"event\":\"x\",\"t\":0.0,\"s\":\"a\\\"b\\\\c\\nd\\u001fe\"}";
-        let record = parse_record(line).unwrap();
-        assert_eq!(record.str("s").unwrap(), "a\"b\\c\nd\u{1f}e");
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_record("{").is_err());
-        assert!(parse_record(r#"{"a":1"#).is_err());
-        assert!(parse_record(r#"{"a":1} extra"#).is_err());
-        assert!(parse_record(r#"{"a":[1]}"#).is_err(), "arrays unsupported");
     }
 
     fn write_lines(tag: &str, lines: &[&str]) -> std::path::PathBuf {
@@ -871,6 +704,47 @@ mod tests {
         );
         let err = Capture::load(&path).unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_mistyped_fields() {
+        // Well-formed JSON, but `models` is a string: rejected with the
+        // line and the key named, not coerced.
+        let path = write_lines(
+            "mistyped",
+            &[
+                r#"{"v":1,"event":"capture.header","t":0.0,"models":"0"}"#,
+                r#"{"v":1,"event":"capture.end","t":0.0,"records":1}"#,
+            ],
+        );
+        let err = Capture::load(&path).unwrap_err();
+        assert!(
+            err.contains("line 1") && err.contains("\"models\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_invalid_regions_without_panicking() {
+        for (tag, lo, hi) in [
+            ("inverted", "1.0 0.0", "0.0 1.0"),
+            ("nan", "NaN 0.0", "1.0 1.0"),
+            ("ragged", "0.0 0.0", "1.0"),
+        ] {
+            let request = format!(
+                r#"{{"v":1,"event":"serve.request","t":0.0,"trace":1,"span":1,"parent":0,"m":0,"lo":"{lo}","hi":"{hi}","estimate":0.5}}"#
+            );
+            let path = write_lines(
+                tag,
+                &[
+                    HEADER,
+                    &request,
+                    r#"{"v":1,"event":"capture.end","t":0.0,"records":2}"#,
+                ],
+            );
+            let err = Capture::load(&path).unwrap_err();
+            assert!(err.contains("line 2"), "{tag}: {err}");
+        }
     }
 
     #[test]

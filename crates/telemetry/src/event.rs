@@ -1,6 +1,6 @@
 //! Structured events and their builder.
 
-use crate::json::{push_json_f64, push_json_string};
+use crate::json::{write_str, Json};
 
 /// A single typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,17 +121,17 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.fields.len() * 24);
         out.push_str("{\"event\":");
-        push_json_string(&mut out, self.name);
+        write_str(&mut out, self.name);
         out.push_str(",\"t\":");
-        push_json_f64(&mut out, self.at_seconds);
+        Json::from(self.at_seconds).write(&mut out);
         for (key, value) in &self.fields {
             out.push(',');
-            push_json_string(&mut out, key);
+            write_str(&mut out, key);
             out.push(':');
             match value {
-                Value::F64(v) => push_json_f64(&mut out, *v),
-                Value::U64(v) => out.push_str(&v.to_string()),
-                Value::Str(s) => push_json_string(&mut out, s),
+                Value::F64(v) => Json::from(*v).write(&mut out),
+                Value::U64(v) => Json::from(*v).write(&mut out),
+                Value::Str(s) => write_str(&mut out, s),
             }
         }
         out.push('}');

@@ -9,8 +9,11 @@
 //!   and log-linear latency [`Histogram`]s (p50/p90/p99/max);
 //! * a [`Span`] RAII timer recording wall time into a histogram;
 //! * an [`EventSink`] trait for structured events, with a no-op default,
-//!   a [`RingSink`] for tests, and a [`JsonlSink`] writing one
-//!   hand-escaped JSON object per line (no serde);
+//!   a [`RingSink`] for tests, and a [`JsonlSink`] writing one JSON
+//!   object per line;
+//! * [`json`], the workspace's one JSON codec: a strict RFC 8259 reader
+//!   into a [`Json`] tree and the compact writer that the event encoder,
+//!   model snapshots, cost profiles and the bench history all use;
 //! * a global enable flag: with telemetry disabled (the default) spans
 //!   skip the clock entirely and events are dropped before any field is
 //!   materialized, so the estimate hot path is unchanged.
@@ -21,13 +24,14 @@
 
 mod event;
 mod expo;
-mod json;
+pub mod json;
 mod metrics;
 mod sink;
 mod trace;
 
 pub use event::{Event, EventBuilder, Value};
 pub use expo::{escape_label_value, prometheus_name, prometheus_text};
+pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricKind, MetricLine, Registry};
 pub use sink::{EventSink, JsonlSink, NullSink, RingSink, JSONL_SCHEMA_VERSION};
 pub use trace::{next_id as next_trace_id, SpanContext};

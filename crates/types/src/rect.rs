@@ -24,15 +24,34 @@ impl Rect {
     ///
     /// # Panics
     /// Panics if the bound vectors differ in length, are empty, contain NaN,
-    /// or if any `lo[i] > hi[i]`.
+    /// or if any `lo[i] > hi[i]`; [`Rect::try_new`] returns those as errors.
     pub fn new(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        assert_eq!(lo.len(), hi.len(), "bound dimensionality mismatch");
-        assert!(!lo.is_empty(), "zero-dimensional rectangle");
-        for (i, (&l, &u)) in lo.iter().zip(&hi).enumerate() {
-            assert!(!l.is_nan() && !u.is_nan(), "NaN bound in dimension {i}");
-            assert!(l <= u, "inverted interval in dimension {i}: {l} > {u}");
+        Self::try_new(lo, hi).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a rectangle from lower and upper bounds, or says which
+    /// invariant they break — the constructor for bounds read from
+    /// outside the program.
+    pub fn try_new(lo: Vec<f64>, hi: Vec<f64>) -> Result<Self, String> {
+        if lo.len() != hi.len() {
+            return Err(format!(
+                "bound dimensionality mismatch: {} lower vs {} upper bounds",
+                lo.len(),
+                hi.len()
+            ));
         }
-        Self { lo, hi }
+        if lo.is_empty() {
+            return Err("zero-dimensional rectangle".to_string());
+        }
+        for (i, (&l, &u)) in lo.iter().zip(&hi).enumerate() {
+            if l.is_nan() || u.is_nan() {
+                return Err(format!("NaN bound in dimension {i}"));
+            }
+            if l > u {
+                return Err(format!("inverted interval in dimension {i}: {l} > {u}"));
+            }
+        }
+        Ok(Self { lo, hi })
     }
 
     /// Creates a rectangle from `(lo, hi)` interval pairs.

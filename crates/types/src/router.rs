@@ -7,7 +7,9 @@
 //! q-error windows (oldest first), the per-family decision counters,
 //! and the family that answered most recently. It lives in
 //! `kdesel-types` so the KDE persistence layer can embed it in a model
-//! snapshot without depending on the estimator crate.
+//! snapshot without depending on the estimator crate; its JSON encoding
+//! is part of that snapshot format and lives with it, in `kdesel-kde`'s
+//! `persist` module.
 
 /// Snapshot of a hybrid router's adaptive state.
 ///
@@ -64,246 +66,6 @@ impl RouterState {
         }
         Ok(())
     }
-
-    /// Serializes the state as one JSON object. Floats use Rust's
-    /// round-trip (`{:?}`) formatting, so [`from_json`](Self::from_json)
-    /// recovers them bit-exactly. Family names must be plain
-    /// identifiers (they are `Family::name` values).
-    pub fn to_json(&self) -> String {
-        let ident = |s: &str| {
-            assert!(
-                !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "family name {s:?} is not a plain identifier"
-            );
-        };
-        let mut out = String::from("{\"families\":[");
-        for (i, f) in self.families.iter().enumerate() {
-            ident(f);
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{f}\""));
-        }
-        out.push_str("],\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, q) in w.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{q:?}"));
-            }
-            out.push(']');
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_string());
-        }
-        out.push_str("],\"last\":");
-        match &self.last {
-            Some(f) => {
-                ident(f);
-                out.push_str(&format!("\"{f}\""));
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses a state serialized by [`to_json`](Self::to_json) and
-    /// validates it. Keys may appear in any order; unknown keys are an
-    /// error.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let (state, end) = Self::parse_embedded(json.as_bytes(), 0)?;
-        if !json.as_bytes()[end..]
-            .iter()
-            .all(|b| b.is_ascii_whitespace())
-        {
-            return Err("trailing data after router state object".to_string());
-        }
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// Parses a router-state object embedded in a larger document,
-    /// starting at byte `pos`. Returns the validated state and the
-    /// position just past its closing brace, so an enclosing parser
-    /// (the model snapshot's) can resume where the object ends.
-    pub fn parse_embedded(bytes: &[u8], pos: usize) -> Result<(Self, usize), String> {
-        let mut p = json::Parser::new(bytes, pos);
-        let state = p.router_state()?;
-        state.validate()?;
-        Ok((state, p.pos()))
-    }
-}
-
-/// Minimal parser for the router state's own JSON dialect (escape-free
-/// strings, non-negative integers, floats, one level of array nesting).
-mod json {
-    use super::RouterState;
-
-    pub struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        pub fn new(bytes: &'a [u8], pos: usize) -> Self {
-            Self { bytes, pos }
-        }
-
-        pub fn pos(&self) -> usize {
-            self.pos
-        }
-
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn next(&mut self) -> Result<u8, String> {
-            let b = *self.bytes.get(self.pos).ok_or("unexpected end of input")?;
-            self.pos += 1;
-            Ok(b)
-        }
-
-        fn expect(&mut self, want: u8) -> Result<(), String> {
-            let got = self.next()?;
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?}, found {:?}",
-                    want as char, got as char
-                ))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            loop {
-                match self.next()? {
-                    b'"' => break,
-                    b'\\' => return Err("escapes are not used in router states".to_string()),
-                    _ => {}
-                }
-            }
-            String::from_utf8(self.bytes[start..self.pos - 1].to_vec())
-                .map_err(|_| "invalid UTF-8 in string".to_string())
-        }
-
-        fn number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| "invalid number".to_string())
-        }
-
-        /// `[a, b, ...]` with one element parser; handles `[]`.
-        fn array<T>(
-            &mut self,
-            mut elem: impl FnMut(&mut Self) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            self.expect(b'[')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
-                self.pos += 1;
-                return Ok(out);
-            }
-            loop {
-                self.skip_ws();
-                out.push(elem(self)?);
-                self.skip_ws();
-                match self.next()? {
-                    b',' => continue,
-                    b']' => break,
-                    c => return Err(format!("expected ',' or ']', found {:?}", c as char)),
-                }
-            }
-            Ok(out)
-        }
-
-        /// The router-state object itself, starting at the current
-        /// position and consuming exactly through its closing brace —
-        /// callers embedding the object (the model snapshot) can keep
-        /// parsing after it.
-        pub fn router_state(&mut self) -> Result<RouterState, String> {
-            self.skip_ws();
-            self.expect(b'{')?;
-            let mut families = None;
-            let mut windows = None;
-            let mut decisions = None;
-            let mut last = None;
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                match key.as_str() {
-                    "families" => families = Some(self.array(|p| p.string())?),
-                    "windows" => windows = Some(self.array(|p| p.array(|q| q.number()))?),
-                    "decisions" => {
-                        decisions = Some(
-                            self.array(|p| p.number())?
-                                .into_iter()
-                                .map(|d| {
-                                    if d >= 0.0 && d.fract() == 0.0 {
-                                        Ok(d as u64)
-                                    } else {
-                                        Err(format!("decision counter {d} is not a count"))
-                                    }
-                                })
-                                .collect::<Result<Vec<u64>, String>>()?,
-                        )
-                    }
-                    "last" => {
-                        last = Some(if self.bytes[self.pos..].starts_with(b"null") {
-                            self.pos += 4;
-                            None
-                        } else {
-                            Some(self.string()?)
-                        })
-                    }
-                    other => return Err(format!("unknown router state key {other:?}")),
-                }
-                self.skip_ws();
-                match self.next()? {
-                    b',' => continue,
-                    b'}' => break,
-                    c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-                }
-            }
-            Ok(RouterState {
-                families: families.ok_or("missing key \"families\"")?,
-                windows: windows.ok_or("missing key \"windows\"")?,
-                decisions: decisions.ok_or("missing key \"decisions\"")?,
-                last: last.ok_or("missing key \"last\"")?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -343,56 +105,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn json_roundtrips_bit_exactly() {
-        let mut state = good();
-        state.windows[0].push(1.0 + f64::EPSILON);
-        let back = RouterState::from_json(&state.to_json()).expect("parse");
-        assert_eq!(back, state);
-        let mut none_last = state.clone();
-        none_last.last = None;
-        let back = RouterState::from_json(&none_last.to_json()).expect("parse");
-        assert_eq!(back, none_last);
-    }
-
-    #[test]
-    fn json_accepts_whitespace_and_reordering() {
-        let json = r#" { "last" : null , "decisions" : [ 1 , 0 ] ,
-                         "windows" : [ [ 1.5 ] , [ ] ] ,
-                         "families" : [ "kde" , "exact" ] } "#;
-        let state = RouterState::from_json(json).expect("parse");
-        assert_eq!(state.families, vec!["kde", "exact"]);
-        assert_eq!(state.windows, vec![vec![1.5], vec![]]);
-        assert_eq!(state.decisions, vec![1, 0]);
-        assert_eq!(state.last, None);
-    }
-
-    #[test]
-    fn json_rejects_garbage_and_invalid_states() {
-        for bad in [
-            "",
-            "{",
-            r#"{"families":["kde"]}"#,
-            r#"{"families":["kde"],"windows":[[]],"decisions":[0],"last":null}x"#,
-            r#"{"families":["kde"],"windows":[[0.5]],"decisions":[0],"last":null}"#,
-            r#"{"families":["kde"],"windows":[[]],"decisions":[1.5],"last":null}"#,
-            r#"{"families":["kde"],"windows":[[]],"decisions":[0],"last":"exact"}"#,
-            r#"{"mystery":3}"#,
-        ] {
-            assert!(RouterState::from_json(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn embedded_parse_reports_resume_position() {
-        let state = good();
-        let doc = format!("{{\"router\":{},\"tail\":1}}", state.to_json());
-        let start = doc.find('{').unwrap() + "{\"router\":".len();
-        let (back, end) = RouterState::parse_embedded(doc.as_bytes(), start).expect("parse");
-        assert_eq!(back, state);
-        assert_eq!(&doc[end..end + 1], ",");
     }
 
     #[test]

@@ -30,8 +30,9 @@ run cargo test -q --offline --release -p kdesel --test bakeoff \
 # The benchmark harness (perfbench/, its own package outside the
 # workspace) builds against the library crates: build it and run its
 # tests, so a removed or renamed API it calls fails here rather than in
-# a benchmark run.
-run cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
+# a benchmark run. --locked: a new edge between the library crates would
+# otherwise silently rewrite perfbench/Cargo.lock, a benchmark file.
+run cargo test -q --offline --locked --release --manifest-path perfbench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check --all
 

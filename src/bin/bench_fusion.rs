@@ -23,6 +23,7 @@ use kdesel_device::{Backend, Device, DeviceStats};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn, LossFunction, WorkloadObjective};
 use kdesel_solver::Objective;
+use kdesel_telemetry::Json;
 use kdesel_types::{LabelledQuery, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,20 +70,6 @@ fn delta(before: (f64, DeviceStats), after: (f64, DeviceStats)) -> (f64, DeviceS
 
 fn transfers(s: &DeviceStats) -> u64 {
     s.uploads + s.downloads
-}
-
-/// Pulls a float out of our own emitted JSON by following a key path.
-fn extract_f64(json: &str, keys: &[&str]) -> Option<f64> {
-    let mut pos = 0;
-    for k in keys {
-        let needle = format!("\"{k}\"");
-        pos += json[pos..].find(&needle)? + needle.len();
-    }
-    let rest = json[pos..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn json_path(r: &PathReport) -> String {
@@ -284,13 +271,15 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let Some(base) = extract_f64(
-            &baseline,
-            &["estimate_hot_path", "fused", "modeled_seconds"],
-        ) else {
-            eprintln!("baseline {baseline_path} has no estimate_hot_path.fused.modeled_seconds");
+        let base = Json::parse(&baseline).and_then(|doc| {
+            doc.field("estimate_hot_path")?
+                .field("fused")?
+                .f64("modeled_seconds")
+        });
+        let base = base.unwrap_or_else(|e| {
+            eprintln!("baseline {baseline_path}: estimate_hot_path.fused.modeled_seconds: {e}");
             std::process::exit(2);
-        };
+        });
         // Modeled seconds are deterministic: a change here means the fused
         // hot path's launch/flop structure changed, not machine noise.
         if hot_fused.modeled_seconds > 2.0 * base {

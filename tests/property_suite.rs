@@ -1,10 +1,12 @@
 //! Cross-crate property tests: invariants that must hold through the whole
 //! stack, exercised with randomized inputs.
 
-use kdesel::device::{Backend, Device};
+use kdesel::device::calibrate::PointOp;
+use kdesel::device::{Backend, CostProfile, Device, MeasuredPoint, MeasuredProfile};
 use kdesel::hist::{SthConfig, SthHoles};
-use kdesel::kde::{KdeEstimator, KernelFn};
+use kdesel::kde::{KdeEstimator, KernelFn, ModelSnapshot};
 use kdesel::storage::Table;
+use kdesel::types::RouterState;
 use kdesel::Rect;
 use proptest::prelude::*;
 
@@ -26,8 +28,133 @@ fn rect_strategy() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::from_intervals(&[(x, x + w), (y, y + h)]))
 }
 
+/// Strategy: any finite f64, drawn from its bit pattern so subnormals,
+/// -0.0 and extreme exponents all appear.
+fn finite_f64() -> impl Strategy<Value = f64> {
+    (0u64..u64::MAX).prop_map(|bits| {
+        // An all-ones exponent is ±inf or NaN; flipping its top bit lands
+        // on a finite value.
+        let exponent_all_ones = (bits >> 52) & 0x7ff == 0x7ff;
+        f64::from_bits(if exponent_all_ones {
+            bits ^ (1 << 62)
+        } else {
+            bits
+        })
+    })
+}
+
+/// Strategy: no router state, or a valid one over 1–3 families whose
+/// names need escaping.
+fn router_strategy() -> impl Strategy<Value = Option<RouterState>> {
+    (0usize..4)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(proptest::collection::vec(finite_f64(), 0..5), n),
+                proptest::collection::vec(0u64..u64::MAX, n),
+                0..n + 1,
+            )
+        })
+        .prop_map(|(windows, decisions, last)| {
+            let families: Vec<String> = (0..windows.len())
+                .map(|i| format!("family \"{i}\"\\\n"))
+                .collect();
+            (!families.is_empty()).then(|| RouterState {
+                windows: windows
+                    .into_iter()
+                    .map(|w| w.into_iter().map(|q| 1.0 + q.abs()).collect())
+                    .collect(),
+                decisions,
+                last: families.get(last).cloned(),
+                families,
+            })
+        })
+}
+
+fn snapshot_strategy() -> impl Strategy<Value = ModelSnapshot> {
+    (
+        proptest::collection::vec(finite_f64(), 0..40),
+        1usize..9,
+        0usize..3,
+        proptest::collection::vec(finite_f64(), 0..9),
+        router_strategy(),
+    )
+        .prop_map(|(sample, dims, kernel, bandwidth, router)| ModelSnapshot {
+            sample,
+            dims,
+            kernel: ["gaussian", "epanechnikov", "we\"ird\\ \u{1}σ"][kernel].to_string(),
+            bandwidth,
+            router,
+        })
+}
+
+fn profile_strategy() -> impl Strategy<Value = MeasuredProfile> {
+    let point = (
+        0usize..3,
+        0u64..u64::MAX,
+        0u64..u64::MAX,
+        proptest::collection::vec(finite_f64(), 4),
+    )
+        .prop_map(|(op, items, bytes, f)| MeasuredPoint {
+            op: [PointOp::Transfer, PointOp::Kernel, PointOp::Sweep][op],
+            items,
+            flops_per_item: f[0],
+            bytes,
+            measured_seconds: f[1],
+            modeled_seconds: f[2],
+            residual: f[3],
+        });
+    (
+        proptest::collection::vec(finite_f64(), 6),
+        proptest::collection::vec(point, 0..6),
+    )
+        .prop_map(|(f, points)| MeasuredProfile {
+            version: kdesel::device::calibrate::MEASURED_PROFILE_VERSION,
+            backend: "sim-gpu".to_string(),
+            profile: CostProfile {
+                kernel_launch_latency: f[0],
+                transfer_latency: f[1],
+                transfer_bandwidth: f[2],
+                compute_throughput: f[3],
+                vector_width: f[4],
+            },
+            points,
+            median_residual: f[5],
+        })
+}
+
+/// Every strict prefix of `json` (at a char boundary) fails `decode`.
+fn assert_prefixes_rejected<T>(json: &str, decode: impl Fn(&str) -> Result<T, String>) {
+    for (end, _) in json.char_indices() {
+        assert!(
+            decode(&json[..end]).is_err(),
+            "accepted prefix {:?}",
+            &json[..end]
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The persisted formats round-trip bit for bit through the JSON
+    /// codec, and no truncated encoding decodes. `{:?}` prints each
+    /// finite float in its unique shortest round-trip form (-0.0
+    /// included), so equal Debug output means equal bits.
+    #[test]
+    fn persisted_formats_roundtrip_bit_exactly(
+        snapshot in snapshot_strategy(),
+        profile in profile_strategy(),
+    ) {
+        let json = snapshot.to_json();
+        let back = ModelSnapshot::from_json(&json).expect("snapshot decodes");
+        prop_assert_eq!(format!("{back:?}"), format!("{snapshot:?}"));
+        assert_prefixes_rejected(&json, ModelSnapshot::from_json);
+
+        let json = profile.to_json();
+        let back = MeasuredProfile::from_json(&json).expect("profile decodes");
+        prop_assert_eq!(format!("{back:?}"), format!("{profile:?}"));
+        assert_prefixes_rejected(&json, MeasuredProfile::from_json);
+    }
 
     /// The KDE estimate is always a valid selectivity and is monotone under
     /// query growth, for any sample and any query.

@@ -313,6 +313,7 @@ fn malformed_snapshots_are_rejected() {
         "{\"dims\":2}",
         "{\"sample\":[1.0],\"dims\":1,\"kernel\":\"gaussian\",\"bandwidth\":[1.0]}trailing",
         "{\"mystery\":1}",
+        "{\"sample\":[0.1,0.2,0.3,0.4],\"dims\":2.9,\"kernel\":\"gaussian\",\"bandwidth\":[0.5,0.6]}",
     ] {
         assert!(ModelSnapshot::from_json(bad).is_err(), "accepted {bad:?}");
     }
