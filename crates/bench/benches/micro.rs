@@ -2,13 +2,14 @@
 //!
 //! These complement the Figure 7 binary: where `fig7_performance` models
 //! the paper's hardware, these measure this machine's actual throughput of
-//! the building blocks (erf, estimate, gradient, Karma pass, STHoles
-//! estimate, reservoir decisions).
+//! the building blocks (Cody's and the lane erf, estimate, gradient,
+//! Karma pass, STHoles estimate, reservoir decisions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kdesel_device::{Backend, Device};
 use kdesel_hist::{SthConfig, SthHoles};
 use kdesel_kde::{KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn, LossFunction};
+use kdesel_math::simd::{F64s, LANES};
 use kdesel_sample::ReservoirSampler;
 use kdesel_storage::Table;
 use kdesel_types::{QueryFeedback, Rect};
@@ -30,6 +31,16 @@ fn bench_erf(c: &mut Criterion) {
             let mut acc = 0.0;
             for &x in &xs {
                 acc += kdesel_math::erf(black_box(x));
+            }
+            black_box(acc)
+        })
+    });
+    // The branch-free lane erf the Gaussian sweeps run, a pack at a time.
+    g.bench_function("lane_1024_values", |b| {
+        b.iter(|| {
+            let mut acc = F64s::splat(0.0);
+            for pack in black_box(&xs).chunks_exact(LANES) {
+                acc = acc + F64s::from_slice(pack).erf();
             }
             black_box(acc)
         })

@@ -23,6 +23,15 @@
 //! [`crate::kernel`] by ~1 ulp per factor — well inside the 1e-12 band
 //! the estimator pins its device-vs-host tests to.
 //!
+//! # Gaussian transcendentals
+//!
+//! The Gaussian factors and derivatives call the branch-free lane
+//! functions of [`kdesel_math::simd`] — `erf` within 2 ulp of Cody's
+//! oracle, `exp` within 1 ulp of libm — not the oracles the reference
+//! kernels call. A pack of them vectorizes (eight erf arguments take a
+//! few packed rational evaluations instead of eight branchy scalar
+//! calls), and the difference stays inside the same 1e-12 band.
+//!
 //! # Bit-identity across device paths
 //!
 //! What stays *bitwise* exact is agreement between every device sweep
@@ -31,9 +40,9 @@
 //! * Vector body and scalar tail evaluate the identical IEEE-754
 //!   operation sequence: the tail helpers ([`factor_scalar`],
 //!   [`dfactor_scalar`]) are the per-lane expressions of
-//!   [`factor_lanes`]/[`dfactor_lanes`] verbatim, and [`F64s`] never
-//!   reassociates or fuses (transcendentals run the same scalar
-//!   function per lane).
+//!   [`factor_lanes`]/[`dfactor_lanes`] verbatim, [`F64s`] never
+//!   reassociates or fuses, and `F64s::erf`/`F64s::exp` map the very
+//!   lane functions the tails call.
 //! * [`DimParams::new`] is deterministic, so recomputing it in a tail
 //!   helper yields the same bits as the hoisted copy.
 //! * Range factors are always `≥ +0.0` (they are probabilities; both
@@ -50,8 +59,8 @@
 
 use crate::kernel::KernelFn;
 use kdesel_device::ColsView;
-use kdesel_math::simd::{F64s, LANES};
-use kdesel_math::{erf, SQRT_2, SQRT_PI};
+use kdesel_math::simd::{self, F64s, LANES};
+use kdesel_math::{SQRT_2, SQRT_PI};
 
 /// Largest dimensionality served by the stack-scratch vector path;
 /// matches the scalar kernels' stack-factor limit. Beyond it the sweep
@@ -103,8 +112,8 @@ impl DimParams {
 fn factor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
     match kernel {
         KernelFn::Gaussian => {
-            let e_hi = ((F64s::splat(p.hi) - t) * p.inv).map(erf);
-            let e_lo = ((F64s::splat(p.lo) - t) * p.inv).map(erf);
+            let e_hi = ((F64s::splat(p.hi) - t) * p.inv).erf();
+            let e_lo = ((F64s::splat(p.lo) - t) * p.inv).erf();
             (e_hi - e_lo) * 0.5
         }
         KernelFn::Epanechnikov => {
@@ -121,8 +130,8 @@ fn factor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
 fn factor_scalar(kernel: KernelFn, t: f64, p: DimParams) -> f64 {
     match kernel {
         KernelFn::Gaussian => {
-            let e_hi = erf((p.hi - t) * p.inv);
-            let e_lo = erf((p.lo - t) * p.inv);
+            let e_hi = simd::erf((p.hi - t) * p.inv);
+            let e_lo = simd::erf((p.lo - t) * p.inv);
             (e_hi - e_lo) * 0.5
         }
         KernelFn::Epanechnikov => {
@@ -154,15 +163,13 @@ fn epa_cdf(u: f64) -> f64 {
 fn dfactor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
     match kernel {
         KernelFn::Gaussian => {
-            let term = |d: f64| -> f64 {
-                if d.is_finite() {
-                    d * (-d * d * p.inv_2h2).exp()
-                } else {
-                    0.0
-                }
+            // `d·exp(−d²/2h²)`; the lanes of an infinite bound (where it
+            // is `∞·0`) are zeroed, like the scalar `else { 0.0 }` arm.
+            let term = |d: F64s| -> F64s {
+                (d * (-d * d * p.inv_2h2).exp()).zero_unless_within(d, f64::MIN, f64::MAX)
             };
-            let t_lo = (F64s::splat(p.lo) - t).map(term);
-            let t_hi = (F64s::splat(p.hi) - t).map(term);
+            let t_lo = term(F64s::splat(p.lo) - t);
+            let t_hi = term(F64s::splat(p.hi) - t);
             (t_lo - t_hi) * p.dnorm
         }
         KernelFn::Epanechnikov => {
@@ -186,7 +193,7 @@ fn dfactor_scalar(kernel: KernelFn, t: f64, p: DimParams) -> f64 {
         KernelFn::Gaussian => {
             let term = |d: f64| -> f64 {
                 if d.is_finite() {
-                    d * (-d * d * p.inv_2h2).exp()
+                    d * simd::exp(-d * d * p.inv_2h2)
                 } else {
                     0.0
                 }

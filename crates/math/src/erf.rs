@@ -1,4 +1,4 @@
-//! Double-precision error function.
+//! Double-precision error function — the scalar oracle.
 //!
 //! Implements W. J. Cody's rational Chebyshev approximations ("Rational
 //! Chebyshev approximation for the error function", Math. Comp. 23, 1969;
@@ -7,19 +7,25 @@
 //! (paper eq. 13) is a *difference* of erf values: for narrow query
 //! intervals the difference cancels most leading digits, so the inputs must
 //! be accurate to the last ulp.
+//!
+//! These are the reference functions: the scalar reference kernels, the
+//! host estimate, [`crate::normal`] and Karma's error bound call them. The
+//! vectorized sweeps run the branch-free lane function [`crate::simd::erf`]
+//! instead, which reuses the first two coefficient tables below and is
+//! pinned to within 2 ulp of [`erf`].
 
 /// Split point between the primary interval and the erfc expansions.
-const THRESH: f64 = 0.46875;
+pub(crate) const THRESH: f64 = 0.46875;
 
 // Coefficients for erf(x), |x| <= 0.46875.
-const A: [f64; 5] = [
+pub(crate) const A: [f64; 5] = [
     3.161_123_743_870_565_6e0,
     1.138_641_541_510_501_6e2,
     3.774_852_376_853_02e2,
     3.209_377_589_138_469_4e3,
     1.857_777_061_846_031_5e-1,
 ];
-const B: [f64; 4] = [
+pub(crate) const B: [f64; 4] = [
     2.360_129_095_234_412_2e1,
     2.440_246_379_344_441_7e2,
     1.282_616_526_077_372_3e3,
@@ -27,7 +33,7 @@ const B: [f64; 4] = [
 ];
 
 // Coefficients for erfc(x), 0.46875 <= x <= 4.0.
-const C: [f64; 9] = [
+pub(crate) const C: [f64; 9] = [
     5.641_884_969_886_701e-1,
     8.883_149_794_388_377,
     6.611_919_063_714_163e1,
@@ -38,7 +44,7 @@ const C: [f64; 9] = [
     1.230_339_354_797_997_2e3,
     2.153_115_354_744_038_3e-8,
 ];
-const D: [f64; 8] = [
+pub(crate) const D: [f64; 8] = [
     1.574_492_611_070_983_5e1,
     1.176_939_508_913_125e2,
     5.371_811_018_620_099e2,

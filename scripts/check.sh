@@ -21,6 +21,10 @@ run cargo test -q --offline --release -p kdesel-serve -- --ignored
 # only stresses the steal path with optimized code, so it too is
 # #[ignore]d by default and run here in release mode.
 run cargo test -q --offline --release -p kdesel --test multi_device -- --ignored
+# The lane erf's monotonicity pin walks a 1e-7 grid over [-6, 6]: 120M
+# evaluations, about a minute unoptimized and a few seconds in release,
+# so it is #[ignore]d by default and run here.
+run cargo test -q --offline --release -p kdesel-math -- --ignored
 # The hybrid-estimator serve round-trip (checkpoint, restart, bitwise
 # continuation of the router + tuned KDE member) is the bake-off
 # subsystem's persistence contract; run it by name so a checkpoint-format
@@ -58,13 +62,13 @@ run cargo run --release --offline --bin kdesel-calibrate -- \
 # fusion, serving, SIMD, multi-device and bake-off microbenches and fails
 # on a >2x modeled-cost regression of the estimate hot path, <2x modeled
 # coalescing at batch 16, a reappearance of the max_batch=16 throughput
-# cliff in the adaptive window sweep, a <2x wall-clock SoA sweep
-# speedup, <3x homogeneous 4-device group scaling, a <1.5x
-# work-stealing recovery on the lopsided mixed group, or a hybrid-router
-# q-error p95 worse than the best single estimator family's on the mixed
-# bake-off workload (see scripts/perf_smoke.sh). Add BENCH_TREND=1 to
-# also gate each bench's metrics against the rolling median of
-# results/BENCH_history.jsonl.
+# cliff in the adaptive window sweep, a <2x wall-clock SoA estimate
+# sweep speedup (Epanechnikov or Gaussian), <3x homogeneous 4-device
+# group scaling, a <1.5x work-stealing recovery on the lopsided mixed
+# group, or a hybrid-router q-error p95 worse than the best single
+# estimator family's on the mixed bake-off workload (see
+# scripts/perf_smoke.sh). Add BENCH_TREND=1 to also gate each bench's
+# metrics against the rolling median of results/BENCH_history.jsonl.
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
     run scripts/perf_smoke.sh
 fi

@@ -10,10 +10,13 @@
 #   shows the max_batch=16 throughput cliff again (wall clock, adaptive
 #   throughput at 16 must stay within 35% of the best small window).
 # * bench_simd (run with PERF_SMOKE=1) fails when the vectorized SoA
-#   Epanechnikov estimate sweep is less than 2x faster than the scalar
-#   row-major (AoS) baseline at n=16384, d=8, single thread. The
-#   division-free SoA sweep holds ~2.5x on a plain AVX2 core, leaving
-#   headroom over the threshold.
+#   Epanechnikov or Gaussian estimate sweep is less than 2x faster than
+#   the scalar row-major (AoS) baseline at n=16384, d=8, single thread,
+#   or (gate or not) when either kernel's SoA estimate or fused
+#   value+gradient disagrees with the baseline by more than
+#   1e-12*max(|a|,|b|,1). The division-free Epanechnikov sweep holds
+#   ~2.5x on a plain AVX2 core and the lane-erf Gaussian sweep ~4x,
+#   leaving headroom over the threshold.
 # * bench_multi (run with PERF_SMOKE=1) fails when a homogeneous
 #   4-device group delivers less than 3x single-device modeled
 #   throughput, or when the paced work-stealing mixed group (full-rate

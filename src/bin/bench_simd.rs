@@ -12,16 +12,19 @@
 //!   loop over `contribution_with_gradient`, writing `1 + d` outputs per
 //!   row and pairwise-summing the columns.
 //!
-//! Both kernels are measured; the Epanechnikov estimate sweep is the
-//! gated one (pure polynomial arithmetic, so lane speedup is the whole
-//! story), while Gaussian keeps a scalar `erf` per lane and only gains
-//! from the columnar layout. The vector sweep pre-scales the bandwidth
-//! reciprocals (division-free inner loop), so it agrees with the
-//! division-form scalar baseline to ~1 ulp per factor rather than
-//! bitwise — the bench asserts the 1e-12 agreement up front.
+//! Both kernels are measured and both estimate sweeps are gated:
+//! Epanechnikov is pure polynomial arithmetic, and Gaussian runs the
+//! branch-free lane `erf`/`exp` of `kdesel_math::simd`, so both vectorize
+//! while the scalar baseline calls Cody's `erf` and libm `exp` per
+//! point. The vector sweep pre-scales the bandwidth reciprocals
+//! (division-free inner loop) and its lane functions approximate the
+//! baseline's to a few ulp, so the two agree to `1e-12 · max(|a|, |b|, 1)`
+//! rather than bitwise: before timing, the bench checks the estimate and
+//! the fused value and every gradient entry against that bound and exits
+//! 1 on a mismatch, so a wrong fast path cannot report a speedup.
 //!
 //! Results go to `BENCH_simd.json` (override with `BENCH_SIMD_OUT`).
-//! With `PERF_SMOKE=1` the run fails (exit 1) if the Epanechnikov
+//! With `PERF_SMOKE=1` the run fails (exit 1) if either kernel's
 //! estimate sweep is less than 2x faster than the scalar AoS baseline
 //! — the perf-smoke gate.
 
@@ -67,6 +70,18 @@ fn row_major_sums(
     }
     let kept = device.upload(&out);
     (device.reduce_sum_columns(&kept, width), kept)
+}
+
+/// Exits 1 unless every SoA sweep output agrees with its scalar AoS
+/// counterpart to `1e-12 · max(|a|, |b|, 1)` — the bound the sweep
+/// pins its pre-scaled results to against the reference kernels.
+fn check_agreement(what: &str, scalar: &[f64], simd: &[f64]) {
+    for (i, (&a, &b)) in scalar.iter().zip(simd).enumerate() {
+        if (a - b).abs() > 1e-12 * a.abs().max(b.abs()).max(1.0) {
+            eprintln!("{what}: scalar AoS and SIMD SoA diverged at output {i}: {a} vs {b}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Median wall time of `reps` runs of `f`.
@@ -128,11 +143,10 @@ fn bench_kernel(
     // The SoA sweep multiplies by hoisted bandwidth reciprocals where
     // the scalar kernel divides, so the two agree to ~1 ulp per factor
     // (the estimator pins the same 1e-12 band against its host oracle).
-    let scalar_value = scalar_estimate();
-    let simd_value = est.estimate(region);
-    assert!(
-        (scalar_value - simd_value).abs() <= 1e-12,
-        "{name}: scalar AoS and SIMD SoA estimates diverged: {scalar_value} vs {simd_value}"
+    check_agreement(
+        &format!("{name} estimate"),
+        &[scalar_estimate()],
+        &[est.estimate(region)],
     );
 
     let estimate = PathReport {
@@ -151,11 +165,26 @@ fn bench_kernel(
         let (sums, _) = row_major_sums(&aos_device, sample, dims, width, |row, out| {
             out[0] = kernel.contribution_with_gradient(row, lo, hi, &bw, &mut out[1..]);
         });
-        black_box(sums);
+        sums
     };
+    // Checked like the estimate, after `estimate_with_gradient`'s own
+    // normalization of the sums.
+    let sums = scalar_fused();
+    let mut scalar_outputs = vec![(sums[0] / n as f64).clamp(0.0, 1.0)];
+    scalar_outputs.extend(sums[1..].iter().map(|g| g * (1.0 / n as f64)));
+    let (simd_value, simd_gradient) = est.estimate_with_gradient(region);
+    let mut simd_outputs = vec![simd_value];
+    simd_outputs.extend(simd_gradient);
+    check_agreement(
+        &format!("{name} fused value+gradient"),
+        &scalar_outputs,
+        &simd_outputs,
+    );
     let fused = PathReport {
         label: format!("{name}/fused_gradient"),
-        scalar_seconds: wall_median(reps, scalar_fused),
+        scalar_seconds: wall_median(reps, || {
+            black_box(scalar_fused());
+        }),
         simd_seconds: wall_median(reps, || {
             black_box(est.estimate_with_gradient(region));
         }),
@@ -211,25 +240,33 @@ fn main() {
     }
     eprintln!("# wrote {out}");
 
-    // --- Perf-smoke gate: vectorized Epanechnikov sweep must hold 2x. ---
+    // --- Perf-smoke gate: both vectorized estimate sweeps must hold 2x.
     let gated = std::env::var("PERF_SMOKE").is_ok_and(|v| v == "1");
-    if epa_est.speedup() < 2.0 {
-        if gated {
+    let mut regressed = false;
+    for r in [&epa_est, &gauss_est] {
+        if r.speedup() >= 2.0 {
             eprintln!(
-                "PERF REGRESSION: epanechnikov estimate sweep speedup {:.2}x < 2x",
-                epa_est.speedup()
+                "# simd gate ok: {} sweep {:.2}x over scalar AoS",
+                r.label,
+                r.speedup()
             );
-            std::process::exit(1);
+        } else if gated {
+            eprintln!(
+                "PERF REGRESSION: {} sweep speedup {:.2}x < 2x",
+                r.label,
+                r.speedup()
+            );
+            regressed = true;
+        } else {
+            eprintln!(
+                "# warning: {} sweep speedup {:.2}x < 2x (gate off)",
+                r.label,
+                r.speedup()
+            );
         }
-        eprintln!(
-            "# warning: epanechnikov estimate sweep speedup {:.2}x < 2x (gate off)",
-            epa_est.speedup()
-        );
-    } else {
-        eprintln!(
-            "# simd gate ok: epanechnikov estimate sweep {:.2}x over scalar AoS",
-            epa_est.speedup()
-        );
+    }
+    if regressed {
+        std::process::exit(1);
     }
 
     // --- Perf-trend history: stamp this run; gate when BENCH_TREND=1.
@@ -246,16 +283,18 @@ fn main() {
                     "epanechnikov_fused_speedup".to_string(),
                     epa_fused.speedup(),
                 ),
+                ("gaussian_fused_speedup".to_string(), gauss_fused.speedup()),
             ],
         ),
         &[
             // Wall-clock SIMD speedups: wide noise headroom, gated on the
-            // kernel the perf-smoke gate also watches.
+            // sweeps the perf-smoke gate also watches.
             TrendSpec::new(
                 "epanechnikov_estimate_speedup",
                 Direction::HigherIsBetter,
                 0.4,
             ),
+            TrendSpec::new("gaussian_estimate_speedup", Direction::HigherIsBetter, 0.4),
         ],
     );
 }

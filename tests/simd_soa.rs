@@ -30,6 +30,15 @@ const BACKENDS: [Backend; 3] = [Backend::CpuSeq, Backend::CpuPar, Backend::SimGp
 /// Strategy: dimensionality, a flat row-major sample over [0, 100)^d
 /// (row count not a multiple of the lane width more often than not, so
 /// the scalar tails are exercised), a kernel, and a query box.
+///
+/// Most of the box's intervals overlap the sample. The others reach the
+/// kernels' guarded and saturated lanes: a `-∞` lower and/or `+∞` upper
+/// bound (the non-finite select of the Gaussian bandwidth derivative),
+/// or an interval 300 to 3000 units from the sample — at least 10
+/// bandwidths under Scott's rule for these samples (h ≤ ~22), where
+/// every lane's range factor is an exact zero, in vector groups and
+/// tails alike, and the Gaussian derivative's `exp` runs into the
+/// subnormal range and underflow.
 fn scenario_strategy() -> impl Strategy<Value = (usize, Vec<f64>, KernelFn, Rect)> {
     (1usize..5).prop_flat_map(|d| {
         (
@@ -45,13 +54,24 @@ fn scenario_strategy() -> impl Strategy<Value = (usize, Vec<f64>, KernelFn, Rect
                     KernelFn::Epanechnikov
                 }
             }),
-            proptest::collection::vec((-10.0f64..110.0, 0.0f64..70.0), d..d + 1).prop_map(
-                |intervals| {
-                    let spans: Vec<(f64, f64)> =
-                        intervals.iter().map(|&(a, w)| (a, a + w)).collect();
-                    Rect::from_intervals(&spans)
-                },
-            ),
+            proptest::collection::vec(
+                (0usize..8, -10.0f64..110.0, 0.0f64..70.0, 400.0f64..3000.0),
+                d..d + 1,
+            )
+            .prop_map(|intervals| {
+                let spans: Vec<(f64, f64)> = intervals
+                    .iter()
+                    .map(|&(kind, a, w, far)| match kind {
+                        4 => (f64::NEG_INFINITY, a + w),
+                        5 => (a, f64::INFINITY),
+                        6 => (f64::NEG_INFINITY, f64::INFINITY),
+                        7 if a < 50.0 => (-far - w, -far),
+                        7 => (far, far + w),
+                        _ => (a, a + w),
+                    })
+                    .collect();
+                Rect::from_intervals(&spans)
+            }),
         )
     })
 }
