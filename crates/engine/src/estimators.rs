@@ -1,9 +1,7 @@
 //! Unified estimator construction and feedback plumbing.
 
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{
-    ExactScanEstimator, HybridEstimator, LearnedConfig, LearnedEstimator, RouterConfig,
-};
+use kdesel_estimators::{ExactScanEstimator, HybridEstimator, RouterConfig};
 use kdesel_hist::{AviEstimator, SthConfig, SthHoles};
 use kdesel_kde::{
     AdaptiveConfig, AdaptiveKde, BatchConfig, BatchKde, CvConfig, HeuristicKde, KarmaConfig,
@@ -32,11 +30,9 @@ pub enum EstimatorKind {
     Avi,
     /// Naive sample-counting baseline (§2.3's "naïve" sampling estimator).
     Sampling,
-    /// Naru-style autoregressive learned estimator (bake-off family).
-    Learned,
     /// Exact scan over a staged table snapshot (bake-off family).
     Exact,
-    /// KDE + learned + exact behind the hybrid cost/error router.
+    /// KDE + exact behind the hybrid cost/error router.
     Hybrid,
 }
 
@@ -61,18 +57,9 @@ impl EstimatorKind {
         EstimatorKind::Adaptive,
     ];
 
-    /// The bake-off line-up: the paper's self-tuning KDE against the
-    /// learned and exact families, plus the hybrid router over all three.
-    pub const BAKEOFF: [EstimatorKind; 4] = [
-        EstimatorKind::Adaptive,
-        EstimatorKind::Learned,
-        EstimatorKind::Exact,
-        EstimatorKind::Hybrid,
-    ];
-
     /// Every kind the engine can build: the extended paper line-up plus
     /// the bake-off families.
-    pub const FULL: [EstimatorKind; 10] = [
+    pub const FULL: [EstimatorKind; 9] = [
         EstimatorKind::Avi,
         EstimatorKind::Sampling,
         EstimatorKind::SthHoles,
@@ -80,7 +67,6 @@ impl EstimatorKind {
         EstimatorKind::Scv,
         EstimatorKind::Batch,
         EstimatorKind::Adaptive,
-        EstimatorKind::Learned,
         EstimatorKind::Exact,
         EstimatorKind::Hybrid,
     ];
@@ -95,7 +81,6 @@ impl EstimatorKind {
             EstimatorKind::SthHoles => "stholes",
             EstimatorKind::Avi => "avi",
             EstimatorKind::Sampling => "sampling",
-            EstimatorKind::Learned => "learned",
             EstimatorKind::Exact => "exact",
             EstimatorKind::Hybrid => "hybrid",
         }
@@ -129,8 +114,6 @@ pub struct BuildConfig {
     pub adaptive: AdaptiveConfig,
     /// Karma-maintenance settings.
     pub karma: KarmaConfig,
-    /// Learned-estimator settings (bake-off families).
-    pub learned: LearnedConfig,
     /// Hybrid-router settings (bake-off families).
     pub router: RouterConfig,
 }
@@ -147,7 +130,6 @@ impl BuildConfig {
             cv: CvConfig::default(),
             adaptive: AdaptiveConfig::default(),
             karma: KarmaConfig::default(),
-            learned: LearnedConfig::default(),
             router: RouterConfig::default(),
         }
     }
@@ -200,14 +182,12 @@ pub enum AnyEstimator {
     Avi(AviEstimator),
     /// Sample-counting baseline.
     Sampling(SampleEstimator),
-    /// Naru-style autoregressive learned estimator.
-    Learned(LearnedEstimator),
     /// Exact scan over a staged snapshot of the full table.
     Exact(ExactScanEstimator),
     /// Hybrid bake-off estimator plus the reservoir state its KDE
     /// member needs for inserts.
     Hybrid {
-        /// The routed three-family estimator.
+        /// The routed two-family estimator.
         hybrid: Box<HybridEstimator>,
         /// Host-side reservoir decision procedure for inserts.
         reservoir: ReservoirSampler,
@@ -292,16 +272,13 @@ impl AnyEstimator {
                 AnyEstimator::Avi(AviEstimator::build(sample, dims, buckets))
             }
             EstimatorKind::Sampling => AnyEstimator::Sampling(SampleEstimator::new(sample, dims)),
-            EstimatorKind::Learned => {
-                AnyEstimator::Learned(LearnedEstimator::train(sample, dims, &config.learned))
-            }
             EstimatorKind::Exact => {
                 AnyEstimator::Exact(ExactScanEstimator::new(device(), &flat_rows(table), dims))
             }
             EstimatorKind::Hybrid => {
-                // The KDE and learned members work from the ANALYZE sample
-                // like their standalone kinds; the exact member scans the
-                // full table — that is its whole value proposition.
+                // The KDE member works from the ANALYZE sample like its
+                // standalone kind; the exact member scans the full table —
+                // that is its whole value proposition.
                 let kde = AdaptiveKde::new(
                     device(),
                     sample,
@@ -310,12 +287,10 @@ impl AnyEstimator {
                     config.adaptive.clone(),
                     config.karma.clone(),
                 );
-                let learned = LearnedEstimator::train(sample, dims, &config.learned);
                 let exact = ExactScanEstimator::new(device(), &flat_rows(table), dims);
                 let capacity = kde.model().sample_size();
                 let seen = (table.row_count() as u64).max(capacity as u64);
-                let hybrid = HybridEstimator::new(kde, learned, exact, config.router.clone())
-                    .with_learned_config(config.learned.clone());
+                let hybrid = HybridEstimator::new(kde, exact, config.router.clone());
                 AnyEstimator::Hybrid {
                     hybrid: Box::new(hybrid),
                     reservoir: ReservoirSampler::new(capacity, seen),
@@ -334,7 +309,6 @@ impl AnyEstimator {
             AnyEstimator::SthHoles(_) => EstimatorKind::SthHoles,
             AnyEstimator::Avi(_) => EstimatorKind::Avi,
             AnyEstimator::Sampling(_) => EstimatorKind::Sampling,
-            AnyEstimator::Learned(_) => EstimatorKind::Learned,
             AnyEstimator::Exact(_) => EstimatorKind::Exact,
             AnyEstimator::Hybrid { .. } => EstimatorKind::Hybrid,
         }
@@ -357,7 +331,6 @@ impl AnyEstimator {
             AnyEstimator::SthHoles(h) => h.estimate_selectivity(region),
             AnyEstimator::Avi(a) => a.estimate(region),
             AnyEstimator::Sampling(s) => s.estimate(region),
-            AnyEstimator::Learned(e) => e.estimate(region),
             AnyEstimator::Exact(e) => e.estimate(region),
             AnyEstimator::Hybrid { hybrid, .. } => hybrid.estimate_routed(region).0,
         }
@@ -378,7 +351,6 @@ impl AnyEstimator {
             | AnyEstimator::Batch(_)
             | AnyEstimator::Avi(_)
             | AnyEstimator::Sampling(_)
-            | AnyEstimator::Learned(_)
             | AnyEstimator::Exact(_) => {}
             AnyEstimator::Adaptive { kde, .. } => {
                 kdesel_types::SelectivityEstimator::observe(kde, feedback);
@@ -416,9 +388,9 @@ impl AnyEstimator {
                 }
             }
             AnyEstimator::Hybrid { hybrid, reservoir } => {
-                // Only the KDE member's sample refreshes; the learned and
-                // exact members go deliberately stale so the router can
-                // catch them drifting (the bake-off's shifting segment).
+                // Only the KDE member's sample refreshes; the exact member
+                // goes deliberately stale so the router can catch it
+                // drifting (the bake-off's shifting segment).
                 if let ReservoirDecision::Replace(slot) = reservoir.observe(rng) {
                     hybrid.reservoir_replace(slot, row);
                 }
@@ -439,28 +411,10 @@ impl AnyEstimator {
             AnyEstimator::SthHoles(h) => h.memory_bytes(),
             AnyEstimator::Avi(a) => a.memory_bytes(),
             AnyEstimator::Sampling(s) => kdesel_types::SelectivityEstimator::memory_bytes(s),
-            AnyEstimator::Learned(e) => e.memory_bytes(),
             AnyEstimator::Exact(e) => e.memory_bytes(),
             AnyEstimator::Hybrid { hybrid, .. } => {
                 kdesel_types::SelectivityEstimator::memory_bytes(hybrid.as_ref())
             }
-        }
-    }
-
-    /// The device behind a KDE estimator (None for STHoles) — used by the
-    /// performance experiment to read modeled time.
-    pub fn device(&self) -> Option<&Device> {
-        match self {
-            AnyEstimator::Heuristic(e) => Some(e.model().device()),
-            AnyEstimator::Scv(e) => Some(e.model().device()),
-            AnyEstimator::Batch(e) => Some(e.model().device()),
-            AnyEstimator::Adaptive { kde, .. } => Some(kde.model().device()),
-            AnyEstimator::Exact(e) => Some(e.device()),
-            AnyEstimator::Hybrid { hybrid, .. } => Some(hybrid.device()),
-            AnyEstimator::SthHoles(_)
-            | AnyEstimator::Avi(_)
-            | AnyEstimator::Sampling(_)
-            | AnyEstimator::Learned(_) => None,
         }
     }
 }
@@ -633,11 +587,7 @@ mod tests {
         let sample = sampling::sample_rows(&table, 128, &mut rng);
         let config = BuildConfig::paper_default(2);
         let region = table.bounding_box().unwrap();
-        for kind in [
-            EstimatorKind::Learned,
-            EstimatorKind::Exact,
-            EstimatorKind::Hybrid,
-        ] {
+        for kind in [EstimatorKind::Exact, EstimatorKind::Hybrid] {
             let mut e = AnyEstimator::build(kind, &table, &sample, &[], &config, &mut rng);
             assert_eq!(e.kind(), kind);
             assert_eq!(EstimatorKind::from_name(e.name()), Some(kind));

@@ -18,9 +18,7 @@
 
 use kdesel_data::{generate_workload, synthetic, WorkloadKind, WorkloadSpec};
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{
-    ExactScanEstimator, Family, HybridConfig, HybridEstimator, LearnedConfig, LearnedEstimator,
-};
+use kdesel_estimators::{ExactScanEstimator, HybridConfig, HybridEstimator};
 use kdesel_hist::{SthConfig, SthHoles};
 use kdesel_kde::{AdaptiveKde, KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn};
 use kdesel_storage::{sampling, Table};
@@ -42,7 +40,7 @@ pub struct PerfConfig {
     pub queries: usize,
     /// STHoles bucket counts matched byte-for-byte to each sample size.
     pub include_stholes: bool,
-    /// Also sweep the bake-off families (learned, exact scan, hybrid).
+    /// Also sweep the bake-off families (exact scan, hybrid).
     pub include_bakeoff: bool,
     /// Base seed.
     pub seed: u64,
@@ -133,10 +131,6 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfSeries> {
     if config.include_bakeoff {
         let sweep =
             |f: &dyn Fn(usize) -> PerfPoint| config.sample_sizes.iter().map(|&s| f(s)).collect();
-        series.push(PerfSeries {
-            label: "learned".to_string(),
-            points: sweep(&|size| measure_learned(&table, &regions, size, config.seed)),
-        });
         for backend in [Backend::SimGpu, Backend::CpuPar] {
             series.push(PerfSeries {
                 label: format!("exact/{}", backend.name()),
@@ -248,32 +242,6 @@ fn sized_sample(table: &Table, size: usize, rng: &mut StdRng) -> Vec<f64> {
     sample
 }
 
-/// Training set for the learned family: estimation overhead is what
-/// Fig. 7 times, so training (like STHoles construction) is excluded
-/// and capped — the model's parameter count, and hence its per-query
-/// cost, is set by `LearnedConfig`, not by the training-set size.
-const LEARNED_TRAIN_CAP: usize = 4_096;
-
-/// Measures the learned family's estimation overhead. The model holds
-/// `bins · paths · dims` parameters regardless of `size`, so its
-/// series is flat — the point of plotting it against the KDE sweep.
-fn measure_learned(table: &Table, regions: &[Rect], size: usize, seed: u64) -> PerfPoint {
-    let mut rng = StdRng::seed_from_u64(seed ^ size as u64 ^ 0x1ea2);
-    let train = sized_sample(table, size.min(LEARNED_TRAIN_CAP), &mut rng);
-    let model = LearnedEstimator::train(&train, table.dims(), &LearnedConfig::default());
-    let wall = Instant::now();
-    let mut sink = 0.0;
-    for region in regions {
-        sink += model.estimate(region);
-    }
-    std::hint::black_box(sink);
-    PerfPoint {
-        model_size: size,
-        modeled_seconds: Some(regions.len() as f64 * model.query_cost()),
-        measured_seconds: wall.elapsed().as_secs_f64(),
-    }
-}
-
 /// Measures the exact-scan family over a `size`-row staged snapshot
 /// (capped at the table — an exact scan never duplicates rows).
 fn measure_exact(
@@ -301,9 +269,7 @@ fn measure_exact(
 }
 
 /// Measures the hybrid router's end-to-end overhead: whatever mix of
-/// families it chose, billed at each member's modeled device cost
-/// (learned decisions at the host-FLOPs query cost, KDE and exact at
-/// their device-ledger deltas).
+/// families it chose, billed at each member's device-ledger delta.
 fn measure_hybrid(
     table: &Table,
     regions: &[Rect],
@@ -317,8 +283,8 @@ fn measure_hybrid(
     let sample = sized_sample(table, size, &mut rng);
     let config = HybridConfig::default();
     // Members mirror their standalone measurements: the KDE holds the
-    // full `size`-point sample, the learned model trains on the capped
-    // subset, the exact member scans a `size`-row table snapshot.
+    // full `size`-point sample, the exact member scans a `size`-row
+    // table snapshot.
     let kde = AdaptiveKde::new(
         Device::new(backend),
         &sample,
@@ -327,17 +293,11 @@ fn measure_hybrid(
         config.adaptive.clone(),
         config.karma.clone(),
     );
-    let learned = LearnedEstimator::train(
-        &sample[..(size.min(LEARNED_TRAIN_CAP) * dims).min(sample.len())],
-        dims,
-        &config.learned,
-    );
     let exact_rows = sampling::sample_rows(table, size.min(table.row_count()), &mut rng);
     let exact = ExactScanEstimator::new(Device::new(backend), &exact_rows, dims);
-    let mut hybrid = HybridEstimator::new(kde, learned, exact, config.router.clone());
+    let mut hybrid = HybridEstimator::new(kde, exact, config.router.clone());
     let kde0 = hybrid.kde().model().device().modeled_seconds();
     let exact0 = hybrid.exact().device().modeled_seconds();
-    let learned_cost = hybrid.learned().query_cost();
     let wall = Instant::now();
     for (region, &actual) in regions.iter().zip(actuals) {
         let (estimate, _family) = hybrid.estimate_routed(region);
@@ -350,10 +310,8 @@ fn measure_hybrid(
         kdesel_types::SelectivityEstimator::observe(&mut hybrid, &feedback);
     }
     let measured = wall.elapsed().as_secs_f64();
-    let learned_decisions = hybrid.router().decisions()[Family::Learned.index()] as f64;
     let modeled = (hybrid.kde().model().device().modeled_seconds() - kde0)
-        + (hybrid.exact().device().modeled_seconds() - exact0)
-        + learned_decisions * learned_cost;
+        + (hybrid.exact().device().modeled_seconds() - exact0);
     PerfPoint {
         model_size: size,
         modeled_seconds: Some(modeled),
@@ -485,12 +443,7 @@ mod tests {
             seed: 3,
         };
         let series = run_perf(&config);
-        for label in [
-            "learned",
-            "exact/sim-gpu",
-            "exact/cpu-par",
-            "hybrid/sim-gpu",
-        ] {
+        for label in ["exact/sim-gpu", "exact/cpu-par", "hybrid/sim-gpu"] {
             let s = series
                 .iter()
                 .find(|s| s.label == label)
@@ -501,14 +454,12 @@ mod tests {
                 assert!(m > 0.0, "{label}: modeled {m}");
             }
         }
-        // The learned model's per-query cost does not grow with the
-        // sample; the exact scan's does.
+        // The exact scan's per-query cost grows with the snapshot.
         let m = |label: &str, i: usize| {
             series.iter().find(|s| s.label == label).unwrap().points[i]
                 .modeled_seconds
                 .unwrap()
         };
-        assert_eq!(m("learned", 0), m("learned", 1));
         assert!(m("exact/cpu-par", 1) > m("exact/cpu-par", 0));
     }
 

@@ -1,13 +1,10 @@
-//! The hybrid estimator: KDE + learned + exact behind one router.
+//! The hybrid estimator: KDE + exact behind one router.
 //!
-//! [`HybridEstimator`] bundles the paper's self-tuning
-//! [`AdaptiveKde`], the Naru-style [`LearnedEstimator`], and the
-//! [`ExactScanEstimator`], and routes every query through a
-//! [`HybridRouter`]. Costs are modeled per query — the KDE and exact
-//! charges through the device's calibrated
-//! [`CostModel`](kdesel_device::CostModel), the learned charge through
-//! a host-throughput model — so the router prices all three families in
-//! the same modeled-seconds currency.
+//! [`HybridEstimator`] bundles the paper's self-tuning [`AdaptiveKde`]
+//! and the [`ExactScanEstimator`], and routes every query through a
+//! [`HybridRouter`]. Costs are modeled per query through the devices'
+//! calibrated [`CostModel`](kdesel_device::CostModel), so the router
+//! prices both families in the same modeled-seconds currency.
 //!
 //! **Feedback attribution.** The observatory loop delivers
 //! [`QueryFeedback`] after execution, potentially out of order. Each
@@ -20,25 +17,41 @@
 //! performs) so Karma consumes the contribution buffer of exactly this
 //! query even when other KDE-routed estimates ran in between.
 //!
-//! The learned model and the exact snapshot are deliberately *not*
-//! maintained under inserts: they decay exactly like a stale optimizer
-//! statistic would, and the router's rolling windows are how the system
-//! notices and shifts traffic back to the self-tuning KDE.
+//! The exact snapshot is deliberately *not* maintained under inserts:
+//! it decays exactly like a stale optimizer statistic would, and the
+//! router's rolling windows are how the system notices and shifts
+//! traffic back to the self-tuning KDE.
 
 use crate::exact::ExactScanEstimator;
-use crate::learned::{rect_seed, LearnedConfig, LearnedEstimator};
 use crate::router::{qerror, Family, HybridRouter, RouterConfig};
 use kdesel_kde::{AdaptiveConfig, AdaptiveKde, KarmaConfig, KernelFn, ModelSnapshot};
 use kdesel_types::{QueryFeedback, Rect, RouterState, SelectivityEstimator};
 use std::collections::VecDeque;
+
+/// FNV-1a over the query rectangle's bit pattern: the key that matches
+/// feedback to the family that answered its query.
+fn rect_seed(region: &Rect) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: f64| {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for &v in region.lo() {
+        mix(v);
+    }
+    for &v in region.hi() {
+        mix(v);
+    }
+    h
+}
 
 /// Everything needed to build a [`HybridEstimator`] from a sample.
 #[derive(Debug, Clone, Default)]
 pub struct HybridConfig {
     /// Routing policy.
     pub router: RouterConfig,
-    /// Learned-model hyper-parameters.
-    pub learned: LearnedConfig,
     /// Adaptive bandwidth-tuning configuration for the KDE member.
     pub adaptive: AdaptiveConfig,
     /// Karma sample-maintenance configuration for the KDE member.
@@ -47,60 +60,37 @@ pub struct HybridConfig {
     pub kernel: KernelFn,
 }
 
-/// Three estimator families behind one cost/error router.
+/// Two estimator families behind one cost/error router.
 pub struct HybridEstimator {
     kde: AdaptiveKde,
-    learned: LearnedEstimator,
     exact: ExactScanEstimator,
     router: HybridRouter,
     /// `(rect hash, family)` of routed estimates still awaiting
     /// feedback, oldest first.
     attributions: VecDeque<(u64, Family)>,
-    /// Hyper-parameters the learned member retrains with after a
-    /// snapshot restore.
-    learned_config: LearnedConfig,
 }
 
 impl HybridEstimator {
-    /// Bundles pre-built members. All three must share one
-    /// dimensionality.
-    pub fn new(
-        kde: AdaptiveKde,
-        learned: LearnedEstimator,
-        exact: ExactScanEstimator,
-        router: RouterConfig,
-    ) -> Self {
-        let dims = kde.model().dims();
+    /// Bundles pre-built members. Both must share one dimensionality.
+    pub fn new(kde: AdaptiveKde, exact: ExactScanEstimator, router: RouterConfig) -> Self {
         assert_eq!(
-            learned.dims(),
-            dims,
-            "learned member dimensionality mismatch"
+            exact.dims(),
+            kde.model().dims(),
+            "exact member dimensionality mismatch"
         );
-        assert_eq!(exact.dims(), dims, "exact member dimensionality mismatch");
         Self {
             kde,
-            learned,
             exact,
             router: HybridRouter::new(router),
             attributions: VecDeque::new(),
-            learned_config: LearnedConfig::default(),
         }
     }
 
-    /// Overrides the hyper-parameters the learned member retrains with
-    /// after a snapshot restore (builder style, for members trained
-    /// with a non-default [`LearnedConfig`]).
-    pub fn with_learned_config(mut self, config: LearnedConfig) -> Self {
-        self.learned_config = config;
-        self
-    }
-
-    /// Builds all three members over the same staged sample: the KDE
-    /// estimates from it, the learned model trains on it, and the exact
-    /// member scans it. Used where the sample is all that is available
-    /// (serving); harness builds that hold the full table should stage
-    /// the exact member over the table instead and use
-    /// [`new`](Self::new).
+    /// Builds both members over the same staged sample: the KDE
+    /// estimates from it and the exact member scans it. Used where the
+    /// sample is all that is available (serving); harness builds that
+    /// hold the full table should stage the exact member over the table
+    /// instead and use [`new`](Self::new).
     pub fn from_sample(
         device: kdesel_device::Device,
         sample: &[f64],
@@ -120,16 +110,13 @@ impl HybridEstimator {
             config.adaptive.clone(),
             config.karma.clone(),
         );
-        let learned = LearnedEstimator::train(sample, dims, &config.learned);
         let exact = ExactScanEstimator::new(sibling, sample, dims);
-        Self::new(kde, learned, exact, config.router.clone())
-            .with_learned_config(config.learned.clone())
+        Self::new(kde, exact, config.router.clone())
     }
 
     /// Captures the model for a warm restart: the KDE member's snapshot
-    /// plus the router's adaptive state. The learned and exact members
-    /// are derived from the sample, so they are not stored — restore
-    /// retrains and restages them.
+    /// plus the router's adaptive state. The exact member is derived
+    /// from the sample, so it is not stored — restore restages it.
     pub fn snapshot(&self) -> ModelSnapshot {
         ModelSnapshot::of(self.kde.model()).with_router(self.router_state())
     }
@@ -137,11 +124,11 @@ impl HybridEstimator {
     /// Restores state captured by [`snapshot`](Self::snapshot) in
     /// place: the KDE member is rebuilt from the snapshot (backend and
     /// cost profile preserved, tuner/Karma state fresh — the same warm
-    /// restart semantics as a plain adaptive model), the learned member
-    /// retrains on the snapshot's sample, the exact member restages it,
-    /// and the router resumes from the embedded state (or fresh when
-    /// the snapshot carries none). Pending feedback attributions are
-    /// dropped — they refer to queries answered by the old model.
+    /// restart semantics as a plain adaptive model), the exact member
+    /// restages the snapshot's sample, and the router resumes from the
+    /// embedded state (or fresh when the snapshot carries none). Pending
+    /// feedback attributions are dropped — they refer to queries
+    /// answered by the old model.
     pub fn restore_from_snapshot(&mut self, snapshot: &ModelSnapshot) -> Result<(), String> {
         let dims = self.kde.model().dims();
         if snapshot.dims != dims {
@@ -159,7 +146,6 @@ impl HybridEstimator {
             adaptive,
             karma,
         );
-        self.learned = LearnedEstimator::train(&snapshot.sample, dims, &self.learned_config);
         self.exact = ExactScanEstimator::new(
             kdesel_device::Device::with_profile(backend, profile),
             &snapshot.sample,
@@ -189,12 +175,8 @@ impl HybridEstimator {
 
     /// Modeled per-query cost of each family, indexed like
     /// [`Family::ALL`].
-    pub fn query_costs(&self) -> [f64; 3] {
-        [
-            self.kde_query_cost(),
-            self.learned.query_cost(),
-            self.exact.query_cost(),
-        ]
+    pub fn query_costs(&self) -> [f64; 2] {
+        [self.kde_query_cost(), self.exact.query_cost()]
     }
 
     /// Routes one query and answers it, returning the estimate and the
@@ -204,7 +186,6 @@ impl HybridEstimator {
         let family = self.router.choose(&costs);
         let estimate = match family {
             Family::Kde => SelectivityEstimator::estimate(&mut self.kde, region),
-            Family::Learned => self.learned.estimate(region),
             Family::Exact => self.exact.estimate(region),
         };
         // Bound the attribution FIFO: feedback older than a few windows
@@ -214,11 +195,6 @@ impl HybridEstimator {
         }
         self.attributions.push_back((rect_seed(region), family));
         (estimate, family)
-    }
-
-    /// The family that answered the most recent routed query.
-    pub fn last_family(&self) -> Option<Family> {
-        self.router.last()
     }
 
     /// Pops the newest pending attribution matching `region`, if any.
@@ -238,31 +214,9 @@ impl HybridEstimator {
         self.router.state()
     }
 
-    /// Restores router state captured by
-    /// [`router_state`](Self::router_state).
-    pub fn restore_router(&mut self, state: &RouterState) -> Result<(), String> {
-        self.router.restore(state)
-    }
-
     /// The KDE member.
     pub fn kde(&self) -> &AdaptiveKde {
         &self.kde
-    }
-
-    /// Mutable access to the KDE member (sample maintenance).
-    pub fn kde_mut(&mut self) -> &mut AdaptiveKde {
-        &mut self.kde
-    }
-
-    /// The learned member.
-    pub fn learned(&self) -> &LearnedEstimator {
-        &self.learned
-    }
-
-    /// Hyper-parameters the learned member retrains with after a
-    /// snapshot restore.
-    pub fn learned_config(&self) -> &LearnedConfig {
-        &self.learned_config
     }
 
     /// The exact-scan member.
@@ -270,18 +224,13 @@ impl HybridEstimator {
         &self.exact
     }
 
-    /// The device the KDE member runs on.
-    pub fn device(&self) -> &kdesel_device::Device {
-        self.kde.model().device()
-    }
-
     /// Sample slots the KDE member flagged as outdated (Karma).
     pub fn take_pending_replacements(&mut self) -> Vec<usize> {
         self.kde.take_pending_replacements()
     }
 
-    /// Installs a fresh tuple in the KDE member's sample. The learned
-    /// and exact members keep their stale snapshots by design.
+    /// Installs a fresh tuple in the KDE member's sample. The exact
+    /// member keeps its stale snapshot by design.
     pub fn replace_point(&mut self, index: usize, row: &[f64]) {
         self.kde.replace_point(index, row);
     }
@@ -322,7 +271,7 @@ impl SelectivityEstimator for HybridEstimator {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.kde.memory_bytes() + self.learned.memory_bytes() + self.exact.memory_bytes()
+        self.kde.memory_bytes() + self.exact.memory_bytes()
     }
 
     fn name(&self) -> &str {
@@ -411,10 +360,9 @@ mod tests {
         let mut config = HybridConfig::default();
         config.router.probe_every = 0;
         let mut est = HybridEstimator::from_sample(Device::new(Backend::CpuSeq), &data, 2, &config);
-        // Poison KDE's and learned's windows; exact stays pristine.
+        // Poison KDE's window; exact stays pristine.
         for _ in 0..8 {
             est.router.record(Family::Kde, 40.0);
-            est.router.record(Family::Learned, 40.0);
             est.router.record(Family::Exact, 1.0);
         }
         let (_, family) = est.estimate_routed(&Rect::cube(2, 20.0, 50.0));
@@ -457,32 +405,5 @@ mod tests {
         // Dimension mismatches are rejected.
         let mut wrong = hybrid(64, 3, 1);
         assert!(wrong.restore_from_snapshot(&back).is_err());
-    }
-
-    #[test]
-    fn router_state_roundtrips_through_a_fresh_hybrid() {
-        let mut est = hybrid(128, 3, 6);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..20 {
-            let lo: f64 = rng.gen_range(0.0..70.0);
-            let region = Rect::cube(3, lo, lo + 25.0);
-            let (p, _) = est.estimate_routed(&region);
-            est.observe(&QueryFeedback {
-                region,
-                estimate: p,
-                actual: (p * 1.4).min(1.0),
-                cardinality: 0,
-            });
-        }
-        let state = est.router_state();
-        let mut fresh = hybrid(128, 3, 6);
-        fresh.restore_router(&state).unwrap();
-        assert_eq!(fresh.router_state(), state);
-        // Identical state + identical costs => identical next choice.
-        let region = Rect::cube(3, 5.0, 30.0);
-        assert_eq!(
-            est.estimate_routed(&region).1,
-            fresh.estimate_routed(&region).1
-        );
     }
 }

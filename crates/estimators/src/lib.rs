@@ -1,39 +1,31 @@
-//! Estimator bake-off: learned and exact baselines behind a hybrid
+//! Estimator bake-off: an exact baseline beside the KDE, behind a hybrid
 //! cost/error router.
 //!
 //! The paper evaluates KDE against four classical baselines
-//! (heuristics, STHoles, AVI, sampling). This crate adds the two
-//! families a modern comparison needs and the router that arbitrates
-//! between them:
+//! (heuristics, STHoles, AVI, sampling). This crate adds the exact
+//! family a modern comparison needs and the router that arbitrates
+//! between it and the self-tuning KDE:
 //!
-//! * [`learned`] — a Naru-style autoregressive model (*Deep
-//!   Unsupervised Cardinality Estimation*, PAPERS.md): per-dimension
-//!   discretized conditional distributions, trained on the staged
-//!   sample by maximum likelihood via the in-tree L-BFGS from
-//!   `kdesel-solver`, answered with progressive-sampling range
-//!   inference,
 //! * [`exact`] — an exact-scan estimator (*Exact Selectivity
 //!   Computation*, PAPERS.md) sweeping the SoA stripes through one
 //!   fused `sweep_reduce` launch, costed through the calibrated
 //!   [`CostProfile`](kdesel_device::CostProfile) so the router can
 //!   price it honestly,
-//! * [`router`] — [`HybridRouter`]: per query, pick the cheapest
-//!   family whose modeled latency fits the budget and whose rolling
-//!   q-error window (the PR 6 observatory shape) looks best,
-//! * [`hybrid`] — [`HybridEstimator`]: KDE + learned + exact behind
-//!   one router, with feedback attributed to whichever family
-//!   answered.
+//! * [`router`] — [`HybridRouter`]: per query, pick the family whose
+//!   rolling q-error window (shaped like the serving drift
+//!   observatory's), penalized by its modeled latency against the
+//!   budget, looks best,
+//! * [`hybrid`] — [`HybridEstimator`]: KDE + exact behind one router,
+//!   with feedback attributed to whichever family answered.
 //!
 //! The crate sits between `kdesel-kde` and `kdesel-serve` in the
-//! dependency order: it may use devices, solvers, and KDE models, but
-//! knows nothing about serving or the engine harness.
+//! dependency order: it may use devices and KDE models, but knows
+//! nothing about serving or the engine harness.
 
 pub mod exact;
 pub mod hybrid;
-pub mod learned;
 pub mod router;
 
 pub use exact::ExactScanEstimator;
 pub use hybrid::{HybridConfig, HybridEstimator};
-pub use learned::{LearnedConfig, LearnedEstimator};
 pub use router::{Family, HybridRouter, RouterConfig};

@@ -1,11 +1,11 @@
 //! The hybrid cost/error router.
 //!
-//! Per query, [`HybridRouter`] picks one of the three estimator families
-//! — KDE, learned, exact — from two signals:
+//! Per query, [`HybridRouter`] picks one of the two estimator families
+//! — KDE and exact — from two signals:
 //!
 //! * the **modeled cost** of answering with each family (the calibrated
 //!   [`CostModel`](kdesel_device::CostModel) charge for a KDE or exact
-//!   sweep, a host-throughput model for the learned path), and
+//!   sweep), and
 //! * a **rolling q-error window** per family (the PR 6 observatory
 //!   shape: the most recent [`RouterConfig::window`] multiplicative
 //!   errors, summarized by their nearest-rank p95).
@@ -34,26 +34,23 @@ use kdesel_types::{RouterState, QERROR_SMOOTHING};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The three estimator families the router arbitrates between.
+/// The two estimator families the router arbitrates between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Kernel density estimation (the paper's self-tuning estimator).
     Kde,
-    /// The Naru-style autoregressive learned estimator.
-    Learned,
     /// The exact-scan estimator over a staged snapshot.
     Exact,
 }
 
 impl Family {
     /// All families, in router (and tie-break) order.
-    pub const ALL: [Family; 3] = [Family::Kde, Family::Learned, Family::Exact];
+    pub const ALL: [Family; 2] = [Family::Kde, Family::Exact];
 
     /// Metric/report name.
     pub fn name(self) -> &'static str {
         match self {
             Family::Kde => "kde",
-            Family::Learned => "learned",
             Family::Exact => "exact",
         }
     }
@@ -102,29 +99,48 @@ impl Default for RouterConfig {
     }
 }
 
-/// Per-query arbiter over the three families.
+impl RouterConfig {
+    /// Checks the conditions [`HybridRouter::new`] requires: a non-empty
+    /// window and a positive latency budget.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == 0 {
+            return Err("router window must be positive".to_string());
+        }
+        if self.latency_budget > 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "router latency_budget must be positive, got {}",
+                self.latency_budget
+            ))
+        }
+    }
+}
+
+/// Per-query arbiter over the two families.
 #[derive(Debug)]
 pub struct HybridRouter {
     config: RouterConfig,
-    windows: [VecDeque<f64>; 3],
-    decisions: [u64; 3],
+    windows: [VecDeque<f64>; 2],
+    decisions: [u64; 2],
     last: Option<Family>,
-    meters: [Arc<kdesel_telemetry::Counter>; 3],
+    meters: [Arc<kdesel_telemetry::Counter>; 2],
     switches: Arc<kdesel_telemetry::Counter>,
 }
 
 impl HybridRouter {
     /// A fresh router with empty windows.
+    ///
+    /// # Panics
+    /// Panics if `config` fails [`RouterConfig::validate`].
     pub fn new(config: RouterConfig) -> Self {
-        assert!(config.window > 0, "router needs a non-empty q-error window");
-        assert!(
-            config.latency_budget > 0.0,
-            "latency budget must be positive"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             config,
             windows: std::array::from_fn(|_| VecDeque::new()),
-            decisions: [0; 3],
+            decisions: [0; 2],
             last: None,
             meters: std::array::from_fn(|i| {
                 kdesel_telemetry::counter(&format!("router.decisions.{}", Family::ALL[i].name()))
@@ -162,7 +178,7 @@ impl HybridRouter {
     /// per-query cost (indexed like [`Family::ALL`]). Deterministic in
     /// (state, costs); increments the per-family decision counter and
     /// emits a `router.switch` event when the choice changes family.
-    pub fn choose(&mut self, costs: &[f64; 3]) -> Family {
+    pub fn choose(&mut self, costs: &[f64; 2]) -> Family {
         let total: u64 = self.decisions.iter().sum();
         let probing = self.config.probe_every > 0
             && total > 0
@@ -173,7 +189,7 @@ impl HybridRouter {
             Family::ALL
                 .into_iter()
                 .min_by_key(|f| self.decisions[f.index()])
-                .expect("three families")
+                .expect("two families")
         } else {
             Family::ALL
                 .into_iter()
@@ -182,7 +198,7 @@ impl HybridRouter {
                         .partial_cmp(&self.score(*b, costs[b.index()]))
                         .expect("scores are finite")
                 })
-                .expect("three families")
+                .expect("two families")
         };
         self.decisions[choice.index()] += 1;
         if kdesel_telemetry::enabled() {
@@ -218,13 +234,8 @@ impl HybridRouter {
     }
 
     /// Lifetime decisions per family, indexed like [`Family::ALL`].
-    pub fn decisions(&self) -> [u64; 3] {
+    pub fn decisions(&self) -> [u64; 2] {
         self.decisions
-    }
-
-    /// The family that answered the most recent routed query.
-    pub fn last(&self) -> Option<Family> {
-        self.last
     }
 
     /// Captures the adaptive state for a warm restart.
@@ -245,9 +256,9 @@ impl HybridRouter {
     /// The state's family set must match this router's (any order).
     pub fn restore(&mut self, state: &RouterState) -> Result<(), String> {
         state.validate()?;
-        let mut windows: [VecDeque<f64>; 3] = std::array::from_fn(|_| VecDeque::new());
-        let mut decisions = [0u64; 3];
-        let mut seen = [false; 3];
+        let mut windows: [VecDeque<f64>; 2] = std::array::from_fn(|_| VecDeque::new());
+        let mut decisions = [0u64; 2];
+        let mut seen = [false; 2];
         for (i, name) in state.families.iter().enumerate() {
             let family = Family::from_name(name)
                 .ok_or_else(|| format!("router state names unknown family {name:?}"))?;
@@ -264,8 +275,9 @@ impl HybridRouter {
         }
         if !seen.iter().all(|&s| s) {
             return Err(format!(
-                "router state covers {} of 3 families",
-                seen.iter().filter(|&&s| s).count()
+                "router state covers {} of {} families",
+                seen.iter().filter(|&&s| s).count(),
+                Family::ALL.len()
             ));
         }
         self.windows = windows;
@@ -294,7 +306,7 @@ mod tests {
     #[test]
     fn empty_windows_prefer_tie_break_order() {
         let mut router = plain(8);
-        assert_eq!(router.choose(&[0.0; 3]), Family::Kde);
+        assert_eq!(router.choose(&[0.0; 2]), Family::Kde);
     }
 
     #[test]
@@ -302,10 +314,15 @@ mod tests {
         let mut router = plain(8);
         for _ in 0..8 {
             router.record(Family::Kde, 4.0);
-            router.record(Family::Learned, 2.0);
+            router.record(Family::Exact, 2.0);
+        }
+        // The better window wins even against tie-break order...
+        assert_eq!(router.choose(&[1e-4; 2]), Family::Exact);
+        // ...and the choice follows the windows when they swap.
+        for _ in 0..8 {
             router.record(Family::Exact, 8.0);
         }
-        assert_eq!(router.choose(&[1e-4; 3]), Family::Learned);
+        assert_eq!(router.choose(&[1e-4; 2]), Family::Kde);
     }
 
     #[test]
@@ -314,12 +331,11 @@ mod tests {
         for _ in 0..8 {
             router.record(Family::Kde, 1.5);
             router.record(Family::Exact, 1.5);
-            router.record(Family::Learned, 50.0);
         }
         // Same accuracy, but exact costs 10x the budget: pick KDE.
-        assert_eq!(router.choose(&[1e-4, 1e-4, 1e-2]), Family::Kde);
+        assert_eq!(router.choose(&[1e-4, 1e-2]), Family::Kde);
         // Flip the costs and the choice flips with them.
-        assert_eq!(router.choose(&[1e-2, 1e-4, 1e-4]), Family::Exact);
+        assert_eq!(router.choose(&[1e-2, 1e-4]), Family::Exact);
     }
 
     #[test]
@@ -332,15 +348,18 @@ mod tests {
         for _ in 0..8 {
             router.record(Family::Exact, 1.0); // exact looks perfect
             router.record(Family::Kde, 9.0);
-            router.record(Family::Learned, 9.0);
         }
-        let picks: Vec<Family> = (0..12).map(|_| router.choose(&[0.0; 3])).collect();
-        assert!(
-            picks.contains(&Family::Kde) && picks.contains(&Family::Learned),
-            "probing must reach starved families: {picks:?}"
-        );
-        // Non-probe decisions still follow the windows.
-        assert_eq!(picks[0], Family::Exact);
+        let picks: Vec<Family> = (0..12).map(|_| router.choose(&[0.0; 2])).collect();
+        // Decisions 4 and 8 probe the starved KDE; every other decision
+        // follows the windows.
+        for (i, pick) in picks.iter().enumerate() {
+            let want = if i > 0 && i % 4 == 0 {
+                Family::Kde
+            } else {
+                Family::Exact
+            };
+            assert_eq!(*pick, want, "decision {i}: {picks:?}");
+        }
     }
 
     #[test]
@@ -368,16 +387,15 @@ mod tests {
     fn state_roundtrips_and_validates() {
         let mut router = plain(8);
         for q in [2.0, 3.0, 5.0] {
-            router.record(Family::Learned, q);
+            router.record(Family::Exact, q);
         }
-        router.choose(&[0.0; 3]);
+        router.choose(&[0.0; 2]);
         let state = router.state();
         assert_eq!(state.validate(), Ok(()));
         let mut other = plain(8);
         other.restore(&state).unwrap();
         assert_eq!(other.state(), state);
         assert_eq!(other.decisions(), router.decisions());
-        assert_eq!(other.last(), router.last());
     }
 
     #[test]
@@ -395,8 +413,19 @@ mod tests {
         bad.families[1] = "stholes".to_string();
         assert!(small.restore(&bad).is_err());
         let mut missing = donor.state();
-        missing.families[1] = "kde".to_string(); // duplicate, learned missing
+        missing.families[1] = "kde".to_string(); // duplicate, exact missing
         assert!(small.restore(&missing).is_err());
+        // A three-family state from before the learned family was removed
+        // (what an older hybrid checkpoint carries) is rejected, not
+        // truncated to the families this router knows.
+        let legacy = RouterState {
+            families: vec!["kde".into(), "learned".into(), "exact".into()],
+            windows: vec![vec![2.0], vec![3.0], vec![1.0]],
+            decisions: vec![5, 1, 4],
+            last: Some("exact".into()),
+        };
+        assert_eq!(legacy.validate(), Ok(()));
+        assert!(small.restore(&legacy).is_err());
     }
 
     #[test]
@@ -406,7 +435,7 @@ mod tests {
         let mut router = HybridRouter::new(RouterConfig::default());
         for _ in 0..3 {
             router.record(Family::Exact, 5.0);
-            router.choose(&[0.0; 3]);
+            router.choose(&[0.0; 2]);
         }
         kdesel_telemetry::set_enabled(false);
         assert!(

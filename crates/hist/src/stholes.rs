@@ -1,7 +1,6 @@
 //! The STHoles bucket tree.
 
-use kdesel_storage::Table;
-use kdesel_types::{QueryFeedback, Rect, SelectivityEstimator};
+use kdesel_types::Rect;
 
 /// STHoles configuration.
 #[derive(Debug, Clone, Copy)]
@@ -511,52 +510,10 @@ impl SthHoles {
     }
 }
 
-/// `SelectivityEstimator` wrapper that owns a snapshot-consistent counting
-/// source. Intended for static tables; the engine drives dynamic scenarios
-/// through [`SthHoles::refine`] directly.
-pub struct TableSthHoles {
-    hist: SthHoles,
-    table: Table,
-}
-
-impl TableSthHoles {
-    /// Builds the histogram over a snapshot of `table`.
-    pub fn new(table: Table, config: SthConfig) -> Self {
-        let domain = table
-            .bounding_box()
-            .unwrap_or_else(|| Rect::cube(table.dims(), 0.0, 1.0));
-        let hist = SthHoles::new(domain, table.row_count() as u64, config);
-        Self { hist, table }
-    }
-
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &SthHoles {
-        &self.hist
-    }
-}
-
-impl SelectivityEstimator for TableSthHoles {
-    fn estimate(&mut self, region: &Rect) -> f64 {
-        self.hist.estimate_selectivity(region)
-    }
-
-    fn observe(&mut self, feedback: &QueryFeedback) {
-        let table = &self.table;
-        self.hist.refine(&feedback.region, |r| table.count_in(r));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.hist.memory_bytes()
-    }
-
-    fn name(&self) -> &str {
-        "stholes"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdesel_storage::Table;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -702,23 +659,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&est));
             h.refine(&q, |r| t.count_in(r));
         }
-    }
-
-    #[test]
-    fn trait_wrapper_refines_on_observe() {
-        let t = grid_table();
-        let rows = t.row_count() as u64;
-        let mut est = TableSthHoles::new(t, SthConfig { max_buckets: 64 });
-        let q = Rect::from_intervals(&[(0.0, 5.0), (0.0, 5.0)]);
-        let before = est.estimate(&q);
-        let truth = 25.0 * 25.0 / 2500.0 / 25.0; // 5×5 cells of 2500 → sel 0.01
-        let _ = truth;
-        let fb = QueryFeedback::from_counts(q.clone(), before, 25, rows);
-        est.observe(&fb);
-        let after = est.estimate(&q);
-        assert!((after - 0.01).abs() < 1e-6, "after {after}");
-        assert_eq!(est.name(), "stholes");
-        assert!(est.memory_bytes() > 0);
     }
 
     #[test]

@@ -45,6 +45,17 @@ impl Default for AdaptiveConfig {
     }
 }
 
+impl AdaptiveConfig {
+    /// Checks the conditions [`AdaptiveTuner::new`] requires: a non-empty
+    /// mini-batch and a valid RMSprop configuration.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mini_batch == 0 {
+            return Err("adaptive mini_batch must be positive".to_string());
+        }
+        self.rmsprop.validate()
+    }
+}
+
 /// Online bandwidth tuner: owns the RMSprop state and mini-batch buffer.
 #[derive(Debug)]
 pub struct AdaptiveTuner {
@@ -56,8 +67,13 @@ pub struct AdaptiveTuner {
 
 impl AdaptiveTuner {
     /// Creates a tuner for a `dims`-dimensional model.
+    ///
+    /// # Panics
+    /// Panics if `config` fails [`AdaptiveConfig::validate`].
     pub fn new(dims: usize, config: AdaptiveConfig) -> Self {
-        assert!(config.mini_batch > 0);
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             rmsprop: RmsProp::new(dims, config.rmsprop.clone()),
             batch: GradientBatch::new(dims, config.mini_batch),

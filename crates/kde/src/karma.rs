@@ -51,6 +51,21 @@ impl Default for KarmaConfig {
     }
 }
 
+impl KarmaConfig {
+    /// Checks the condition [`KarmaMaintenance::new`] requires: the
+    /// saturation cap lies above the replacement threshold.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.k_max > self.threshold {
+            Ok(())
+        } else {
+            Err(format!(
+                "karma k_max {} must exceed threshold {}",
+                self.k_max, self.threshold
+            ))
+        }
+    }
+}
+
 /// Karma state for one estimator's sample.
 #[derive(Debug)]
 pub struct KarmaMaintenance {
@@ -61,8 +76,13 @@ pub struct KarmaMaintenance {
 
 impl KarmaMaintenance {
     /// Creates zeroed Karma state for `estimator`'s sample.
+    ///
+    /// # Panics
+    /// Panics if `config` fails [`KarmaConfig::validate`].
     pub fn new(estimator: &KdeEstimator, config: KarmaConfig) -> Self {
-        assert!(config.k_max > config.threshold, "cap below threshold");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let size = estimator.sample_size();
         Self {
             karma: estimator.device().alloc_zeroed(size),

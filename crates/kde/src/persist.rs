@@ -28,7 +28,7 @@ pub struct ModelSnapshot {
     /// Diagonal bandwidth.
     pub bandwidth: Vec<f64>,
     /// Hybrid-router state, present when the snapshot was taken from a
-    /// hybrid model (KDE + learned + exact behind a cost/error router).
+    /// hybrid model (KDE + exact behind a cost/error router).
     /// Plain KDE snapshots omit it and restore exactly as before.
     pub router: Option<RouterState>,
 }

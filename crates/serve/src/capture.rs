@@ -167,17 +167,13 @@ fn model_record(id: u64, key: &ModelKey, model: &ServedModel) -> Event {
             // are recorded at registration, when the router is fresh, so
             // the configs alone let replay reproduce every decision.
             let router = hybrid.router().config();
-            let learned = hybrid.learned_config();
             event = tuning_fields(
                 event
                     .str("kind", "hybrid")
                     .u64("refresh", u64::from(refresh.is_some()))
                     .u64("router_window", router.window as u64)
                     .f64("router_budget", router.latency_budget)
-                    .u64("router_probe", router.probe_every)
-                    .u64("learned_bins", learned.bins as u64)
-                    .u64("learned_paths", learned.paths as u64)
-                    .f64("learned_l2", learned.l2),
+                    .u64("router_probe", router.probe_every),
                 hybrid.kde().adaptive_config(),
                 hybrid.kde().karma_config(),
             );

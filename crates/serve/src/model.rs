@@ -97,9 +97,10 @@ impl fmt::Display for ModelKey {
 /// capture an rng and a table handle without synchronization.
 pub type RefreshFn = Box<dyn FnMut(usize) -> Option<Vec<f64>> + Send>;
 
-/// A registry entry: either a static estimator (heuristic/SCV/batch
-/// bandwidth, no feedback consumption) or the paper's self-tuning
-/// adaptive estimator with an optional tuple-refresh source.
+/// A registry entry: a static estimator (heuristic/SCV/batch bandwidth,
+/// no feedback consumption), the paper's self-tuning adaptive estimator
+/// with an optional tuple-refresh source, or a hybrid of that estimator
+/// and an exact scan.
 pub enum ServedModel {
     /// Fixed-bandwidth model; feedback is accepted and discarded.
     Static(Box<KdeEstimator>),
@@ -112,8 +113,9 @@ pub enum ServedModel {
         /// flagged slots are dropped (bandwidth tuning still applies).
         refresh: Option<RefreshFn>,
     },
-    /// Three estimator families (adaptive KDE, learned, exact) behind a
-    /// cost/error router; feedback flows to the family that answered.
+    /// Two estimator families (adaptive KDE, exact scan) behind a
+    /// cost/error router; the answering family's window scores the
+    /// feedback, and the KDE member adapts from all of it.
     Hybrid {
         /// The routed estimator bundle.
         hybrid: Box<HybridEstimator>,
@@ -164,8 +166,8 @@ impl ServedModel {
         }
     }
 
-    /// Wraps a hybrid (KDE + learned + exact) estimator without a
-    /// tuple-refresh source.
+    /// Wraps a hybrid (KDE + exact) estimator without a tuple-refresh
+    /// source.
     pub fn hybrid(hybrid: HybridEstimator) -> Self {
         Self::Hybrid {
             hybrid: Box::new(hybrid),

@@ -30,9 +30,7 @@ use crate::config::ServeConfig;
 use crate::model::{ModelKey, ServedModel};
 use crate::service::Service;
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{
-    ExactScanEstimator, HybridEstimator, LearnedConfig, LearnedEstimator, RouterConfig,
-};
+use kdesel_estimators::{ExactScanEstimator, HybridEstimator, RouterConfig};
 use kdesel_kde::{
     AdaptiveConfig, AdaptiveKde, KarmaConfig, LossFunction, ModelSnapshot, RmsPropConfig,
 };
@@ -78,7 +76,6 @@ enum CapturedKind {
         adaptive: AdaptiveConfig,
         karma: KarmaConfig,
         router: RouterConfig,
-        learned: LearnedConfig,
     },
 }
 
@@ -377,20 +374,15 @@ impl Capture {
                     adaptive,
                     karma,
                     router,
-                    learned,
                 } => {
-                    let dims = model.snapshot.dims;
                     let kde =
                         AdaptiveKde::from_estimator(estimator, adaptive.clone(), karma.clone());
-                    let learned_model =
-                        LearnedEstimator::train(&model.snapshot.sample, dims, learned);
                     let exact = ExactScanEstimator::new(
                         Device::new(model.backend),
                         &model.snapshot.sample,
-                        dims,
+                        model.snapshot.dims,
                     );
-                    let hybrid = HybridEstimator::new(kde, learned_model, exact, router.clone())
-                        .with_learned_config(learned.clone());
+                    let hybrid = HybridEstimator::new(kde, exact, router.clone());
                     if *refresh {
                         ServedModel::hybrid_with_refresh(hybrid, scripted_refresh(script))
                     } else {
@@ -506,29 +498,32 @@ fn parse_model(record: &Json) -> Result<CapturedModel, String> {
         bandwidth: f64_slice(record, "bandwidth")?,
         router: None,
     };
+    // The model constructors assert these ranges; checking them here turns
+    // an out-of-range field into a load error instead of a replay panic.
     fn parse_tuning(record: &Json) -> Result<(AdaptiveConfig, KarmaConfig), String> {
-        Ok((
-            AdaptiveConfig {
-                loss: parse_loss(record.str("loss")?)?,
-                mini_batch: record.usize("mini_batch")?,
-                log_updates: record.u64("log_updates")? != 0,
-                rmsprop: RmsPropConfig {
-                    smoothing: record.f64("rms_smoothing")?,
-                    rate_init: record.f64("rms_rate_init")?,
-                    rate_min: record.f64("rms_rate_min")?,
-                    rate_max: record.f64("rms_rate_max")?,
-                    rate_inc: record.f64("rms_rate_inc")?,
-                    rate_dec: record.f64("rms_rate_dec")?,
-                    epsilon: record.f64("rms_epsilon")?,
-                },
+        let adaptive = AdaptiveConfig {
+            loss: parse_loss(record.str("loss")?)?,
+            mini_batch: record.usize("mini_batch")?,
+            log_updates: record.u64("log_updates")? != 0,
+            rmsprop: RmsPropConfig {
+                smoothing: record.f64("rms_smoothing")?,
+                rate_init: record.f64("rms_rate_init")?,
+                rate_min: record.f64("rms_rate_min")?,
+                rate_max: record.f64("rms_rate_max")?,
+                rate_inc: record.f64("rms_rate_inc")?,
+                rate_dec: record.f64("rms_rate_dec")?,
+                epsilon: record.f64("rms_epsilon")?,
             },
-            KarmaConfig {
-                loss: parse_loss(record.str("karma_loss")?)?,
-                k_max: record.f64("karma_k_max")?,
-                threshold: record.f64("karma_threshold")?,
-                empty_region_shortcut: record.u64("karma_shortcut")? != 0,
-            },
-        ))
+        };
+        let karma = KarmaConfig {
+            loss: parse_loss(record.str("karma_loss")?)?,
+            k_max: record.f64("karma_k_max")?,
+            threshold: record.f64("karma_threshold")?,
+            empty_region_shortcut: record.u64("karma_shortcut")? != 0,
+        };
+        adaptive.validate()?;
+        karma.validate()?;
+        Ok((adaptive, karma))
     }
     let kind = match record.str("kind")? {
         "static" => CapturedKind::Static,
@@ -542,21 +537,17 @@ fn parse_model(record: &Json) -> Result<CapturedModel, String> {
         }
         "hybrid" => {
             let (adaptive, karma) = parse_tuning(record)?;
+            let router = RouterConfig {
+                window: record.usize("router_window")?,
+                latency_budget: record.f64("router_budget")?,
+                probe_every: record.u64("router_probe")?,
+            };
+            router.validate()?;
             CapturedKind::Hybrid {
                 refresh: record.u64("refresh")? != 0,
                 adaptive,
                 karma,
-                router: RouterConfig {
-                    window: record.usize("router_window")?,
-                    latency_budget: record.f64("router_budget")?,
-                    probe_every: record.u64("router_probe")?,
-                },
-                learned: LearnedConfig {
-                    bins: record.usize("learned_bins")?,
-                    paths: record.usize("learned_paths")?,
-                    l2: record.f64("learned_l2")?,
-                    ..LearnedConfig::default()
-                },
+                router,
             }
         }
         other => return Err(format!("unknown model kind {other:?}")),
@@ -744,6 +735,72 @@ mod tests {
             );
             let err = Capture::load(&path).unwrap_err();
             assert!(err.contains("line 2"), "{tag}: {err}");
+        }
+    }
+
+    /// Replaces the value of one top-level `"key":value` field of a
+    /// capture line.
+    fn set_field(line: &str, key: &str, value: &str) -> String {
+        let tag = format!("\"{key}\":");
+        let start = line.find(&tag).expect("field present") + tag.len();
+        let end = start + line[start..].find([',', '}']).expect("value ends");
+        format!("{}{value}{}", &line[..start], &line[end..])
+    }
+
+    #[test]
+    fn load_rejects_out_of_range_tuning_without_panicking() {
+        use crate::capture::Recorder;
+        use kdesel_estimators::HybridConfig;
+        use kdesel_kde::KernelFn;
+
+        let sample: Vec<f64> = (0..32).map(|i| f64::from(i) * 0.5).collect();
+        let models = vec![
+            (
+                ModelKey::new("orders", &["price"]),
+                ServedModel::adaptive(AdaptiveKde::new(
+                    Device::new(Backend::CpuSeq),
+                    &sample,
+                    1,
+                    KernelFn::Gaussian,
+                    AdaptiveConfig::default(),
+                    KarmaConfig::default(),
+                )),
+            ),
+            (
+                ModelKey::new("parts", &["size"]),
+                ServedModel::hybrid(HybridEstimator::from_sample(
+                    Device::new(Backend::CpuSeq),
+                    &sample,
+                    1,
+                    &HybridConfig::default(),
+                )),
+            ),
+        ];
+        let dir = std::env::temp_dir().join(format!("kdesel-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let recorded = dir.join("tuning-recorded.jsonl");
+        Recorder::create(&recorded, &models).unwrap().finish();
+        let text = std::fs::read_to_string(&recorded).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        Capture::load(&recorded).expect("the recorded capture loads");
+
+        // (line, capture field, value the model constructors reject, the
+        // config field the error names); karma_threshold stays at -2.
+        for (line, key, value, field) in [
+            (2, "mini_batch", "0", "mini_batch"),
+            (2, "rms_smoothing", "1.5", "smoothing"),
+            (2, "karma_k_max", "-3.0", "k_max"),
+            (3, "router_window", "0", "window"),
+        ] {
+            let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            edited[line - 1] = set_field(&edited[line - 1], key, value);
+            let refs: Vec<&str> = edited.iter().map(String::as_str).collect();
+            let path = write_lines(&format!("tuning-{key}"), &refs);
+            let err = Capture::load(&path).unwrap_err();
+            assert!(
+                err.contains(&format!("capture line {line}:")) && err.contains(field),
+                "{key}={value}: {err}"
+            );
         }
     }
 

@@ -44,6 +44,27 @@ impl Default for RmsPropConfig {
     }
 }
 
+impl RmsPropConfig {
+    /// Checks the conditions [`RmsProp::new`] requires: an ordered rate
+    /// range and a smoothing rate in `[0, 1)`.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.smoothing) {
+            return Err(format!(
+                "rmsprop smoothing {} is outside [0, 1)",
+                self.smoothing
+            ));
+        }
+        if self.rate_min <= self.rate_max {
+            Ok(())
+        } else {
+            Err(format!(
+                "rmsprop rate_min {} exceeds rate_max {}",
+                self.rate_min, self.rate_max
+            ))
+        }
+    }
+}
+
 /// RMSprop state.
 #[derive(Debug, Clone)]
 pub struct RmsProp {
@@ -56,10 +77,15 @@ pub struct RmsProp {
 
 impl RmsProp {
     /// Creates an updater for `dims` parameters.
+    ///
+    /// # Panics
+    /// Panics if `dims == 0` or `config` fails
+    /// [`RmsPropConfig::validate`].
     pub fn new(dims: usize, config: RmsPropConfig) -> Self {
         assert!(dims > 0);
-        assert!(config.rate_min <= config.rate_max);
-        assert!((0.0..1.0).contains(&config.smoothing));
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             rates: vec![config.rate_init.clamp(config.rate_min, config.rate_max); dims],
             mean_sq: vec![0.0; dims],

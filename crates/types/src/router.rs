@@ -19,7 +19,7 @@
 /// present, names one of the families.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterState {
-    /// Family names in router order (e.g. `["kde", "learned", "exact"]`).
+    /// Family names in router order (e.g. `["kde", "exact"]`).
     pub families: Vec<String>,
     /// Rolling q-error window per family, oldest observation first.
     pub windows: Vec<Vec<f64>>,

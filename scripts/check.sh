@@ -58,6 +58,15 @@ run cargo run --release --offline --bin kdesel-replay -- \
 run cargo run --release --offline --bin kdesel-calibrate -- \
     --backend cpu-seq --quick --gate 20 --out "$replay_dir/calibration.json"
 
+# Bake-off gate: the hybrid router's q-error p95 over the mixed bake-off
+# workload must not exceed the best single family's (KDE or exact scan).
+# Fixed cost profiles and seeded workloads make it deterministic, and it
+# runs in about a second in release, so it guards the routing on every
+# pass. Its report and history line go to the temp dir, not the tree.
+run env PERF_SMOKE=1 BENCH_BAKEOFF_OUT="$replay_dir/bakeoff.json" \
+    BENCH_HISTORY_OUT="$replay_dir/history.jsonl" \
+    cargo run --release --offline --bin bench_bakeoff
+
 # Optional perf gate: PERF_SMOKE=1 scripts/check.sh additionally runs the
 # fusion, serving, SIMD, multi-device and bake-off microbenches and fails
 # on a >2x modeled-cost regression of the estimate hot path, <2x modeled
@@ -65,10 +74,9 @@ run cargo run --release --offline --bin kdesel-calibrate -- \
 # cliff in the adaptive window sweep, a <2x wall-clock SoA estimate
 # sweep speedup (Epanechnikov or Gaussian), <3x homogeneous 4-device
 # group scaling, a <1.5x work-stealing recovery on the lopsided mixed
-# group, or a hybrid-router q-error p95 worse than the best single
-# estimator family's on the mixed bake-off workload (see
-# scripts/perf_smoke.sh). Add BENCH_TREND=1 to also gate each bench's
-# metrics against the rolling median of results/BENCH_history.jsonl.
+# group, or the bake-off gate above (see scripts/perf_smoke.sh). Add
+# BENCH_TREND=1 to also gate each bench's metrics against the rolling
+# median of results/BENCH_history.jsonl.
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
     run scripts/perf_smoke.sh
 fi

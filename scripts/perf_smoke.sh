@@ -27,9 +27,10 @@
 #   are machine-insensitive: ~3.2x and ~1.6x with no run-to-run jitter.
 # * bench_bakeoff (run with PERF_SMOKE=1) fails when the hybrid router's
 #   q-error p95 over the mixed bake-off workload (small/highdim/shifting
-#   segments) exceeds the best single family's — the router must never
-#   lose to its own best member. Pure estimation quality on seeded
-#   deterministic workloads, so the gate is machine-insensitive.
+#   segments) exceeds the best single family's (KDE or exact scan) — the
+#   router must never lose to its own best member. Pure estimation
+#   quality on seeded deterministic workloads, so the gate is
+#   machine-insensitive; scripts/check.sh runs it on every pass too.
 #
 # bench_fusion modeled seconds and the bench_serve coalescing speedup
 # come from the deterministic device cost model, so those gates are

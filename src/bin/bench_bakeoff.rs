@@ -1,9 +1,8 @@
 //! Estimator bake-off benchmark (BENCH_bakeoff.json).
 //!
-//! Runs the three bake-off families — the self-tuning KDE, the learned
-//! autoregressive model, and the exact scan — plus the hybrid router
-//! over a mixed workload engineered so no single family wins
-//! everywhere:
+//! Runs the two bake-off families — the self-tuning KDE and the exact
+//! scan — plus the hybrid router over a mixed workload engineered so no
+//! single family wins everywhere:
 //!
 //! * **small** — a 1.5K-row 3D table, where the exact scan is both
 //!   cheap and perfect;
@@ -11,13 +10,13 @@
 //!   setting) with uniform-volume queries;
 //! * **shifting** — a 4D table whose distribution shifts mid-segment
 //!   via inserts. The KDE member follows through the reservoir and
-//!   Karma; the learned and exact snapshots go deliberately stale, and
-//!   the router has to catch them drifting through their q-error
-//!   windows.
+//!   Karma; the exact snapshot goes deliberately stale, and the router
+//!   has to catch it drifting through its q-error window.
 //!
 //! Every family answers every query and receives the true selectivity
 //! as feedback; q-errors use the observatory's smoothed metric. The
-//! headline gate — enforced under `PERF_SMOKE=1` — is the bake-off's
+//! headline gate — enforced under `PERF_SMOKE=1`, which
+//! `scripts/check.sh` always sets for this bench — is the bake-off's
 //! acceptance criterion: the hybrid router's q-error p95 over the whole
 //! mixed workload must not exceed the best single family's.
 //!
@@ -37,15 +36,14 @@ use kdesel_types::{QueryFeedback, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Bake-off participants: the three single families, then the router.
-const KINDS: [EstimatorKind; 4] = [
+/// Bake-off participants: the two single families, then the router.
+const KINDS: [EstimatorKind; 3] = [
     EstimatorKind::Adaptive,
-    EstimatorKind::Learned,
     EstimatorKind::Exact,
     EstimatorKind::Hybrid,
 ];
 /// Report names aligned with the router's family vocabulary.
-const NAMES: [&str; 4] = ["kde", "learned", "exact", "hybrid"];
+const NAMES: [&str; 3] = ["kde", "exact", "hybrid"];
 
 struct Segment {
     label: &'static str,
@@ -59,9 +57,9 @@ struct Segment {
 struct SegmentOutcome {
     label: &'static str,
     /// Per family (KINDS order), one q-error per query.
-    qerrors: [Vec<f64>; 4],
+    qerrors: [Vec<f64>; 3],
     /// The hybrid's router decisions within this segment.
-    decisions: [u64; 3],
+    decisions: [u64; 2],
 }
 
 fn run_segment(segment: &Segment, queries: usize, seed: u64) -> SegmentOutcome {
@@ -79,14 +77,14 @@ fn run_segment(segment: &Segment, queries: usize, seed: u64) -> SegmentOutcome {
         .map(|&kind| AnyEstimator::build(kind, &table, &sample, &[], &build, &mut rng))
         .collect();
 
-    let mut qerrors: [Vec<f64>; 4] = Default::default();
+    let mut qerrors: [Vec<f64>; 3] = Default::default();
     let phases = if segment.shift { 2 } else { 1 };
     for phase in 0..phases {
         if phase == 1 {
             // The shift: a same-shape cluster displaced by +60 per
             // dimension (several bandwidths for this data). The table
-            // and the KDE's reservoir see every insert; the learned and
-            // exact snapshots do not — that staleness is the point.
+            // and the KDE's reservoir see every insert; the exact
+            // snapshot does not — that staleness is the point.
             let extra =
                 Dataset::Synthetic.generate_projected(segment.dims, segment.rows / 2, seed ^ 0x5f);
             for (_, row) in extra.rows() {
@@ -121,9 +119,9 @@ fn run_segment(segment: &Segment, queries: usize, seed: u64) -> SegmentOutcome {
         }
     }
 
-    let decisions = match &estimators[3] {
+    let decisions = match &estimators[2] {
         AnyEstimator::Hybrid { hybrid, .. } => hybrid.router().decisions(),
-        _ => unreachable!("KINDS[3] is Hybrid"),
+        _ => unreachable!("KINDS[2] is Hybrid"),
     };
     SegmentOutcome {
         label: segment.label,
@@ -179,7 +177,7 @@ fn main() {
         .collect();
 
     // Pool q-errors across segments, per family.
-    let pooled: Vec<Vec<f64>> = (0..4)
+    let pooled: Vec<Vec<f64>> = (0..3)
         .map(|i| {
             outcomes
                 .iter()
@@ -189,12 +187,12 @@ fn main() {
         .collect();
     let total_queries = pooled[0].len();
 
-    // Win rates among the three single families: every family matching
-    // the per-query minimum q-error gets the win (exact ties at 1.0 are
-    // real, not noise).
-    let mut wins = [0usize; 3];
-    for ((&kde, &learned), &exact) in pooled[0].iter().zip(&pooled[1]).zip(&pooled[2]) {
-        let errs = [kde, learned, exact];
+    // Win rates among the single families: every family matching the
+    // per-query minimum q-error gets the win (exact ties at 1.0 are real,
+    // not noise).
+    let mut wins = [0usize; 2];
+    for (&kde, &exact) in pooled[0].iter().zip(&pooled[1]) {
+        let errs = [kde, exact];
         let best = errs.iter().cloned().fold(f64::INFINITY, f64::min);
         for (w, &e) in wins.iter_mut().zip(&errs) {
             if e <= best * (1.0 + 1e-12) {
@@ -205,13 +203,13 @@ fn main() {
 
     let p50: Vec<f64> = pooled.iter().map(|v| p(v, 0.50)).collect();
     let p95: Vec<f64> = pooled.iter().map(|v| p(v, 0.95)).collect();
-    let (best_single, best_p95) = (0..3)
+    let (best_single, best_p95) = (0..2)
         .map(|i| (i, p95[i]))
         .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("three single families");
-    let hybrid_p95 = p95[3];
+        .expect("two single families");
+    let hybrid_p95 = p95[2];
 
-    let mut decisions = [0u64; 3];
+    let mut decisions = [0u64; 2];
     for o in &outcomes {
         for (total, d) in decisions.iter_mut().zip(o.decisions) {
             *total += d;
@@ -219,12 +217,12 @@ fn main() {
     }
 
     let mut table = TextTable::new(["family", "qerr_p50", "qerr_p95", "win_rate"]);
-    for i in 0..4 {
+    for i in 0..3 {
         table.row([
             NAMES[i].to_string(),
             fmt(p50[i]),
             fmt(p95[i]),
-            if i < 3 {
+            if i < 2 {
                 format!("{:.2}", wins[i] as f64 / total_queries as f64)
             } else {
                 "-".to_string()
@@ -233,8 +231,8 @@ fn main() {
     }
     emit(&cli, &table);
     eprintln!(
-        "# router decisions: kde {} / learned {} / exact {}; best single: {}",
-        decisions[0], decisions[1], decisions[2], NAMES[best_single]
+        "# router decisions: kde {} / exact {}; best single: {}",
+        decisions[0], decisions[1], NAMES[best_single]
     );
 
     let family_json = |i: usize| {
@@ -248,30 +246,27 @@ fn main() {
     let segment_json: Vec<String> = outcomes
         .iter()
         .map(|o| {
-            let per_family: Vec<String> = (0..4)
+            let per_family: Vec<String> = (0..3)
                 .map(|i| format!("\"{}\": {:.4}", NAMES[i], p(&o.qerrors[i], 0.95)))
                 .collect();
             format!(
-                "    {{\"segment\": \"{}\", \"qerr_p95\": {{{}}}, \"router_decisions\": [{}, {}, {}]}}",
+                "    {{\"segment\": \"{}\", \"qerr_p95\": {{{}}}, \"router_decisions\": [{}, {}]}}",
                 o.label,
                 per_family.join(", "),
                 o.decisions[0],
-                o.decisions[1],
-                o.decisions[2]
+                o.decisions[1]
             )
         })
         .collect();
     let gate_ok = hybrid_p95 <= best_p95;
     let json = format!(
-        "{{\n  \"config\": {{\"queries_per_segment\": {queries}, \"segments\": {}, \"seed\": {seed}}},\n  \"families\": {{\n    \"kde\": {},\n    \"learned\": {},\n    \"exact\": {}\n  }},\n  \"hybrid\": {{\"qerr_p50\": {:.4}, \"qerr_p95\": {:.4}, \"decisions\": {{\"kde\": {}, \"learned\": {}, \"exact\": {}}}}},\n  \"segments\": [\n{}\n  ],\n  \"gate\": {{\"hybrid_p95\": {:.4}, \"best_single\": \"{}\", \"best_single_p95\": {:.4}, \"ok\": {}}}\n}}\n",
+        "{{\n  \"config\": {{\"queries_per_segment\": {queries}, \"segments\": {}, \"seed\": {seed}}},\n  \"families\": {{\n    \"kde\": {},\n    \"exact\": {}\n  }},\n  \"hybrid\": {{\"qerr_p50\": {:.4}, \"qerr_p95\": {:.4}, \"decisions\": {{\"kde\": {}, \"exact\": {}}}}},\n  \"segments\": [\n{}\n  ],\n  \"gate\": {{\"hybrid_p95\": {:.4}, \"best_single\": \"{}\", \"best_single_p95\": {:.4}, \"ok\": {}}}\n}}\n",
         segments.len(),
         family_json(0),
         family_json(1),
-        family_json(2),
-        p50[3],
+        p50[2],
         hybrid_p95,
         decisions[Family::Kde.index()],
-        decisions[Family::Learned.index()],
         decisions[Family::Exact.index()],
         segment_json.join(",\n"),
         hybrid_p95,

@@ -11,14 +11,10 @@ use kdesel_engine::EstimatorKind;
 
 fn main() {
     let cli = Cli::parse();
-    // The paper's five, plus the bake-off families: the learned and
-    // exact baselines and the hybrid router over all three.
+    // The paper's five, plus the bake-off families: the exact baseline
+    // and the hybrid router over it and the self-tuning KDE.
     let mut estimators = EstimatorKind::ALL.to_vec();
-    estimators.extend([
-        EstimatorKind::Learned,
-        EstimatorKind::Exact,
-        EstimatorKind::Hybrid,
-    ]);
+    estimators.extend([EstimatorKind::Exact, EstimatorKind::Hybrid]);
     let config = StaticConfig {
         rows: cli.rows_or(6_000, 100_000),
         repetitions: cli.reps_or(2, 25),

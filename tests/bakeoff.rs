@@ -40,12 +40,11 @@ proptest! {
     #[test]
     fn router_choice_is_a_pure_function_of_state_and_costs(
         observations in proptest::collection::vec(
-            (0usize..3, 1.0f64..1e4, 0u8..2), 0..120),
+            (0usize..2, 1.0f64..1e4, 0u8..2), 0..120),
         kde_cost in 1e-6f64..1e-2,
-        learned_cost in 1e-6f64..1e-2,
         exact_cost in 1e-6f64..1e-2,
     ) {
-        let costs = [kde_cost, learned_cost, exact_cost];
+        let costs = [kde_cost, exact_cost];
         let config = RouterConfig { window: 16, ..RouterConfig::default() };
         let mut a = HybridRouter::new(config.clone());
         let mut b = HybridRouter::new(config.clone());
@@ -290,7 +289,7 @@ fn router_decision_counters_reach_prometheus() {
     );
     // Every decision lands in exactly one per-family counter; at least
     // one of them must have counted the 20 estimates above.
-    let total: u64 = ["kde", "learned", "exact"]
+    let total: u64 = ["kde", "exact"]
         .iter()
         .filter_map(|family| {
             text.lines()
