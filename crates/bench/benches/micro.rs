@@ -3,10 +3,10 @@
 //! These complement the Figure 7 binary: where `fig7_performance` models
 //! the paper's hardware, these measure this machine's actual throughput of
 //! the building blocks (Cody's and the lane erf, estimate, gradient,
-//! Karma pass, STHoles estimate, reservoir decisions).
+//! Karma pass, STHoles estimate, reservoir decisions, CpuPar dispatch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kdesel_device::{Backend, Device};
+use kdesel_device::{Backend, Device, SWEEP_BLOCK_ROWS};
 use kdesel_hist::{SthConfig, SthHoles};
 use kdesel_kde::{KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn, LossFunction};
 use kdesel_math::simd::{F64s, LANES};
@@ -237,6 +237,45 @@ fn bench_batched_vs_looped(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_par_dispatch(c: &mut Criterion) {
+    // One Gaussian 8D estimate is one fused `sweep_reduce` launch. Over 1
+    // and 64 sweep blocks it runs every block on the caller (`inline`,
+    // CpuSeq), under `kdesel_par`'s work-sized rule (`work_sized`, CpuPar:
+    // inline for 1 block, the caller plus spawned threads for 64), and
+    // on a scoped thread spawned for the launch while the caller waits
+    // (`scoped_spawn`). The 1-block gap between `scoped_spawn` and
+    // `work_sized` is one spawn-and-join: the cost
+    // `kdesel_par::MIN_FLOPS_PER_THREAD` is sized from.
+    let dims = 8;
+    let query = Rect::cube(dims, 20.0, 60.0);
+    let mut g = c.benchmark_group("par_dispatch");
+    for blocks in [1usize, 64] {
+        let n = blocks * SWEEP_BLOCK_ROWS;
+        let sample = uniform_sample(n, dims, 10);
+        let build =
+            |backend| KdeEstimator::new(Device::new(backend), &sample, dims, KernelFn::Gaussian);
+        let mut inline = build(Backend::CpuSeq);
+        let mut work_sized = build(Backend::CpuPar);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("inline", blocks), &blocks, |b, _| {
+            b.iter(|| black_box(inline.estimate(black_box(&query))))
+        });
+        g.bench_with_input(BenchmarkId::new("work_sized", blocks), &blocks, |b, _| {
+            b.iter(|| black_box(work_sized.estimate(black_box(&query))))
+        });
+        g.bench_with_input(BenchmarkId::new("scoped_spawn", blocks), &blocks, |b, _| {
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    s.spawn(|| work_sized.estimate(black_box(&query)))
+                        .join()
+                        .expect("the estimate thread panicked")
+                })
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_erf,
@@ -247,6 +286,7 @@ criterion_group!(
     bench_reservoir,
     bench_loss_gradient,
     bench_fused_vs_unfused,
-    bench_batched_vs_looped
+    bench_batched_vs_looped,
+    bench_par_dispatch
 );
 criterion_main!(benches);

@@ -7,8 +7,12 @@
 //!
 //! 1. [`microbenchmark`] runs a structured sweep of transfers, scalar
 //!    map kernels, and vectorized columnar sweeps over a grid of sizes
-//!    (n) and arithmetic intensities, recording the median wall time of
-//!    each point on a chosen [`Backend`].
+//!    (n) and arithmetic intensities, recording the minimum wall time of
+//!    each point over its repetitions on a chosen [`Backend`]. Another
+//!    process sharing the host can only add time to a repetition, never
+//!    take it away, so the fastest one is the closest to the launch's
+//!    own cost; a median still moves when a co-tenant holds the core for
+//!    half the repetitions.
 //! 2. [`fit`] estimates all five [`CostProfile`] parameters by least
 //!    squares in log space against those measurements, reusing the
 //!    `kdesel-solver` L-BFGS stack the bandwidth optimizer runs on.
@@ -84,7 +88,8 @@ pub struct MeasuredPoint {
     pub flops_per_item: f64,
     /// Bytes moved host↔device.
     pub bytes: u64,
-    /// Median wall seconds over the repetitions.
+    /// Minimum wall seconds over the repetitions (the least disturbed
+    /// by other work on the host).
     pub measured_seconds: f64,
     /// Seconds the fitted profile predicts for this point (0 before fit).
     pub modeled_seconds: f64,
@@ -95,7 +100,7 @@ pub struct MeasuredPoint {
 /// Microbenchmark sweep shape.
 #[derive(Debug, Clone)]
 pub struct CalibrationConfig {
-    /// Wall-time repetitions per point; the median is kept.
+    /// Wall-time repetitions per point; the minimum is kept.
     pub reps: usize,
     /// Quick sweep (CI-sized) vs the full grid.
     pub quick: bool,
@@ -225,9 +230,14 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
+fn fastest(samples: Vec<f64>) -> f64 {
+    samples.into_iter().fold(f64::INFINITY, f64::min)
+}
+
 /// Runs the structured (size × intensity) microbenchmark sweep on
-/// `backend`, returning one point per grid cell with its median wall
-/// time. Modeled fields are zero until [`fit`] fills them.
+/// `backend`, returning one point per grid cell with its minimum wall
+/// time over `config.reps` repetitions. Modeled fields are zero until
+/// [`fit`] fills them.
 pub fn microbenchmark(backend: Backend, config: &CalibrationConfig) -> Vec<MeasuredPoint> {
     assert!(config.reps >= 1, "at least one repetition");
     let device = Device::with_profile(backend, CostProfile::free());
@@ -253,7 +263,7 @@ pub fn microbenchmark(backend: Backend, config: &CalibrationConfig) -> Vec<Measu
             items: 0,
             flops_per_item: 0.0,
             bytes: (n * std::mem::size_of::<f64>()) as u64,
-            measured_seconds: median(times),
+            measured_seconds: fastest(times),
             modeled_seconds: 0.0,
             residual: 0.0,
         });
@@ -282,7 +292,7 @@ pub fn microbenchmark(backend: Backend, config: &CalibrationConfig) -> Vec<Measu
                 items: n as u64,
                 flops_per_item,
                 bytes: 0,
-                measured_seconds: median(times),
+                measured_seconds: fastest(times),
                 modeled_seconds: 0.0,
                 residual: 0.0,
             });
@@ -318,7 +328,7 @@ pub fn microbenchmark(backend: Backend, config: &CalibrationConfig) -> Vec<Measu
                 items: n as u64,
                 flops_per_item,
                 bytes: 8,
-                measured_seconds: median(times),
+                measured_seconds: fastest(times),
                 modeled_seconds: 0.0,
                 residual: 0.0,
             });

@@ -582,8 +582,9 @@ impl Device {
     {
         assert_eq!(buf.data.len() % dims, 0, "ragged device buffer");
         let rows = buf.data.len() / dims;
+        let launch = Launch::kernel(LaunchKind::MapRows, rows, flops_per_row, 0);
         self.charge(
-            Launch::kernel(LaunchKind::MapRows, rows, flops_per_row, 0),
+            launch,
             self.cost.kernel(rows, flops_per_row),
             |s| s.kernels += 1,
             || {
@@ -595,7 +596,7 @@ impl Device {
                         }
                     }
                     Backend::CpuPar | Backend::SimGpu => {
-                        kdesel_par::par_for_each_mut(&mut out, |i, o| {
+                        kdesel_par::par_for_each_mut(&mut out, launch.flops, |i, o| {
                             *o = f(&buf.data[i * dims..(i + 1) * dims])
                         });
                     }
@@ -681,8 +682,11 @@ impl Device {
     /// `out_width`-wide output chunk. Block boundaries depend only on
     /// [`SWEEP_BLOCK_ROWS`], never on worker count, and blocks write
     /// disjoint output ranges — so CpuSeq/CpuPar/SimGpu all produce
-    /// bit-identical buffers.
-    fn run_sweep<F>(&self, sample: &SoaBuffer, out_width: usize, f: &F, out: &mut [f64])
+    /// bit-identical buffers. `flops` is the launch's claimed work (its
+    /// [`Launch::flops`]); it sizes the parallel backends' fan-out by
+    /// `kdesel_par`'s dispatch rule, so a one-block sweep runs on the
+    /// calling thread.
+    fn run_sweep<F>(&self, sample: &SoaBuffer, out_width: usize, flops: f64, f: &F, out: &mut [f64])
     where
         F: Fn(ColsView<'_>, &mut [f64]) + Sync,
     {
@@ -703,7 +707,7 @@ impl Device {
                 }
             }
             Backend::CpuPar | Backend::SimGpu => {
-                kdesel_par::par_for_each_block_mut(out, block_elems, |b, chunk| {
+                kdesel_par::par_for_each_block_mut(out, block_elems, flops, |b, chunk| {
                     f(view(b * SWEEP_BLOCK_ROWS, chunk.len() / out_width), chunk);
                 });
             }
@@ -732,13 +736,14 @@ impl Device {
         let rows = sample.rows;
         let modeled = self.cost.kernel_vectorized(rows, flops_per_row + 4.0)
             + self.cost.transfer(std::mem::size_of::<f64>());
+        let launch = Launch::kernel(
+            LaunchKind::SweepReduce,
+            rows,
+            flops_per_row + 4.0,
+            std::mem::size_of::<f64>(),
+        );
         self.charge(
-            Launch::kernel(
-                LaunchKind::SweepReduce,
-                rows,
-                flops_per_row + 4.0,
-                std::mem::size_of::<f64>(),
-            ),
+            launch,
             modeled,
             |s| {
                 s.kernels += 1;
@@ -747,7 +752,7 @@ impl Device {
             },
             || {
                 let mut data = self.pool.acquire_zeroed(rows);
-                self.run_sweep(sample, 1, &f, &mut data);
+                self.run_sweep(sample, 1, launch.flops, &f, &mut data);
                 let sum = pairwise_sum(&data);
                 if retain {
                     (sum, Some(self.wrap(data)))
@@ -773,13 +778,14 @@ impl Device {
         F: Fn(ColsView<'_>, &mut [f64]) + Sync,
     {
         let rows = sample.rows;
+        let launch = Launch::kernel(LaunchKind::SweepMulti, rows, flops_per_row, 0);
         self.charge(
-            Launch::kernel(LaunchKind::SweepMulti, rows, flops_per_row, 0),
+            launch,
             self.cost.kernel_vectorized(rows, flops_per_row),
             |s| s.kernels += 1,
             || {
                 let mut data = self.pool.acquire_zeroed(rows * out_width);
-                self.run_sweep(sample, out_width, &f, &mut data);
+                self.run_sweep(sample, out_width, launch.flops, &f, &mut data);
                 self.wrap(data)
             },
         )
@@ -815,13 +821,14 @@ impl Device {
             .cost
             .kernel_vectorized(rows, flops_per_row + 4.0 * out_width as f64)
             + self.cost.transfer(result_bytes);
+        let launch = Launch::kernel(
+            LaunchKind::SweepMultiReduce,
+            rows,
+            flops_per_row + 4.0 * out_width as f64,
+            result_bytes,
+        );
         self.charge(
-            Launch::kernel(
-                LaunchKind::SweepMultiReduce,
-                rows,
-                flops_per_row + 4.0 * out_width as f64,
-                result_bytes,
-            ),
+            launch,
             modeled,
             |s| {
                 s.kernels += 1;
@@ -830,7 +837,7 @@ impl Device {
             },
             || {
                 let mut data = self.pool.acquire_zeroed(rows * out_width);
-                self.run_sweep(sample, out_width, &f, &mut data);
+                self.run_sweep(sample, out_width, launch.flops, &f, &mut data);
                 let sums = pairwise_sum_columns(&data, out_width);
                 let retained = retain_first.then(|| {
                     let mut first = self.pool.acquire_zeroed(rows);
@@ -885,8 +892,9 @@ impl Device {
             "buffer length mismatch"
         );
         let n = target.data.len();
+        let launch = Launch::kernel(LaunchKind::ZipUpdateInplace, n, flops_per_item, 0);
         self.charge(
-            Launch::kernel(LaunchKind::ZipUpdateInplace, n, flops_per_item, 0),
+            launch,
             self.cost.kernel(n, flops_per_item),
             |s| s.kernels += 1,
             || match self.backend {
@@ -897,7 +905,9 @@ impl Device {
                 }
                 Backend::CpuPar | Backend::SimGpu => {
                     let src = source.data.as_slice();
-                    kdesel_par::par_for_each_mut(&mut target.data, |i, t| *t = f(i, *t, src[i]));
+                    kdesel_par::par_for_each_mut(&mut target.data, launch.flops, |i, t| {
+                        *t = f(i, *t, src[i])
+                    });
                 }
             },
         )
@@ -1395,6 +1405,63 @@ mod tests {
             assert_eq!(d.download(&unfused), per_row_pairs, "{name}");
             assert_eq!(d.reduce_sum_columns(&unfused, 2), pair_sums, "{name}");
         }
+    }
+
+    #[test]
+    fn one_block_batch_sweep_runs_on_the_calling_thread() {
+        // A 1024-row, 16-query batch is one sweep block: CpuPar runs its
+        // kernel on the calling thread and spawns nothing, whatever work
+        // the batch claims.
+        let (rows, batch) = (SWEEP_BLOCK_ROWS, 16);
+        let host: Vec<f64> = (0..rows * 3).map(|i| i as f64).collect();
+        let d = Device::new(Backend::CpuPar);
+        let soa = d.stage_rows_soa(&host, 3);
+        let ran_on = Mutex::new(Vec::new());
+        let sums = d.sweep_batch(&soa, batch, 1e6, |cols, out| {
+            ran_on.lock().unwrap().push(std::thread::current().id());
+            for (o, &v) in out.chunks_exact_mut(batch).zip(cols.col(0)) {
+                o.fill(v);
+            }
+        });
+        assert_eq!(sums.len(), batch);
+        assert_eq!(
+            ran_on.into_inner().unwrap(),
+            vec![std::thread::current().id()]
+        );
+    }
+
+    #[test]
+    fn fanned_out_sweeps_match_cpu_seq_bitwise() {
+        // A 65-block sweep claiming enough work to fan out runs on the
+        // caller and `kdesel-par-*` threads (on a multi-core host) and
+        // lands on CpuSeq's bits.
+        let n = SWEEP_BLOCK_ROWS * 64 + 5;
+        let host: Vec<f64> = (0..n * 2).map(|i| (i as f64 * 0.37).sin()).collect();
+        let caller = std::thread::current().id();
+        let spawned = Mutex::new(Vec::new());
+        let f = |cols: ColsView<'_>, out: &mut [f64]| {
+            let me = std::thread::current();
+            if me.id() != caller {
+                spawned.lock().unwrap().push(me.name().map(str::to_owned));
+            }
+            let (c0, c1) = (cols.col(0), cols.col(1));
+            for i in 0..cols.rows() {
+                out[i] = c0[i].exp() * c1[i];
+            }
+        };
+        let seq = Device::new(Backend::CpuSeq);
+        let (want, _) = seq.sweep_reduce(&seq.stage_rows_soa(&host, 2), 1e3, false, f);
+        let spawned_by_seq = std::mem::take(&mut *spawned.lock().unwrap());
+        assert!(spawned_by_seq.is_empty(), "CpuSeq left the caller");
+        let par = Device::new(Backend::CpuPar);
+        let (got, _) = par.sweep_reduce(&par.stage_rows_soa(&host, 2), 1e3, false, f);
+        assert_eq!(got.to_bits(), want.to_bits());
+        let spawned = spawned.into_inner().unwrap();
+        assert!(spawned.iter().all(|name| name
+            .as_deref()
+            .is_some_and(|n| n.starts_with("kdesel-par-"))));
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(spawned.is_empty(), cores == 1, "{cores} cores");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! *execution model* instead of its silicon:
 //!
 //! * [`Backend::CpuSeq`] — sequential reference execution,
-//! * [`Backend::CpuPar`] — data-parallel execution on all cores (rayon),
-//!   the analogue of the paper's Intel OpenCL CPU backend,
+//! * [`Backend::CpuPar`] — data-parallel execution on all cores
+//!   (`kdesel-par`), the analogue of the paper's Intel OpenCL CPU backend,
 //! * [`Backend::SimGpu`] — executes the same kernels (in parallel on the
 //!   CPU, so all numeric results are identical) while charging an
 //!   analytical *cost model* for every kernel launch, PCIe transfer and
@@ -56,10 +56,12 @@
 //!   methods (`upload`, `write_at`, `zip_update_inplace`, …) on the
 //!   owning thread, mirroring device memory that host threads cannot
 //!   alias.
-//! * The parallel backends run on `kdesel-par`'s *scoped* threads with a
-//!   fixed chunk count, so results are deterministic and identical no
-//!   matter which thread — or how many sibling executors — issue the
-//!   launch.
+//! * The parallel backends run a launch on the calling thread, joined by
+//!   `kdesel-par`'s *scoped* `kdesel-par-<i>` threads only when the
+//!   launch's claimed FLOPs pay for them (a one-block sweep never
+//!   spawns). Block and chunk boundaries are fixed, so results are
+//!   deterministic and identical no matter which thread — or how many
+//!   sibling executors — issue the launch.
 //! * [`DeviceGroup`] sweeps spawn one *scoped* worker thread per member
 //!   device (the scoped-threadpool-per-device shape): each worker is the
 //!   sole command stream of its `Device` for the sweep's duration, and

@@ -132,9 +132,15 @@ fn pair_sums(
         }
     }
     let cols = &cols;
+    // Claimed work for `kdesel_par`'s dispatch rule: about 30 FLOPs (an
+    // `exp`, two divisions and the gradient factor) per pair, term and
+    // dimension.
+    let terms: usize = groups.iter().map(|g| g.terms.len()).sum();
+    let flops = (n * n * terms * dims) as f64 * 30.0;
 
     kdesel_par::par_map_combine(
         n,
+        flops,
         || {
             groups
                 .iter()

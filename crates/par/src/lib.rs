@@ -4,17 +4,39 @@
 //! backends; this crate replaces the subset it used with `std::thread`
 //! scoped fan-out, with one property rayon does not guarantee:
 //! **determinism independent of thread count**. Work is split into
-//! *fixed* contiguous chunks (`CHUNKS`, not `available_parallelism`),
-//! chunk results are combined in chunk order, and element outputs land at
-//! their input index — so a run on 1 core and a run on 64 cores produce
-//! bit-identical results. That matches the device layer's pairwise-sum
-//! discipline (all backends agree bitwise) and keeps every experiment
-//! reproducible.
+//! *fixed* contiguous blocks (the caller's block size) or chunks
+//! (`CHUNKS`), never into `available_parallelism` pieces; chunk results
+//! are combined in chunk order, and element outputs land at their input
+//! index — so a run on 1 core and a run on 64 cores produce bit-identical
+//! results. That matches the device layer's pairwise-sum discipline (all
+//! backends agree bitwise) and keeps every experiment reproducible.
 //!
-//! Tiny inputs skip thread spawning entirely: below
-//! [`PARALLEL_THRESHOLD`] items the helpers run inline, so the kernel
-//! launch overhead modeled by `kdesel-device` is not drowned in real
-//! thread overhead on the hot small-query path.
+//! # Dispatch
+//!
+//! Every helper takes the call's work as claimed FLOPs — for a device
+//! kernel, the `flops` of the launch descriptor the cost model charges —
+//! and sizes its fan-out from that, with one rule for all of them:
+//!
+//! * A call with fewer than two blocks or chunks, or whose work would
+//!   give each thread less than [`MIN_FLOPS_PER_THREAD`], runs inline on
+//!   the calling thread and spawns nothing. A 1024-row sweep is one
+//!   block, so it never pays for a thread it cannot use.
+//! * Otherwise it runs on `t` threads, the most that `available_parallelism`,
+//!   the block or chunk count and the work (`flops / t ≥`
+//!   [`MIN_FLOPS_PER_THREAD`]) allow. The blocks are dealt out as `t`
+//!   contiguous shares; the calling thread runs the last share itself
+//!   and `t − 1` scoped threads named `kdesel-par-<i>` run the others, so
+//!   the caller never sits idle while a spawned thread does its work.
+//!
+//! # Why no bit can move
+//!
+//! A share is a run of whole blocks or chunks. Block boundaries come from
+//! the caller's block size and chunk boundaries from [`CHUNKS`] alone;
+//! every block writes only its own output range and chunk results are
+//! combined in chunk order after all shares finish. The thread count
+//! decides *who* computes a block, never *which* elements it covers or
+//! in what order they are summed, so inline and fanned-out calls return
+//! the same bits.
 //!
 //! The device layer's *fused* sweeps (`sweep_reduce`,
 //! `sweep_multi_reduce`, `sweep_batch`) lean on the same guarantee from
@@ -26,14 +48,29 @@
 //! than a numerical accident.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fixed chunk count for reductions — determinism demands this never
 /// depend on the machine's core count.
 pub const CHUNKS: usize = 64;
 
-/// Inputs shorter than this run inline on the calling thread.
-pub const PARALLEL_THRESHOLD: usize = 2048;
+/// Claimed FLOPs each thread of a fanned-out call must carry; a call
+/// whose work cannot give every thread this much runs inline.
+///
+/// Splitting work `W` over `t` threads pays off when each share takes
+/// longer than starting the thread that runs it, so the minimum is one
+/// spawn-and-join expressed in sweep work. Both figures come from the
+/// `par_dispatch` group of `crates/bench/benches/micro.rs` (medians of
+/// three runs on a 2-vCPU x86-64 KVM guest): a one-block Gaussian 8D
+/// estimate, one fused `sweep_reduce` of 1024 × 484 claimed FLOPs, took
+/// 158 µs run inline by this rule (`work_sized/1`) and 253 µs on a scoped
+/// thread spawned for it (`scoped_spawn/1`), a 95 µs spawn-and-join; at
+/// the inline 3.1 GFLOP/s of claim that is 3.0e5 claimed FLOPs. The
+/// 64-block estimate took 9.9 ms with every block on the caller
+/// (`inline/64`) and 5.8 ms under this rule, on the caller and one
+/// spawned thread (`work_sized/64`).
+pub const MIN_FLOPS_PER_THREAD: f64 = 3.0e5;
 
 /// Number of worker threads to fan out to (cached).
 fn workers() -> usize {
@@ -49,8 +86,20 @@ fn workers() -> usize {
     n
 }
 
+/// Threads (the caller included) a call of `pieces` fixed blocks or
+/// chunks carrying `flops` claimed FLOPs runs on: the dispatch rule of
+/// the crate docs. NaN or negative work counts as none.
+fn fan_out(pieces: usize, flops: f64) -> usize {
+    if pieces < 2 {
+        return 1;
+    }
+    // Float-to-int `as` saturates, and maps NaN to 0.
+    let by_work = (flops / MIN_FLOPS_PER_THREAD) as usize;
+    by_work.clamp(1, workers().min(pieces))
+}
+
 /// Splits `len` items into at most `pieces` contiguous ranges.
-fn ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
+fn ranges(len: usize, pieces: usize) -> Vec<Range<usize>> {
     let pieces = pieces.clamp(1, len.max(1));
     let base = len / pieces;
     let extra = len % pieces;
@@ -64,70 +113,63 @@ fn ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Maps `f` over `0..len`, collecting results in index order.
-///
-/// Deterministic: output position `i` always holds `f(i)`.
-pub fn par_map_collect<T, F>(len: usize, f: F) -> Vec<T>
+/// Runs `work` on every share and returns the results in share order:
+/// the last share on the calling thread, each other one on a scoped
+/// thread named `kdesel-par-<i>`. A single share spawns nothing.
+fn run_shares<S, R, W>(mut shares: Vec<S>, work: W) -> Vec<R>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    S: Send,
+    R: Send,
+    W: Fn(S) -> R + Sync,
 {
-    if len < PARALLEL_THRESHOLD || workers() == 1 {
-        return (0..len).map(f).collect();
+    let Some(last) = shares.pop() else {
+        return Vec::new();
+    };
+    if shares.is_empty() {
+        return vec![work(last)];
     }
-    let mut pieces: Vec<Vec<T>> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges(len, workers())
+        let work = &work;
+        let handles: Vec<_> = shares
             .into_iter()
-            .map(|range| scope.spawn(|| range.map(&f).collect::<Vec<T>>()))
+            .enumerate()
+            .map(|(i, share)| {
+                std::thread::Builder::new()
+                    .name(format!("kdesel-par-{i}"))
+                    .spawn_scoped(scope, move || work(share))
+                    .expect("spawning a kdesel-par thread")
+            })
             .collect();
-        pieces = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
-    let mut out = Vec::with_capacity(len);
-    for piece in pieces {
-        out.extend(piece);
-    }
-    out
+        let mine = work(last);
+        let mut out: Vec<R> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        out.push(mine);
+        out
+    })
 }
 
-/// Calls `f(i, &mut items[i])` for every element, in parallel over
-/// contiguous sub-slices.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+/// Calls `f(i, &mut items[i])` for every element; `flops` is the whole
+/// call's claimed work. Elements are independent, so any split is
+/// deterministic.
+pub fn par_for_each_mut<T, F>(items: &mut [T], flops: f64, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let len = items.len();
-    if len < PARALLEL_THRESHOLD || workers() == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let splits = ranges(len, workers());
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut offset = 0;
-        for range in splits {
-            let (head, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let base = offset;
-            offset += range.len();
-            let f = &f;
-            scope.spawn(move || {
-                for (i, item) in head.iter_mut().enumerate() {
-                    f(base + i, item);
-                }
-            });
-        }
-    });
+    par_for_each_block_mut(items, 1, flops, |i, item| f(i, &mut item[0]));
 }
 
 /// Calls `f(block_index, &mut out[block*block_elems..])` for every
 /// contiguous block of at most `block_elems` elements — the trailing
-/// block may be shorter. Blocks are fixed by `block_elems` alone (never
-/// by worker count), so a 1-core and a 64-core run see identical block
-/// boundaries; each block's output is written by exactly one thread.
+/// block may be shorter; `flops` is the whole call's claimed work.
+/// Blocks are fixed by `block_elems` alone (never by worker count), so a
+/// 1-core and a 64-core run see identical block boundaries; each block's
+/// output is written by exactly one thread.
 ///
 /// This is the dispatch shape of the cache-blocked columnar sweeps: the
 /// device layer hands each block of rows to the vectorized kernel as one
@@ -135,131 +177,253 @@ where
 ///
 /// # Panics
 /// Panics when `block_elems` is zero.
-pub fn par_for_each_block_mut<T, F>(out: &mut [T], block_elems: usize, f: F)
+pub fn par_for_each_block_mut<T, F>(out: &mut [T], block_elems: usize, flops: f64, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(block_elems > 0, "zero block size");
-    let len = out.len();
-    if len < PARALLEL_THRESHOLD || workers() == 1 {
-        for (i, block) in out.chunks_mut(block_elems).enumerate() {
-            f(i, block);
-        }
-        return;
-    }
-    let blocks = len.div_ceil(block_elems);
-    let splits = ranges(blocks, workers());
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        for range in splits {
-            if range.is_empty() {
-                continue;
-            }
+    let threads = fan_out(out.len().div_ceil(block_elems), flops);
+    for_each_block_on(threads, out, block_elems, f);
+}
+
+/// [`par_for_each_block_mut`] on exactly `threads` shares (fewer when
+/// there are fewer blocks).
+fn for_each_block_on<T, F>(threads: usize, out: &mut [T], block_elems: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let blocks = out.len().div_ceil(block_elems);
+    let mut rest = out;
+    let shares: Vec<(usize, &mut [T])> = ranges(blocks, threads)
+        .into_iter()
+        .map(|range| {
             let elems = (range.len() * block_elems).min(rest.len());
-            let (head, tail) = rest.split_at_mut(elems);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(elems);
             rest = tail;
-            let base = range.start;
-            let f = &f;
-            scope.spawn(move || {
-                for (i, block) in head.chunks_mut(block_elems).enumerate() {
-                    f(base + i, block);
-                }
-            });
+            (range.start, head)
+        })
+        .collect();
+    run_shares(shares, |(first, share)| {
+        for (i, block) in share.chunks_mut(block_elems).enumerate() {
+            f(first + i, block);
         }
     });
 }
 
 /// Parallel map-reduce with an explicit accumulator combiner (the shape
-/// `rayon`'s `map(..).reduce(identity, combine)` had). Deterministic:
-/// fixed chunking, in-order combination.
-pub fn par_map_combine<A, M, C, I>(len: usize, identity: I, map: M, combine: C) -> A
+/// `rayon`'s `map(..).reduce(identity, combine)` had); `flops` is the
+/// whole call's claimed work. Deterministic: fixed chunking, in-order
+/// combination.
+pub fn par_map_combine<A, M, C, I>(len: usize, flops: f64, identity: I, map: M, combine: C) -> A
 where
     A: Send,
     M: Fn(usize) -> A + Sync,
     C: Fn(A, A) -> A + Sync,
     I: Fn() -> A + Sync,
 {
-    let chunks = ranges(len, CHUNKS.min(len.max(1)));
-    let chunk_results: Vec<A> = if len < PARALLEL_THRESHOLD || workers() == 1 {
-        chunks
-            .into_iter()
-            .map(|range| range.map(&map).fold(identity(), &combine))
-            .collect()
-    } else {
-        let thread_loads = ranges(chunks.len(), workers());
-        let mut per_thread: Vec<Vec<A>> = Vec::new();
-        std::thread::scope(|scope| {
-            let chunks = &chunks;
-            let map = &map;
-            let combine = &combine;
-            let identity = &identity;
-            let handles: Vec<_> = thread_loads
-                .into_iter()
-                .map(|load| {
-                    scope.spawn(move || {
-                        chunks[load]
-                            .iter()
-                            .map(|range| range.clone().map(map).fold(identity(), combine))
-                            .collect::<Vec<A>>()
-                    })
-                })
-                .collect();
-            per_thread = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        per_thread.into_iter().flatten().collect()
-    };
-    chunk_results.into_iter().fold(identity(), combine)
+    let chunks = ranges(len, CHUNKS);
+    let threads = fan_out(chunks.len(), flops);
+    let shares: Vec<&[Range<usize>]> = ranges(chunks.len(), threads)
+        .into_iter()
+        .map(|load| &chunks[load])
+        .collect();
+    run_shares(shares, |share| {
+        share
+            .iter()
+            .map(|range| range.clone().map(&map).fold(identity(), &combine))
+            .collect::<Vec<A>>()
+    })
+    .into_iter()
+    .flatten()
+    .fold(identity(), combine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
-    #[test]
-    fn map_collect_matches_sequential() {
-        for len in [0, 1, 100, PARALLEL_THRESHOLD + 7] {
-            let par = par_map_collect(len, |i| i * 3);
-            let seq: Vec<usize> = (0..len).map(|i| i * 3).collect();
-            assert_eq!(par, seq, "len {len}");
+    /// Work no thread count can refuse.
+    const HUGE: f64 = 1e18;
+
+    /// Per block: its index, first element, length, thread and thread name.
+    type Visit = (usize, usize, usize, ThreadId, Option<String>);
+
+    /// Runs a block helper over `0..len` (each element holding its index)
+    /// and returns every block visit, sorted by block index.
+    fn visits(
+        len: usize,
+        block: usize,
+        run: impl FnOnce(&mut [usize], &Mutex<Vec<Visit>>),
+    ) -> Vec<Visit> {
+        let mut out: Vec<usize> = (0..len).collect();
+        let seen = Mutex::new(Vec::new());
+        run(&mut out, &seen);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|v| v.0);
+        assert_eq!(
+            seen.len(),
+            len.div_ceil(block),
+            "a block was skipped or repeated"
+        );
+        for (b, v) in seen.iter().enumerate() {
+            assert_eq!(
+                v.0,
+                b,
+                "block {b} visited {} times",
+                seen.iter().filter(|w| w.0 == b).count()
+            );
         }
+        seen
+    }
+
+    fn record(seen: &Mutex<Vec<Visit>>, b: usize, chunk: &[usize]) {
+        let me = std::thread::current();
+        seen.lock().unwrap().push((
+            b,
+            chunk[0],
+            chunk.len(),
+            me.id(),
+            me.name().map(str::to_owned),
+        ));
     }
 
     #[test]
     fn for_each_mut_visits_every_index_once() {
-        let mut items = vec![0u64; PARALLEL_THRESHOLD * 3 + 5];
-        par_for_each_mut(&mut items, |i, v| *v = i as u64 + 1);
-        for (i, &v) in items.iter().enumerate() {
-            assert_eq!(v, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn block_helper_covers_ragged_tail_exactly_once() {
-        for (len, block) in [
-            (0usize, 7usize),
-            (5, 7),
-            (PARALLEL_THRESHOLD * 2 + 13, 512),
-            (PARALLEL_THRESHOLD, PARALLEL_THRESHOLD),
-        ] {
-            let mut out = vec![0.0f64; len];
-            par_for_each_block_mut(&mut out, block, |b, chunk| {
-                for (j, cell) in chunk.iter_mut().enumerate() {
-                    *cell += (b * block + j) as f64 + 1.0;
-                }
-            });
-            for (k, &v) in out.iter().enumerate() {
-                assert_eq!(v, k as f64 + 1.0, "len {len} block {block} idx {k}");
+        for flops in [0.0, HUGE] {
+            let mut items = vec![0u64; 3 * 2048 + 5];
+            par_for_each_mut(&mut items, flops, |i, v| *v += i as u64 + 1);
+            for (i, &v) in items.iter().enumerate() {
+                assert_eq!(v, i as u64 + 1);
             }
         }
     }
 
     #[test]
+    fn block_helper_covers_ragged_tail_exactly_once() {
+        for (len, block) in [(0usize, 7usize), (5, 7), (2 * 2048 + 13, 512), (2048, 2048)] {
+            for flops in [0.0, HUGE] {
+                let mut out = vec![0.0f64; len];
+                par_for_each_block_mut(&mut out, block, flops, |b, chunk| {
+                    for (j, cell) in chunk.iter_mut().enumerate() {
+                        *cell += (b * block + j) as f64 + 1.0;
+                    }
+                });
+                for (k, &v) in out.iter().enumerate() {
+                    assert_eq!(v, k as f64 + 1.0, "len {len} block {block} idx {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_block_and_small_calls_run_on_the_caller() {
+        let caller = std::thread::current().id();
+        // One block: unsplittable, whatever its work.
+        let one = visits(1000, 1024, |out, seen| {
+            par_for_each_block_mut(out, 1024, HUGE, |b, c| record(seen, b, c))
+        });
+        // 64 blocks whose work cannot pay for a second thread.
+        let small = visits(64 * 16, 16, |out, seen| {
+            par_for_each_block_mut(out, 16, 1.9 * MIN_FLOPS_PER_THREAD, |b, c| {
+                record(seen, b, c)
+            })
+        });
+        for v in one.iter().chain(&small) {
+            assert_eq!(v.3, caller, "block {} left the calling thread", v.0);
+        }
+        let mut items = vec![0u8; 4096];
+        par_for_each_mut(&mut items, 1.0, |_, _| {
+            assert_eq!(std::thread::current().id(), caller)
+        });
+        par_map_combine(
+            4096,
+            1.0,
+            || (),
+            |_| assert_eq!(std::thread::current().id(), caller),
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    fn fan_out_runs_the_last_share_on_the_caller_and_names_the_rest() {
+        let caller = std::thread::current().id();
+        let (len, block): (usize, usize) = (64 * 16 + 3, 16);
+        let blocks = len.div_ceil(block);
+        for threads in 2..=4 {
+            let seen = visits(len, block, |out, seen| {
+                for_each_block_on(threads, out, block, |b, c| record(seen, b, c))
+            });
+            let shares = ranges(blocks, threads);
+            for (k, share) in shares.iter().enumerate() {
+                for v in &seen[share.clone()] {
+                    if k + 1 == shares.len() {
+                        assert_eq!(v.3, caller, "last share's block {} off the caller", v.0);
+                    } else {
+                        assert_ne!(v.3, caller, "share {k}'s block {} on the caller", v.0);
+                        assert_eq!(v.4.as_deref(), Some(format!("kdesel-par-{k}").as_str()));
+                    }
+                }
+            }
+        }
+        // The public entry point fans out as far as the host allows.
+        let seen = visits(len, block, |out, seen| {
+            par_for_each_block_mut(out, block, HUGE, |b, c| record(seen, b, c))
+        });
+        let mut ids: Vec<ThreadId> = seen.iter().map(|v| v.3).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), workers().min(blocks));
+        assert_eq!(*ids.last().unwrap(), caller);
+    }
+
+    #[test]
+    fn block_boundaries_do_not_depend_on_thread_count() {
+        let layout = |threads: usize| -> Vec<(usize, usize, usize)> {
+            visits(10_000, 97, |out, seen| {
+                for_each_block_on(threads, out, 97, |b, c| record(seen, b, c))
+            })
+            .into_iter()
+            .map(|v| (v.0, v.1, v.2))
+            .collect()
+        };
+        let reference = layout(1);
+        for threads in [2, 3, 5, workers()] {
+            assert_eq!(layout(threads), reference, "{threads} threads");
+        }
+        assert!(reference.iter().all(|&(b, first, _)| first == b * 97));
+    }
+
+    #[test]
+    fn fan_out_follows_the_work() {
+        assert_eq!(fan_out(1, HUGE), 1);
+        assert_eq!(fan_out(0, HUGE), 1);
+        assert_eq!(fan_out(64, 0.0), 1);
+        assert_eq!(fan_out(64, f64::NAN), 1);
+        assert_eq!(fan_out(64, 1.99 * MIN_FLOPS_PER_THREAD), 1);
+        assert_eq!(fan_out(64, 2.0 * MIN_FLOPS_PER_THREAD), workers().min(2));
+        assert_eq!(fan_out(64, HUGE), workers().min(64));
+        assert_eq!(fan_out(3, HUGE), workers().min(3));
+    }
+
+    #[test]
     fn map_combine_is_deterministic_and_correct() {
-        let len = PARALLEL_THRESHOLD * 2 + 3;
-        let a = par_map_combine(len, || 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
-        let b = par_map_combine(len, || 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
-        assert_eq!(a, b, "two parallel runs disagree");
+        let len = 2 * 2048 + 3;
+        let run =
+            |flops| par_map_combine(len, flops, || 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
+        let a = run(HUGE);
+        assert_eq!(
+            a.to_bits(),
+            run(HUGE).to_bits(),
+            "two parallel runs disagree"
+        );
+        assert_eq!(
+            a.to_bits(),
+            run(0.0).to_bits(),
+            "inline and fanned out disagree"
+        );
         // Matches the fixed-chunk sequential fold (NOT the naive
         // left-to-right sum — chunking changes float association).
         let seq: f64 = ranges(len, CHUNKS)
@@ -267,15 +431,8 @@ mod tests {
             .map(|r| r.map(|i| (i as f64).sin()).sum::<f64>())
             .fold(0.0, |x, y| x + y);
         assert_eq!(a, seq);
-    }
-
-    #[test]
-    fn small_inputs_stay_inline() {
-        // Just exercises the inline path for coverage of both branches.
-        let v = par_map_collect(10, |i| i);
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
-        let s = par_map_combine(10, || 0usize, |i| i, |a, b| a + b);
-        assert_eq!(s, 45);
+        assert_eq!(par_map_combine(10, 0.0, || 0usize, |i| i, |a, b| a + b), 45);
+        assert_eq!(par_map_combine(0, 0.0, || 0usize, |i| i, |a, b| a + b), 0);
     }
 
     #[test]

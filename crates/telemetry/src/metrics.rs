@@ -344,16 +344,27 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_lossless() {
-        // The production pattern: one shared handle bumped from the same
-        // worker pool the estimator kernels use. Every increment must
-        // land — a plain (non-atomic) counter would drop some.
+        // The production pattern: one shared handle bumped from several
+        // scoped threads at once, as the estimator kernels' threads do.
+        // Every increment must land — a plain (non-atomic) counter would
+        // drop some. The barrier starts all threads together.
         let counter = crate::registry().counter("test.concurrent_increments");
         let before = counter.get();
         const PER_TASK: u64 = 7;
+        const THREADS: usize = 4;
         let n_tasks = 10_000;
-        let _: Vec<()> = kdesel_par::par_map_collect(n_tasks, |_| {
-            for _ in 0..PER_TASK {
-                counter.inc();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for first in 0..THREADS {
+                let (counter, start) = (&counter, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in (first..n_tasks).step_by(THREADS) {
+                        for _ in 0..PER_TASK {
+                            counter.inc();
+                        }
+                    }
+                });
             }
         });
         assert_eq!(counter.get() - before, n_tasks as u64 * PER_TASK);

@@ -18,9 +18,9 @@ use proptest::prelude::*;
 /// Acceptance criterion: a quick CpuSeq calibration converges and models
 /// its own measurements to within 20% median relative residual.
 ///
-/// Wall-clock sensitive; `reps: 5` takes the per-point median so a
-/// concurrently scheduled test stealing the core for one rep does not
-/// fail the gate.
+/// Wall-clock sensitive; `reps: 5` keeps each point's fastest
+/// repetition, so a concurrently scheduled test or process stealing the
+/// core for some repetitions does not fail the gate.
 #[test]
 fn cpu_seq_calibration_fits_within_twenty_percent() {
     let config = CalibrationConfig {
