@@ -27,10 +27,9 @@
 //!    gates on.
 //!
 //! A fitted profile plugs straight back into the runtime:
-//! [`Device::with_profile`](crate::Device::with_profile) and
-//! [`DeviceGroup::homogeneous`](crate::DeviceGroup::homogeneous) accept
-//! it, and `kdesel-serve` derives its adaptive batching deadline from
-//! the same measured launch costs.
+//! [`Device::with_profile`](crate::Device::with_profile) accepts it,
+//! and `kdesel-serve` derives its adaptive batching deadline from the
+//! same measured launch costs.
 
 use crate::cost::CostProfile;
 use crate::device::{Backend, Device};

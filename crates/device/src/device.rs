@@ -47,13 +47,6 @@ impl Backend {
 /// buffers.
 pub const SWEEP_BLOCK_ROWS: usize = 1024;
 
-/// `log2(SWEEP_BLOCK_ROWS)`: the [`PairwiseAcc`] level a full sweep
-/// block occupies. Because `SWEEP_BLOCK_ROWS` is a power of two and a
-/// multiple of [`PAIRWISE_BLOCK`], a full block starting at a multiple
-/// of `SWEEP_BLOCK_ROWS` is an exact aligned subtree of the global
-/// pairwise reduction — the fact the multi-device combine relies on.
-pub(crate) const SWEEP_BLOCK_LEVEL: u32 = SWEEP_BLOCK_ROWS.trailing_zeros();
-
 /// Transfer/compute counters for validating transfer-efficiency claims.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceStats {
@@ -67,11 +60,6 @@ pub struct DeviceStats {
     pub bytes_down: u64,
     /// Kernels launched (including reduction passes).
     pub kernels: u64,
-    /// Device-to-device copies issued by group sweeps for stolen stripe
-    /// blocks and retained-contribution gathers (no PCIe traffic).
-    pub d2d_copies: u64,
-    /// Bytes duplicated device-to-device.
-    pub bytes_d2d: u64,
     /// Buffer acquisitions served by recycling pooled storage. A pool
     /// hit charges *nothing*: no transfer (contents are only charged
     /// when they actually change, via `upload`/`write_at`) and no
@@ -107,8 +95,6 @@ impl DeviceStats {
             downloads,
             bytes_down,
             kernels,
-            d2d_copies,
-            bytes_d2d,
             pool_hits,
             pool_misses,
             pool_held_bytes,
@@ -119,8 +105,6 @@ impl DeviceStats {
             downloads: e_downloads,
             bytes_down: e_bytes_down,
             kernels: e_kernels,
-            d2d_copies: e_d2d_copies,
-            bytes_d2d: e_bytes_d2d,
             pool_hits: e_pool_hits,
             pool_misses: e_pool_misses,
             pool_held_bytes: e_pool_held_bytes,
@@ -131,8 +115,6 @@ impl DeviceStats {
             downloads: downloads.saturating_sub(e_downloads),
             bytes_down: bytes_down.saturating_sub(e_bytes_down),
             kernels: kernels.saturating_sub(e_kernels),
-            d2d_copies: d2d_copies.saturating_sub(e_d2d_copies),
-            bytes_d2d: bytes_d2d.saturating_sub(e_bytes_d2d),
             pool_hits: pool_hits.saturating_sub(e_pool_hits),
             pool_misses: pool_misses.saturating_sub(e_pool_misses),
             pool_held_bytes: pool_held_bytes.saturating_sub(e_pool_held_bytes),
@@ -234,23 +216,6 @@ impl SoaBuffer {
     pub fn is_empty(&self) -> bool {
         self.rows == 0
     }
-
-    /// A window over `len` rows starting at `start` — the unit a group
-    /// stripe-block worker hands to a sweep kernel. Reads only, so any
-    /// thread may view any shard (`SoaBuffer` is `Sync`).
-    ///
-    /// # Panics
-    /// Panics when the window exceeds the staged rows.
-    pub(crate) fn view(&self, start: usize, len: usize) -> ColsView<'_> {
-        assert!(start + len <= self.rows, "SoA view out of range");
-        ColsView {
-            data: &self.buf.data,
-            total_rows: self.rows,
-            dims: self.dims,
-            start,
-            len,
-        }
-    }
 }
 
 /// A borrowed window over a contiguous row range of an [`SoaBuffer`]:
@@ -302,7 +267,6 @@ struct Meters {
     downloads: Arc<kdesel_telemetry::Counter>,
     bytes_up: Arc<kdesel_telemetry::Counter>,
     bytes_down: Arc<kdesel_telemetry::Counter>,
-    d2d_copies: Arc<kdesel_telemetry::Counter>,
     modeled_us: Arc<kdesel_telemetry::Gauge>,
     measured_us: Arc<kdesel_telemetry::Gauge>,
     /// Bytes currently staged column-major on this device.
@@ -320,7 +284,6 @@ impl Meters {
             downloads: r.counter("device.downloads"),
             bytes_up: r.counter("device.bytes_up"),
             bytes_down: r.counter("device.bytes_down"),
-            d2d_copies: r.counter("device.d2d_copies"),
             modeled_us: r.gauge(&format!("device.modeled_us.{}", backend.name())),
             measured_us: r.gauge(&format!("device.measured_us.{}", backend.name())),
             soa_bytes: r.gauge("device.soa_staged_bytes"),
@@ -372,37 +335,6 @@ impl Device {
     /// The backend in use.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Splits off a *sub-device* owning `fraction` of this device's compute
-    /// and transfer bandwidth — the paper's §8 device-fission outlook:
-    /// "using techniques such as device fission, modern graphics cards can
-    /// be virtually partitioned into several sub-devices... allocat[ing] a
-    /// given fraction of the graphics card — say 10% — for selectivity
-    /// estimation without affecting query performance."
-    ///
-    /// Per-operation latencies are unchanged (scheduling is shared);
-    /// throughput-bound work slows by `1/fraction`. The sub-device has its
-    /// own timing/statistics counters.
-    ///
-    /// # Panics
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn fission(&self, fraction: f64) -> Device {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fission fraction {fraction} outside (0, 1]"
-        );
-        let p = self.cost.profile();
-        Device::with_profile(
-            self.backend,
-            crate::cost::CostProfile {
-                kernel_launch_latency: p.kernel_launch_latency,
-                transfer_latency: p.transfer_latency,
-                transfer_bandwidth: p.transfer_bandwidth * fraction,
-                compute_throughput: p.compute_throughput * fraction,
-                vector_width: p.vector_width,
-            },
-        )
     }
 
     /// The cost model in use.
@@ -461,21 +393,6 @@ impl Device {
         let start = Instant::now();
         let out = run();
         let measured = start.elapsed().as_secs_f64();
-        self.charge_recorded(launch, modeled, measured, mutate);
-        out
-    }
-
-    /// Charges a launch whose work already ran elsewhere (a group worker
-    /// thread) with an externally measured wall time. Same ledger path
-    /// as [`Device::charge`]: modeled/measured totals, profiler record,
-    /// stats mutation, telemetry mirror.
-    pub(crate) fn charge_recorded(
-        &self,
-        launch: Launch,
-        modeled: f64,
-        measured: f64,
-        mutate: impl FnOnce(&mut DeviceStats),
-    ) {
         let mut t = self.timing.lock().unwrap();
         t.modeled_seconds += modeled;
         t.measured_seconds += measured;
@@ -494,19 +411,11 @@ impl Device {
             m.downloads.add(after.downloads - before.downloads);
             m.bytes_up.add(after.bytes_up - before.bytes_up);
             m.bytes_down.add(after.bytes_down - before.bytes_down);
-            m.d2d_copies.add(after.d2d_copies - before.d2d_copies);
             m.modeled_us.add(modeled * 1e6);
             m.measured_us.add(measured * 1e6);
             m.kinds.record(launch.kind, measured);
         }
-    }
-
-    /// Adopts host data as a device-resident buffer without charging a
-    /// transfer. Only for the multi-device combine, whose gather cost is
-    /// charged separately (as device-to-device traffic on the adopting
-    /// device) by `DeviceGroup`.
-    pub(crate) fn adopt(&self, data: Vec<f64>) -> DeviceBuffer {
-        self.wrap(data)
+        out
     }
 
     /// Copies host data into a new device buffer (one transfer). The
@@ -948,21 +857,21 @@ impl Device {
 /// implementations) without recursion or scratch buffers — the stack
 /// holds at most `log2(n)+1` partial sums.
 #[derive(Clone)]
-pub(crate) struct PairwiseAcc {
+struct PairwiseAcc {
     /// `(partial sum, level)` pairs; a block at level `k` covers `2^k`
     /// consecutive inputs. Levels are strictly decreasing left to right.
     stack: Vec<(f64, u32)>,
 }
 
 impl PairwiseAcc {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self { stack: Vec::new() }
     }
 
     // The sums below are spelled `left_block + right_block` (not `+=`) so
     // the code states the tree orientation the bit-identity tests pin.
     #[allow(clippy::assign_op_pattern)]
-    pub(crate) fn push(&mut self, value: f64) {
+    fn push(&mut self, value: f64) {
         self.push_block(value, 0);
     }
 
@@ -972,7 +881,7 @@ impl PairwiseAcc {
     /// flight), which the blocked fast paths guarantee by emitting full
     /// blocks first.
     #[allow(clippy::assign_op_pattern)]
-    pub(crate) fn push_block(&mut self, value: f64, level: u32) {
+    fn push_block(&mut self, value: f64, level: u32) {
         let mut sum = value;
         let mut level = level;
         while let Some(&(top, top_level)) = self.stack.last() {
@@ -987,7 +896,7 @@ impl PairwiseAcc {
     }
 
     #[allow(clippy::assign_op_pattern)]
-    pub(crate) fn finish(&self) -> f64 {
+    fn finish(&self) -> f64 {
         // Leftover blocks shrink left to right; folding right-to-left as
         // `earlier + acc` matches the recursive `sum(left) + sum(right)`
         // association at every level.
@@ -1008,15 +917,15 @@ impl PairwiseAcc {
 /// [`PAIRWISE_BLOCK_LEVEL`] carry, skipping the per-element stack walk.
 /// Must stay a power of two so each block is an exact subtree of the
 /// recursive pairwise split.
-pub(crate) const PAIRWISE_BLOCK: usize = 256;
-pub(crate) const PAIRWISE_BLOCK_LEVEL: u32 = PAIRWISE_BLOCK.trailing_zeros();
+const PAIRWISE_BLOCK: usize = 256;
+const PAIRWISE_BLOCK_LEVEL: u32 = PAIRWISE_BLOCK.trailing_zeros();
 
 /// Sums one aligned block with the exact adjacent-pairs tree the
 /// recursive pairwise split produces over a power-of-two range: level by
 /// level, `b[i] = b[2i] + b[2i+1]`. Plain unit-stride loops, so the
 /// halving passes vectorize; the association never changes.
 #[inline]
-pub(crate) fn pairwise_block_sum(block: &[f64; PAIRWISE_BLOCK]) -> f64 {
+fn pairwise_block_sum(block: &[f64; PAIRWISE_BLOCK]) -> f64 {
     let mut buf = *block;
     let mut width = PAIRWISE_BLOCK / 2;
     while width >= 1 {
@@ -1031,7 +940,7 @@ pub(crate) fn pairwise_block_sum(block: &[f64; PAIRWISE_BLOCK]) -> f64 {
 /// Pairwise (binary-tree) summation: matches the paper's parallel reduction
 /// scheme and keeps the rounding error at `O(log n)` ulps so all backends
 /// produce identical results regardless of thread count.
-pub(crate) fn pairwise_sum(values: &[f64]) -> f64 {
+fn pairwise_sum(values: &[f64]) -> f64 {
     let mut acc = PairwiseAcc::new();
     let mut blocks = values.chunks_exact(PAIRWISE_BLOCK);
     for block in &mut blocks {
@@ -1050,7 +959,7 @@ pub(crate) fn pairwise_sum(values: &[f64]) -> f64 {
 /// alone: full [`PAIRWISE_BLOCK`]-row windows are de-interleaved into a
 /// stack scratch and take the block fast path, the ragged tail walks
 /// element by element.
-pub(crate) fn pairwise_sum_columns(data: &[f64], width: usize) -> Vec<f64> {
+fn pairwise_sum_columns(data: &[f64], width: usize) -> Vec<f64> {
     let mut accs = vec![PairwiseAcc::new(); width];
     let rows = data.len() / width;
     let main = rows - rows % PAIRWISE_BLOCK;
@@ -1601,52 +1510,6 @@ mod tests {
     }
 
     #[test]
-    fn fission_scales_throughput_not_latency() {
-        let full = Device::new(Backend::SimGpu);
-        let tenth = full.fission(0.1);
-        // Identical results.
-        let host: Vec<f64> = (0..4096).map(|i| i as f64).collect();
-        let bf = full.upload(&host);
-        let bt = tenth.upload(&host);
-        let rf = full.download(&full.map_rows(&bf, 1, 480.0, |r| r[0].sqrt()));
-        let rt = tenth.download(&tenth.map_rows(&bt, 1, 480.0, |r| r[0].sqrt()));
-        assert_eq!(rf, rt);
-        // Compute-bound cost scales ~10x on a big kernel.
-        let cost = |d: &Device| {
-            d.reset_timing();
-            let buf = DeviceBuffer {
-                data: vec![0.0; 1 << 21],
-                pool: None,
-            };
-            let _ = d.map_rows(&buf, 1, 480.0, |r| r[0]);
-            d.modeled_seconds()
-        };
-        let ratio = cost(&tenth) / cost(&full);
-        assert!((8.0..12.0).contains(&ratio), "ratio {ratio}");
-        // Latency floor unchanged: tiny kernels cost the same.
-        let tiny = |d: &Device| {
-            d.reset_timing();
-            let buf = DeviceBuffer {
-                data: vec![0.0; 8],
-                pool: None,
-            };
-            let _ = d.map_rows(&buf, 1, 10.0, |r| r[0]);
-            d.modeled_seconds()
-        };
-        let tiny_ratio = tiny(&tenth) / tiny(&full);
-        assert!(
-            (0.99..1.01).contains(&tiny_ratio),
-            "tiny ratio {tiny_ratio}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1]")]
-    fn fission_fraction_validated() {
-        Device::new(Backend::SimGpu).fission(1.5);
-    }
-
-    #[test]
     fn measured_time_is_recorded() {
         let d = Device::new(Backend::CpuPar);
         let buf = d.upload(&vec![1.0; 100_000]);
@@ -1666,8 +1529,6 @@ mod tests {
             downloads: 3,
             bytes_down: 50,
             kernels: 7,
-            d2d_copies: 1,
-            bytes_d2d: 10,
             pool_hits: 4,
             pool_misses: 2,
             pool_held_bytes: 1000,
@@ -1678,8 +1539,6 @@ mod tests {
             downloads: 4,
             bytes_down: 90,
             kernels: 17,
-            d2d_copies: 3,
-            bytes_d2d: 30,
             pool_hits: 9,
             pool_misses: 3,
             pool_held_bytes: 1500,
@@ -1693,8 +1552,6 @@ mod tests {
                 downloads: 1,
                 bytes_down: 40,
                 kernels: 10,
-                d2d_copies: 2,
-                bytes_d2d: 20,
                 pool_hits: 5,
                 pool_misses: 1,
                 pool_held_bytes: 500,

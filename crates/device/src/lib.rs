@@ -25,10 +25,9 @@
 //! # One staging layout
 //!
 //! A sample is staged one way: column-major stripes ([`SoaBuffer`], via
-//! [`Device::stage_rows_soa`], or [`PartitionedSoa`] sharded across a
-//! [`DeviceGroup`]), read by the `sweep_*` kernels. The estimate, the
-//! fused estimate+gradient and the batched estimate are sweeps; the
-//! unfused gradient is [`Device::sweep_multi`] plus
+//! [`Device::stage_rows_soa`]), read by the `sweep_*` kernels. The
+//! estimate, the fused estimate+gradient and the batched estimate are
+//! sweeps; the unfused gradient is [`Device::sweep_multi`] plus
 //! [`Device::reduce_sum_columns`]. Row-major [`DeviceBuffer`]s remain
 //! for what is not a sample: query bounds, the per-point contributions a
 //! sweep retains, and Karma's ledger, which [`Device::zip_update_inplace`]
@@ -62,13 +61,6 @@
 //!   spawns). Block and chunk boundaries are fixed, so results are
 //!   deterministic and identical no matter which thread — or how many
 //!   sibling executors — issue the launch.
-//! * [`DeviceGroup`] sweeps spawn one *scoped* worker thread per member
-//!   device (the scoped-threadpool-per-device shape): each worker is the
-//!   sole command stream of its `Device` for the sweep's duration, and
-//!   only *reads* peer shards when stealing ([`SoaBuffer`] is `Sync`).
-//!   Partial results are merged on the calling thread after the scope
-//!   joins, so the group upholds the same one-owner command-stream
-//!   discipline per device.
 //!
 //! Consequently an estimator (`kdesel_kde::KdeEstimator`) composed of a
 //! `Device` plus `DeviceBuffer`s is `Send`: it may be built on one thread
@@ -79,7 +71,6 @@
 pub mod calibrate;
 pub mod cost;
 pub mod device;
-pub mod multi;
 mod pool;
 pub mod profile;
 
@@ -88,7 +79,6 @@ pub use cost::{CostModel, CostProfile};
 pub use device::{
     Backend, ColsView, Device, DeviceBuffer, DeviceStats, SoaBuffer, SWEEP_BLOCK_ROWS,
 };
-pub use multi::{DeviceGroup, GroupStats, Partition, PartitionedSoa};
 pub use profile::{DeviceProfile, KindProfile, Launch, LaunchKind};
 
 /// Compile-time pin of the thread-ownership contract documented above.
@@ -101,9 +91,6 @@ fn thread_contract() {
     send_and_sync::<DeviceBuffer>();
     send_and_sync::<DeviceStats>();
     send_and_sync::<SoaBuffer>();
-    send_and_sync::<DeviceGroup>();
-    send_and_sync::<PartitionedSoa>();
-    send_and_sync::<GroupStats>();
     send_and_sync::<DeviceProfile>();
     send_and_sync::<MeasuredProfile>();
 }

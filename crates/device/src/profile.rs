@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 /// Number of distinct launch kinds (the length of [`LaunchKind::ALL`]).
-pub const LAUNCH_KIND_COUNT: usize = 13;
+pub const LAUNCH_KIND_COUNT: usize = 11;
 
 /// Identifies which device hot path issued a launch. One variant per
 /// charged `Device` operation; the batch entry point `sweep_batch`
@@ -52,13 +52,6 @@ pub enum LaunchKind {
     ZipUpdateInplace,
     /// Standalone blocked column reduction + vector readback.
     ReduceSumColumns,
-    /// One member device's share of a group stripe-block sweep + tree
-    /// reduction (`DeviceGroup::sweep_reduce`): the blocks this device
-    /// executed (owned + stolen), charged as one persistent launch.
-    GroupSweepReduce,
-    /// One member device's share of a group multi-output stripe-block
-    /// sweep (`DeviceGroup::sweep_multi_reduce` / `sweep_batch`).
-    GroupSweepMultiReduce,
 }
 
 impl LaunchKind {
@@ -76,8 +69,6 @@ impl LaunchKind {
         LaunchKind::SweepMultiReduce,
         LaunchKind::ZipUpdateInplace,
         LaunchKind::ReduceSumColumns,
-        LaunchKind::GroupSweepReduce,
-        LaunchKind::GroupSweepMultiReduce,
     ];
 
     /// Stable snake_case name, used for telemetry metric names
@@ -95,8 +86,6 @@ impl LaunchKind {
             LaunchKind::SweepMultiReduce => "sweep_multi_reduce",
             LaunchKind::ZipUpdateInplace => "zip_update_inplace",
             LaunchKind::ReduceSumColumns => "reduce_sum_columns",
-            LaunchKind::GroupSweepReduce => "group_sweep_reduce",
-            LaunchKind::GroupSweepMultiReduce => "group_sweep_multi_reduce",
         }
     }
 

@@ -12,133 +12,21 @@ use crate::bandwidth::scott::scott_bandwidth;
 use crate::kernel::KernelFn;
 use crate::loss::LossFunction;
 use crate::sweep;
-use kdesel_device::{ColsView, Device, DeviceBuffer, DeviceGroup, PartitionedSoa, SoaBuffer};
+use kdesel_device::{Device, DeviceBuffer, SoaBuffer};
 use kdesel_types::Rect;
-
-/// Where the model's sample lives and which engine sweeps it: a single
-/// device, or a multi-device group draining a work-stealing stripe-block
-/// queue. Group estimates are bitwise-identical to the single-device
-/// path (the group's block-ordered combine contract), so everything
-/// above this enum — tuners, Karma, serving — is backing-agnostic.
-#[derive(Debug)]
-enum Backing {
-    Single {
-        device: Device,
-        sample: SoaBuffer,
-    },
-    Group {
-        group: DeviceGroup,
-        sample: PartitionedSoa,
-    },
-}
-
-impl Backing {
-    /// The device that fronts the host: the device itself, or the
-    /// group's primary (member 0) — which uploads query bounds, reads
-    /// results back, and hosts gathered retained contributions.
-    fn front(&self) -> &Device {
-        match self {
-            Backing::Single { device, .. } => device,
-            Backing::Group { group, .. } => group.primary(),
-        }
-    }
-
-    fn group(&self) -> Option<&DeviceGroup> {
-        match self {
-            Backing::Single { .. } => None,
-            Backing::Group { group, .. } => Some(group),
-        }
-    }
-
-    fn sweep_reduce<F>(&self, flops_per_row: f64, retain: bool, f: F) -> (f64, Option<DeviceBuffer>)
-    where
-        F: Fn(ColsView<'_>, &mut [f64]) + Sync,
-    {
-        match self {
-            Backing::Single { device, sample } => {
-                device.sweep_reduce(sample, flops_per_row, retain, f)
-            }
-            Backing::Group { group, sample } => {
-                group.sweep_reduce(sample, flops_per_row, retain, f)
-            }
-        }
-    }
-
-    fn sweep_multi_reduce<F>(
-        &self,
-        out_width: usize,
-        flops_per_row: f64,
-        retain_first: bool,
-        f: F,
-    ) -> (Vec<f64>, Option<DeviceBuffer>)
-    where
-        F: Fn(ColsView<'_>, &mut [f64]) + Sync,
-    {
-        match self {
-            Backing::Single { device, sample } => {
-                device.sweep_multi_reduce(sample, out_width, flops_per_row, retain_first, f)
-            }
-            Backing::Group { group, sample } => {
-                group.sweep_multi_reduce(sample, out_width, flops_per_row, retain_first, f)
-            }
-        }
-    }
-
-    fn sweep_batch<F>(&self, batch: usize, flops_per_row: f64, f: F) -> Vec<f64>
-    where
-        F: Fn(ColsView<'_>, &mut [f64]) + Sync,
-    {
-        match self {
-            Backing::Single { device, sample } => {
-                device.sweep_batch(sample, batch, flops_per_row, f)
-            }
-            Backing::Group { group, sample } => group.sweep_batch(sample, batch, flops_per_row, f),
-        }
-    }
-
-    /// The unfused gradient's column sums. The single-device reference
-    /// keeps its historical two-launch shape (multi-output sweep +
-    /// standalone column reduction); the group fuses them into one
-    /// stripe-block sweep whose block-ordered combine reproduces the
-    /// same `pairwise_sum_columns` tree bit-for-bit.
-    fn gradient_column_sums<F>(&self, width: usize, flops_per_row: f64, f: F) -> Vec<f64>
-    where
-        F: Fn(ColsView<'_>, &mut [f64]) + Sync,
-    {
-        match self {
-            Backing::Single { device, sample } => {
-                let partials = device.sweep_multi(sample, width, flops_per_row, f);
-                device.reduce_sum_columns(&partials, width)
-            }
-            Backing::Group { group, sample } => {
-                group
-                    .sweep_multi_reduce(sample, width, flops_per_row, false, f)
-                    .0
-            }
-        }
-    }
-
-    /// Overwrites one sample row on whichever device owns it.
-    fn write_row(&mut self, row: usize, values: &[f64]) {
-        match self {
-            Backing::Single { device, sample } => device.write_row_soa(sample, row, values),
-            Backing::Group { group, sample } => group.write_row_soa(sample, row, values),
-        }
-    }
-}
 
 /// A kernel density model over a fixed-size data sample.
 ///
 /// The device-resident sample uses the columnar (SoA) layout — one
 /// contiguous stripe per dimension — so the estimate/gradient sweeps in
 /// [`crate::sweep`] stream unit-stride memory and vectorize; results are
-/// bit-identical to the row-major scalar path. The sample can live on
-/// one [`Device`] or be sharded across a [`DeviceGroup`]
-/// ([`KdeEstimator::new_on_group`]) with no observable difference beyond
-/// timing.
+/// bit-identical to the row-major scalar path.
 #[derive(Debug)]
 pub struct KdeEstimator {
-    backing: Backing,
+    device: Device,
+    /// The sample staged on `device`, swept by every estimate and
+    /// gradient.
+    sample: SoaBuffer,
     /// Host mirror of the sample. The host produced the sample in the first
     /// place (ANALYZE), so the mirror costs no transfers; the batch/CV
     /// optimizers iterate over it without touching the device timing.
@@ -167,45 +55,11 @@ impl KdeEstimator {
         assert!(dims > 0, "zero-dimensional model");
         assert!(!sample.is_empty(), "empty sample");
         assert_eq!(sample.len() % dims, 0, "ragged sample");
-        let buffer = device.stage_rows_soa(sample, dims);
-        Self::from_backing(
-            Backing::Single {
-                device,
-                sample: buffer,
-            },
-            sample,
-            dims,
-            kernel,
-        )
-    }
-
-    /// Builds a model whose sample is sharded across a [`DeviceGroup`]
-    /// in stripe blocks (profile-seeded partition, work-stealing
-    /// sweeps). Every estimate/gradient is bitwise-identical to the same
-    /// model on a single device; only modeled/measured timing differs.
-    ///
-    /// # Panics
-    /// Panics on an empty or ragged sample.
-    pub fn new_on_group(group: DeviceGroup, sample: &[f64], dims: usize, kernel: KernelFn) -> Self {
-        assert!(dims > 0, "zero-dimensional model");
-        assert!(!sample.is_empty(), "empty sample");
-        assert_eq!(sample.len() % dims, 0, "ragged sample");
-        let part = group.stage_partitioned_soa(sample, dims);
-        Self::from_backing(
-            Backing::Group {
-                group,
-                sample: part,
-            },
-            sample,
-            dims,
-            kernel,
-        )
-    }
-
-    fn from_backing(backing: Backing, sample: &[f64], dims: usize, kernel: KernelFn) -> Self {
+        let staged = device.stage_rows_soa(sample, dims);
         let bandwidth = scott_bandwidth(sample, dims);
         Self {
-            backing,
+            device,
+            sample: staged,
             host_sample: sample.to_vec(),
             dims,
             size: sample.len() / dims,
@@ -252,18 +106,11 @@ impl KdeEstimator {
         self.last_gradient = None;
     }
 
-    /// The device that fronts this model's kernels: the single backing
-    /// device, or the group's primary when the sample is sharded. Bounds
-    /// uploads, result readbacks, retained contributions, and the Karma
-    /// ledger all live here.
+    /// The device this model's sample is staged on. Bounds uploads,
+    /// result readbacks, retained contributions, and the Karma ledger
+    /// all live here.
     pub fn device(&self) -> &Device {
-        self.backing.front()
-    }
-
-    /// The device group backing this model, when it was built with
-    /// [`KdeEstimator::new_on_group`].
-    pub fn group(&self) -> Option<&DeviceGroup> {
-        self.backing.group()
+        &self.device
     }
 
     /// Host view of the sample (row-major).
@@ -289,7 +136,7 @@ impl KdeEstimator {
         let mut bounds = Vec::with_capacity(2 * self.dims);
         bounds.extend_from_slice(region.lo());
         bounds.extend_from_slice(region.hi());
-        let _bounds_buf = self.backing.front().upload(&bounds);
+        let _bounds_buf = self.device.upload(&bounds);
         // Return the previous retained buffer to the pool *before* the
         // sweep acquires its replacement, so steady-state loops recycle
         // the same storage instead of missing the pool every round.
@@ -300,9 +147,11 @@ impl KdeEstimator {
         let lo = region.lo();
         let hi = region.hi();
         let flops = kernel.flops_per_factor() * self.dims as f64;
-        let (sum, contributions) = self.backing.sweep_reduce(flops, true, |view, out| {
-            sweep::contributions_into(kernel, &view, lo, hi, bw, out);
-        });
+        let (sum, contributions) =
+            self.device
+                .sweep_reduce(&self.sample, flops, true, |view, out| {
+                    sweep::contributions_into(kernel, &view, lo, hi, bw, out);
+                });
         self.last_contributions = contributions;
         (sum / self.size as f64).clamp(0.0, 1.0)
     }
@@ -322,7 +171,7 @@ impl KdeEstimator {
         let mut bounds = Vec::with_capacity(2 * self.dims);
         bounds.extend_from_slice(region.lo());
         bounds.extend_from_slice(region.hi());
-        let _bounds_buf = self.backing.front().upload(&bounds);
+        let _bounds_buf = self.device.upload(&bounds);
         // As in `estimate`: recycle the stale retained buffer first.
         self.last_contributions = None;
         let kernel = self.kernel;
@@ -332,8 +181,8 @@ impl KdeEstimator {
         let d = self.dims;
         let flops = kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64;
         let (sums, contributions) =
-            self.backing
-                .sweep_multi_reduce(1 + d, flops, true, |view, out| {
+            self.device
+                .sweep_multi_reduce(&self.sample, 1 + d, flops, true, |view, out| {
                     sweep::fused_strided_into(kernel, &view, lo, hi, bw, out, 1 + d, 0, true);
                 });
         self.last_contributions = contributions;
@@ -375,11 +224,13 @@ impl KdeEstimator {
         let bw = &self.bandwidth;
         let b = regions.len();
         let flops = kernel.flops_per_factor() * self.dims as f64 * b as f64;
-        let sums = self.backing.sweep_batch(b, flops, |view, out| {
-            for (q, r) in regions.iter().enumerate() {
-                sweep::contributions_strided_into(kernel, &view, r.lo(), r.hi(), bw, out, b, q);
-            }
-        });
+        let sums = self
+            .device
+            .sweep_batch(&self.sample, b, flops, |view, out| {
+                for (q, r) in regions.iter().enumerate() {
+                    sweep::contributions_strided_into(kernel, &view, r.lo(), r.hi(), bw, out, b, q);
+                }
+            });
         sums.iter()
             .map(|sum| (sum / self.size as f64).clamp(0.0, 1.0))
             .collect()
@@ -395,7 +246,7 @@ impl KdeEstimator {
             bounds.extend_from_slice(r.lo());
             bounds.extend_from_slice(r.hi());
         }
-        self.backing.front().upload(&bounds)
+        self.device.upload(&bounds)
     }
 
     /// Batched objective evaluation for the bandwidth optimizers: one
@@ -423,29 +274,29 @@ impl KdeEstimator {
         for r in regions {
             assert_eq!(r.dims(), self.dims, "query dimensionality mismatch");
         }
-        let _h_buf = self.backing.front().upload(bandwidth);
+        let _h_buf = self.device.upload(bandwidth);
         let kernel = self.kernel;
         let d = self.dims;
         let b = regions.len();
         let width = 1 + d;
         let flops = (kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64) * b as f64;
-        let (sums, _) = self
-            .backing
-            .sweep_multi_reduce(b * width, flops, false, |view, out| {
-                for (q, r) in regions.iter().enumerate() {
-                    sweep::fused_strided_into(
-                        kernel,
-                        &view,
-                        r.lo(),
-                        r.hi(),
-                        bandwidth,
-                        out,
-                        b * width,
-                        q * width,
-                        true,
-                    );
-                }
-            });
+        let (sums, _) =
+            self.device
+                .sweep_multi_reduce(&self.sample, b * width, flops, false, |view, out| {
+                    for (q, r) in regions.iter().enumerate() {
+                        sweep::fused_strided_into(
+                            kernel,
+                            &view,
+                            r.lo(),
+                            r.hi(),
+                            bandwidth,
+                            out,
+                            b * width,
+                            q * width,
+                            true,
+                        );
+                    }
+                });
         let inv_s = 1.0 / self.size as f64;
         sums.chunks_exact(width)
             .map(|chunk| {
@@ -478,9 +329,12 @@ impl KdeEstimator {
         // Gradient needs all d factors plus d derivative terms per point.
         let d = self.dims;
         let flops = kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64;
-        let mut grad = self.backing.gradient_column_sums(d, flops, |view, out| {
-            sweep::fused_strided_into(kernel, &view, lo, hi, bw, out, d, 0, false);
-        });
+        let partials = self
+            .device
+            .sweep_multi(&self.sample, d, flops, |view, out| {
+                sweep::fused_strided_into(kernel, &view, lo, hi, bw, out, d, 0, false);
+            });
+        let mut grad = self.device.reduce_sum_columns(&partials, d);
         let inv_s = 1.0 / self.size as f64;
         for g in &mut grad {
             *g *= inv_s;
@@ -516,7 +370,7 @@ impl KdeEstimator {
         assert_eq!(row.len(), self.dims);
         assert!(row.iter().all(|v| !v.is_nan()), "NaN attribute");
         let offset = index * self.dims;
-        self.backing.write_row(index, row);
+        self.device.write_row_soa(&mut self.sample, index, row);
         self.host_sample[offset..offset + self.dims].copy_from_slice(row);
         self.last_contributions = None;
         self.last_gradient = None;

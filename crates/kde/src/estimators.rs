@@ -18,7 +18,7 @@ use crate::bandwidth::cv::{scv_bandwidth, CvConfig};
 use crate::estimator::KdeEstimator;
 use crate::karma::{KarmaConfig, KarmaMaintenance};
 use crate::kernel::KernelFn;
-use kdesel_device::{Device, DeviceGroup};
+use kdesel_device::Device;
 use kdesel_types::{LabelledQuery, QueryFeedback, Rect, SelectivityEstimator};
 use rand::Rng;
 
@@ -189,23 +189,6 @@ impl AdaptiveKde {
         karma: KarmaConfig,
     ) -> Self {
         let inner = KdeEstimator::new(device, sample, dims, kernel);
-        Self::from_estimator(inner, adaptive, karma)
-    }
-
-    /// Builds the model on a [`DeviceGroup`]: the sample is sharded into
-    /// stripe blocks across the members and every estimate/gradient runs
-    /// as a work-stealing group sweep. Results — including the tuning and
-    /// Karma trajectories — are bitwise-identical to the single-device
-    /// model; only timing differs.
-    pub fn new_on_group(
-        group: DeviceGroup,
-        sample: &[f64],
-        dims: usize,
-        kernel: KernelFn,
-        adaptive: AdaptiveConfig,
-        karma: KarmaConfig,
-    ) -> Self {
-        let inner = KdeEstimator::new_on_group(group, sample, dims, kernel);
         Self::from_estimator(inner, adaptive, karma)
     }
 

@@ -7,9 +7,9 @@
 //!   per-dimension range factor (eq. 13) and its bandwidth derivative
 //!   (eq. 17's inner factor),
 //! * [`estimator`] — the device-resident KDE model, staged as SoA
-//!   stripes on one device or sharded across a device group: estimate
-//!   (eq. 2), estimator gradient (eqs. 15-17), single-transfer point
-//!   replacement (§5.1), retained contribution buffer (§5.4),
+//!   stripes on one device: estimate (eq. 2), estimator gradient
+//!   (eqs. 15-17), single-transfer point replacement (§5.1), retained
+//!   contribution buffer (§5.4),
 //! * [`loss`] — differentiable loss functions and their derivatives
 //!   (Appendix C.1),
 //! * [`bandwidth`] — Scott's rule (eq. 3), batch optimization over query

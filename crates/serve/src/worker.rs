@@ -418,7 +418,6 @@ impl Worker {
                 request = request.str("family", families[i]);
             }
             self.emit(request);
-            let group = self.model.estimator().group().map(|g| (g.len(), g.stats()));
             let batch_span = root.child();
             self.emit(
                 Event::new("serve.batch")
@@ -426,8 +425,8 @@ impl Worker {
                     .u64("seq", self.batches)
                     .u64("size", batch.len() as u64),
             );
-            self.emit({
-                let mut launch = Event::new("serve.launch")
+            self.emit(
+                Event::new("serve.launch")
                     .ctx(&batch_span.child())
                     .f64("launch_s", launch_seconds)
                     .u64("kernels", launch_stats.kernels)
@@ -438,16 +437,8 @@ impl Worker {
                     .u64("pool_hits", launch_stats.pool_hits)
                     .u64("pool_misses", launch_stats.pool_misses)
                     .f64("kernel_p50_s", profile.kernel_p50_ceiling())
-                    .f64("kernel_p95_s", profile.kernel_p95_ceiling());
-                if let Some((devices, ref gs)) = group {
-                    launch = launch
-                        .u64("group_devices", devices as u64)
-                        .u64("group_steals", gs.steals)
-                        .u64("group_blocks", gs.blocks_executed)
-                        .f64("group_imbalance", gs.imbalance);
-                }
-                launch
-            });
+                    .f64("kernel_p95_s", profile.kernel_p95_ceiling()),
+            );
         }
     }
 

@@ -100,12 +100,12 @@ mod tests {
         let mut e: Box<dyn SelectivityEstimator> = Box::new(ConstantEstimator::new(0.5));
         assert_eq!(e.estimate(&Rect::cube(2, 0.0, 1.0)), 0.5);
         assert_eq!(e.memory_bytes(), 8);
-        e.observe(&QueryFeedback::from_counts(
-            Rect::cube(2, 0.0, 1.0),
-            0.5,
-            1,
-            2,
-        ));
+        e.observe(&QueryFeedback {
+            region: Rect::cube(2, 0.0, 1.0),
+            estimate: 0.5,
+            actual: 0.5,
+            cardinality: 1,
+        });
         assert!(e.name().starts_with("constant"));
     }
 }

@@ -22,24 +22,6 @@ pub struct QueryFeedback {
 }
 
 impl QueryFeedback {
-    /// Builds a feedback record, deriving `actual` from counts.
-    ///
-    /// # Panics
-    /// Panics if `table_rows == 0` or `cardinality > table_rows`.
-    pub fn from_counts(region: Rect, estimate: f64, cardinality: u64, table_rows: u64) -> Self {
-        assert!(table_rows > 0, "feedback for an empty relation");
-        assert!(
-            cardinality <= table_rows,
-            "cardinality {cardinality} exceeds relation size {table_rows}"
-        );
-        Self {
-            region,
-            estimate,
-            actual: cardinality as f64 / table_rows as f64,
-            cardinality,
-        }
-    }
-
     /// Signed estimation error `p̂(Ω) − p(Ω)`.
     #[inline]
     pub fn signed_error(&self) -> f64 {
@@ -87,30 +69,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_counts_derives_selectivity() {
-        let fb = QueryFeedback::from_counts(Rect::cube(2, 0.0, 1.0), 0.3, 25, 100);
-        assert_eq!(fb.actual, 0.25);
-        assert!((fb.signed_error() - 0.05).abs() < 1e-15);
-        assert!((fb.absolute_error() - 0.05).abs() < 1e-15);
-    }
-
-    #[test]
     fn absolute_error_is_symmetric() {
-        let a = QueryFeedback::from_counts(Rect::cube(1, 0.0, 1.0), 0.2, 30, 100);
-        let b = QueryFeedback::from_counts(Rect::cube(1, 0.0, 1.0), 0.4, 30, 100);
+        let feedback = |estimate| QueryFeedback {
+            region: Rect::cube(1, 0.0, 1.0),
+            estimate,
+            actual: 0.3,
+            cardinality: 30,
+        };
+        let (a, b) = (feedback(0.2), feedback(0.4));
         assert!((a.absolute_error() - b.absolute_error()).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty relation")]
-    fn zero_rows_panics() {
-        QueryFeedback::from_counts(Rect::cube(1, 0.0, 1.0), 0.0, 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds relation size")]
-    fn cardinality_above_rows_panics() {
-        QueryFeedback::from_counts(Rect::cube(1, 0.0, 1.0), 0.0, 5, 4);
     }
 
     #[test]

@@ -16,11 +16,6 @@ run cargo test -q --offline --workspace
 # code and real contention, so it is #[ignore]d in the default pass and
 # run explicitly in release mode here.
 run cargo test -q --offline --release -p kdesel-serve -- --ignored
-# Likewise the multi-device work-stealing stress: a lopsided paced group
-# sweeping hundreds of queries against a single-device bitwise mirror
-# only stresses the steal path with optimized code, so it too is
-# #[ignore]d by default and run here in release mode.
-run cargo test -q --offline --release -p kdesel --test multi_device -- --ignored
 # The lane erf's monotonicity pin walks a 1e-7 grid over [-6, 6]: 120M
 # evaluations, about a minute unoptimized and a few seconds in release,
 # so it is #[ignore]d by default and run here.
@@ -68,15 +63,14 @@ run env PERF_SMOKE=1 BENCH_BAKEOFF_OUT="$replay_dir/bakeoff.json" \
     cargo run --release --offline --bin bench_bakeoff
 
 # Optional perf gate: PERF_SMOKE=1 scripts/check.sh additionally runs the
-# fusion, serving, SIMD, multi-device and bake-off microbenches and fails
-# on a >2x modeled-cost regression of the estimate hot path, <2x modeled
+# fusion, serving, SIMD and bake-off microbenches and fails on a >2x
+# modeled-cost regression of the estimate hot path, <2x modeled
 # coalescing at batch 16, a reappearance of the max_batch=16 throughput
 # cliff in the adaptive window sweep, a <2x wall-clock SoA estimate
-# sweep speedup (Epanechnikov or Gaussian), <3x homogeneous 4-device
-# group scaling, a <1.5x work-stealing recovery on the lopsided mixed
-# group, or the bake-off gate above (see scripts/perf_smoke.sh). Add
-# BENCH_TREND=1 to also gate each bench's metrics against the rolling
-# median of results/BENCH_history.jsonl.
+# sweep speedup (Epanechnikov or Gaussian), or the bake-off gate above
+# (see scripts/perf_smoke.sh). Add BENCH_TREND=1 to also gate each
+# bench's metrics against the rolling median of
+# results/BENCH_history.jsonl.
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
     run scripts/perf_smoke.sh
 fi

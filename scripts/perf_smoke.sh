@@ -17,14 +17,6 @@
 #   1e-12*max(|a|,|b|,1). The division-free Epanechnikov sweep holds
 #   ~2.5x on a plain AVX2 core and the lane-erf Gaussian sweep ~4x,
 #   leaving headroom over the threshold.
-# * bench_multi (run with PERF_SMOKE=1) fails when a homogeneous
-#   4-device group delivers less than 3x single-device modeled
-#   throughput, or when the paced work-stealing mixed group (full-rate
-#   CPU + 10%-fission simulated GPU, equal split) beats the
-#   stealing-off static split by less than 1.5x, or records no steals.
-#   Both ratios come from the deterministic cost model (stealing off in
-#   the scaling arm, paced claims in the stealing arm), so the gates
-#   are machine-insensitive: ~3.2x and ~1.6x with no run-to-run jitter.
 # * bench_bakeoff (run with PERF_SMOKE=1) fails when the hybrid router's
 #   q-error p95 over the mixed bake-off workload (small/highdim/shifting
 #   segments) exceeds the best single family's (KDE or exact scan) — the
@@ -52,7 +44,6 @@
 #   cargo run --release --bin bench_fusion   (writes BENCH_fusion.json)
 #   cargo run --release --bin bench_serve    (writes BENCH_serve.json)
 #   cargo run --release --bin bench_simd     (writes BENCH_simd.json)
-#   cargo run --release --bin bench_multi    (writes BENCH_multi.json)
 #   cargo run --release --bin bench_bakeoff  (writes BENCH_bakeoff.json)
 # and committing the results (plus the results/BENCH_history.jsonl lines
 # those runs append).
@@ -60,14 +51,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --bin bench_fusion --bin bench_serve \
-    --bin bench_simd --bin bench_multi --bin bench_bakeoff
+    --bin bench_simd --bin bench_bakeoff
 out=$(mktemp /tmp/bench_fusion.XXXXXX.json)
 serve_out=$(mktemp /tmp/bench_serve.XXXXXX.json)
 simd_out=$(mktemp /tmp/bench_simd.XXXXXX.json)
-multi_out=$(mktemp /tmp/bench_multi.XXXXXX.json)
 bakeoff_out=$(mktemp /tmp/bench_bakeoff.XXXXXX.json)
 hist_out=$(mktemp /tmp/bench_history.XXXXXX.jsonl)
-trap 'rm -f "$out" "$serve_out" "$simd_out" "$multi_out" "$bakeoff_out" "$hist_out"' EXIT
+trap 'rm -f "$out" "$serve_out" "$simd_out" "$bakeoff_out" "$hist_out"' EXIT
 # Seed the throwaway history with the checked-in one so BENCH_TREND=1 has
 # a rolling baseline to compare against.
 if [[ -f results/BENCH_history.jsonl ]]; then
@@ -78,6 +68,5 @@ BENCH_FUSION_BASELINE=BENCH_fusion.json BENCH_FUSION_OUT="$out" \
     ./target/release/bench_fusion
 PERF_SMOKE=1 BENCH_SERVE_OUT="$serve_out" ./target/release/bench_serve
 PERF_SMOKE=1 BENCH_SIMD_OUT="$simd_out" ./target/release/bench_simd
-PERF_SMOKE=1 BENCH_MULTI_OUT="$multi_out" ./target/release/bench_multi
 PERF_SMOKE=1 BENCH_BAKEOFF_OUT="$bakeoff_out" ./target/release/bench_bakeoff
 echo "=== perf smoke passed ==="

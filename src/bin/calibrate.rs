@@ -8,8 +8,8 @@
 //! structured microbenchmark sweep from `kdesel_device::calibrate`,
 //! fits all five `CostProfile` parameters by least squares (via
 //! `kdesel-solver` L-BFGS), prints a modeled-vs-measured report, and
-//! writes the `MeasuredProfile` JSON that `DeviceGroup::homogeneous`
-//! and the serve scheduler's adaptive batching deadline consume.
+//! writes the `MeasuredProfile` JSON that `Device::with_profile` and
+//! the serve scheduler's adaptive batching deadline consume.
 //!
 //! Exit codes: 0 success, 1 fit divergence or residual above `--gate`,
 //! 2 usage or IO.

@@ -48,7 +48,7 @@ fn cpu_seq_calibration_fits_within_twenty_percent() {
     assert!(p.vector_width > 0.0 && p.vector_width.is_finite());
     // Every sweep point carries its own residual, and the JSON survives a
     // round trip bit-exactly (what `kdesel-calibrate --out` writes is what
-    // `DeviceGroup` / the serve scheduler will read back).
+    // `Device::with_profile` / the serve scheduler will read back).
     assert!(!measured.points.is_empty());
     for pt in &measured.points {
         assert!(pt.residual.is_finite() && pt.residual >= 0.0);

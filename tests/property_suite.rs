@@ -4,11 +4,16 @@
 use kdesel::device::calibrate::PointOp;
 use kdesel::device::{Backend, CostProfile, Device, MeasuredPoint, MeasuredProfile};
 use kdesel::hist::{SthConfig, SthHoles};
-use kdesel::kde::{KdeEstimator, KernelFn, ModelSnapshot};
+use kdesel::kde::{
+    AdaptiveConfig, AdaptiveKde, KarmaConfig, KdeEstimator, KernelFn, ModelSnapshot,
+};
+use kdesel::serve::snapshot;
 use kdesel::storage::Table;
 use kdesel::types::RouterState;
-use kdesel::Rect;
+use kdesel::{QueryFeedback, Rect, SelectivityEstimator};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strategy: a small random 2D table with values in [0, 100).
 fn table_strategy() -> impl Strategy<Value = Table> {
@@ -122,6 +127,40 @@ fn profile_strategy() -> impl Strategy<Value = MeasuredProfile> {
         })
 }
 
+/// Strategy: one feedback interval over the adaptive model's `[0, 1)²`
+/// sample domain. Each end is ±∞, a domain edge (0 or 1), a point outside
+/// the domain (-3 or 4) or a uniform draw; a third of the intervals are
+/// zero-width.
+fn feedback_interval() -> impl Strategy<Value = (f64, f64)> {
+    (0usize..7, 0usize..7, -0.5f64..1.5, -0.5f64..1.5, 0usize..3).prop_map(
+        |(a, b, ua, ub, flat)| {
+            let end = |code: usize, u: f64| {
+                [f64::NEG_INFINITY, f64::INFINITY, 0.0, 1.0, -3.0, 4.0, u][code]
+            };
+            let (x, y) = (end(a, ua), end(b, ub));
+            let (lo, hi) = (x.min(y), x.max(y));
+            (lo, if flat == 0 { lo } else { hi })
+        },
+    )
+}
+
+/// Strategy: a selectivity that is exactly 0, exactly 1, or uniform.
+fn feedback_selectivity() -> impl Strategy<Value = f64> {
+    (0usize..3, 0.0f64..1.0).prop_map(|(code, u)| [0.0, 1.0, u][code])
+}
+
+/// Strategy: one feedback step — an index into the case's region pool
+/// (so regions repeat), whether the feedback carries the model's own
+/// estimate of the region, and the generated estimate and actual.
+fn feedback_step() -> impl Strategy<Value = (usize, usize, f64, f64)> {
+    (
+        0usize..4,
+        0usize..2,
+        feedback_selectivity(),
+        feedback_selectivity(),
+    )
+}
+
 /// Every strict prefix of `json` (at a char boundary) fails `decode`.
 fn assert_prefixes_rejected<T>(json: &str, decode: impl Fn(&str) -> Result<T, String>) {
     for (end, _) in json.char_indices() {
@@ -229,6 +268,56 @@ proptest! {
         // the candidate was shrunk around pre-existing children (none here,
         // fresh histogram), so this must be nearly exact.
         prop_assert!((est - truth).abs() < 1e-6, "est {} truth {}", est, truth);
+    }
+
+    /// No feedback sequence breaks the adaptive model: after every
+    /// `observe` each bandwidth is finite and positive, and the model's
+    /// checkpoint passes the serving layer's validation and round-trips
+    /// through JSON bit for bit. The feedback covers zero-width and
+    /// out-of-domain boxes, infinite bounds, selectivities of exactly 0
+    /// and 1, and repeated regions; half of it carries the model's own
+    /// estimate (the cached-gradient path), the rest a generated one
+    /// against whatever the model last estimated (the recompute path).
+    #[test]
+    fn adaptive_feedback_keeps_the_model_valid(
+        (seed, kernel, log_updates, mini_batch) in (0u64..1000, 0usize..2, 0usize..2, 1usize..4),
+        regions in proptest::collection::vec(
+            proptest::collection::vec(feedback_interval(), 2), 4),
+        steps in proptest::collection::vec(feedback_step(), 1..40),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample: Vec<f64> = (0..32 * 2).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let kernel = [KernelFn::Gaussian, KernelFn::Epanechnikov][kernel];
+        let adaptive = AdaptiveConfig {
+            mini_batch,
+            log_updates: log_updates == 1,
+            ..AdaptiveConfig::default()
+        };
+        let mut model = AdaptiveKde::new(
+            Device::new(Backend::CpuSeq), &sample, 2, kernel, adaptive, KarmaConfig::default());
+        let regions: Vec<Rect> = regions.iter().map(|r| Rect::from_intervals(r)).collect();
+        for (i, &(region, own, estimate, actual)) in steps.iter().enumerate() {
+            let region = regions[region].clone();
+            let estimate = if own == 1 { model.estimate(&region) } else { estimate };
+            model.observe(&QueryFeedback {
+                region,
+                estimate,
+                actual,
+                cardinality: (actual * 32.0).round() as u64,
+            });
+            let bandwidth = model.model().bandwidth();
+            prop_assert!(
+                bandwidth.iter().all(|h| h.is_finite() && *h > 0.0),
+                "step {i}: bandwidth {bandwidth:?}"
+            );
+            let snap = ModelSnapshot::of(model.model());
+            prop_assert_eq!(snapshot::validate(&snap), Ok(()), "step {i}");
+            let back = ModelSnapshot::from_json(&snap.to_json()).expect("snapshot decodes");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back.bandwidth), bits(&snap.bandwidth), "step {i}");
+            prop_assert_eq!(bits(&back.sample), bits(&snap.sample), "step {i}");
+            prop_assert_eq!((back.dims, &back.kernel), (snap.dims, &snap.kernel));
+        }
     }
 
     /// The device layer is a pure executor: uploading and downloading any
