@@ -14,6 +14,8 @@
 //! * `--prom FILE` — write a Prometheus-style text exposition of every
 //!   touched metric at the end of the run.
 
+#![deny(unsafe_code)]
+
 pub mod fig8;
 pub mod history;
 

@@ -24,6 +24,8 @@
 //! | UT   | uniform | 1% selectivity |
 //! | UV   | uniform | 1% volume |
 
+#![deny(unsafe_code)]
+
 pub mod csv;
 pub mod datasets;
 pub mod workload;

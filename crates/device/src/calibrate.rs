@@ -307,6 +307,8 @@ pub fn microbenchmark(backend: Backend, config: &CalibrationConfig) -> Vec<Measu
             let host = vec![0.5f64; n * dims];
             let soa = device.stage_rows_soa(&host, dims);
             let kernel = |cols: crate::device::ColsView<'_>, out: &mut [f64]| {
+                // Sweep outputs arrive unfilled; this kernel accumulates.
+                out.fill(0.0);
                 for d in 0..dims {
                     let col = cols.col(d);
                     for (o, &v) in out.iter_mut().zip(col) {

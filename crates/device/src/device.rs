@@ -497,7 +497,7 @@ impl Device {
             self.cost.kernel(rows, flops_per_row),
             |s| s.kernels += 1,
             || {
-                let mut out = self.pool.acquire_zeroed(rows);
+                let mut out = self.pool.acquire_for_overwrite(rows);
                 match self.backend {
                     Backend::CpuSeq => {
                         for (o, row) in out.iter_mut().zip(buf.data.chunks_exact(dims)) {
@@ -537,7 +537,7 @@ impl Device {
                 s.bytes_up += bytes as u64;
             },
             || {
-                let mut data = self.pool.acquire_zeroed(host_rows.len());
+                let mut data = self.pool.acquire_for_overwrite(host_rows.len());
                 for (r, row) in host_rows.chunks_exact(dims).enumerate() {
                     for (d, &v) in row.iter().enumerate() {
                         data[d * rows + r] = v;
@@ -632,6 +632,10 @@ impl Device {
     ///
     /// With `retain`, the per-row values stay device-resident (the
     /// Karma retained-contributions side output).
+    ///
+    /// `f` must write every element of its output chunk: the chunk's
+    /// prior contents are unspecified (NaN in debug builds), so no launch
+    /// pays a zero fill. The same holds for every `sweep_*` launch.
     pub fn sweep_reduce<F>(
         &self,
         sample: &SoaBuffer,
@@ -660,7 +664,7 @@ impl Device {
                 s.bytes_down += std::mem::size_of::<f64>() as u64;
             },
             || {
-                let mut data = self.pool.acquire_zeroed(rows);
+                let mut data = self.pool.acquire_for_overwrite(rows);
                 self.run_sweep(sample, 1, launch.flops, &f, &mut data);
                 let sum = pairwise_sum(&data);
                 if retain {
@@ -693,7 +697,7 @@ impl Device {
             self.cost.kernel_vectorized(rows, flops_per_row),
             |s| s.kernels += 1,
             || {
-                let mut data = self.pool.acquire_zeroed(rows * out_width);
+                let mut data = self.pool.acquire_for_overwrite(rows * out_width);
                 self.run_sweep(sample, out_width, launch.flops, &f, &mut data);
                 self.wrap(data)
             },
@@ -745,11 +749,11 @@ impl Device {
                 s.bytes_down += result_bytes as u64;
             },
             || {
-                let mut data = self.pool.acquire_zeroed(rows * out_width);
+                let mut data = self.pool.acquire_for_overwrite(rows * out_width);
                 self.run_sweep(sample, out_width, launch.flops, &f, &mut data);
                 let sums = pairwise_sum_columns(&data, out_width);
                 let retained = retain_first.then(|| {
-                    let mut first = self.pool.acquire_zeroed(rows);
+                    let mut first = self.pool.acquire_for_overwrite(rows);
                     for (o, row) in first.iter_mut().zip(data.chunks_exact(out_width)) {
                         *o = row[0];
                     }

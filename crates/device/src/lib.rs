@@ -68,6 +68,8 @@
 //! exactly that and adds its own compile-time audit for the estimator
 //! types.
 
+#![deny(unsafe_code)]
+
 pub mod calibrate;
 pub mod cost;
 pub mod device;

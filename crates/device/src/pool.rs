@@ -43,7 +43,8 @@ struct PoolMeters {
 /// Per-device recycling allocator with power-of-two size classes.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
-    /// Class capacity → cleared vectors whose capacity is ≥ the class.
+    /// Class capacity → released vectors (length and contents kept) whose
+    /// capacity is ≥ the class.
     free: Mutex<BTreeMap<usize, Vec<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -90,8 +91,9 @@ impl BufferPool {
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// An empty, cleared vector with capacity for at least `len`
-    /// elements — from a free list when one fits, else the heap.
+    /// A vector with capacity for at least `len` elements — from a free
+    /// list when one fits (holding whatever it held when released), else
+    /// empty from the heap.
     ///
     /// Tiny requests (below [`MIN_POOL_ELEMS`]) bypass the pool by
     /// design and count as neither hit nor miss: they never enter a
@@ -113,13 +115,12 @@ impl BufferPool {
             }
             found
         };
-        if let Some(mut v) = reused {
+        if let Some(v) = reused {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if kdesel_telemetry::enabled() {
                 self.meters.hits.add(1);
                 self.meters.held_bytes.set(self.held_bytes() as f64);
             }
-            v.clear();
             return v;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -132,20 +133,40 @@ impl BufferPool {
     /// A zero-filled vector of exactly `len` elements.
     pub(crate) fn acquire_zeroed(&self, len: usize) -> Vec<f64> {
         let mut v = self.acquire_raw(len);
+        v.clear();
         v.resize(len, 0.0);
+        v
+    }
+
+    /// A vector of exactly `len` elements with unspecified contents, for
+    /// a launch that overwrites every element: a reused vector keeps what
+    /// it held, so only growth past its old length is filled. Debug
+    /// builds fill all of it with NaN, so an element the launch leaves
+    /// unwritten fails every bitwise pin.
+    pub(crate) fn acquire_for_overwrite(&self, len: usize) -> Vec<f64> {
+        let mut v = self.acquire_raw(len);
+        if cfg!(debug_assertions) {
+            v.clear();
+            v.resize(len, f64::NAN);
+        } else {
+            v.resize(len, 0.0);
+        }
         v
     }
 
     /// A vector holding a copy of `host`.
     pub(crate) fn acquire_copy(&self, host: &[f64]) -> Vec<f64> {
         let mut v = self.acquire_raw(host.len());
+        v.clear();
         v.extend_from_slice(host);
         v
     }
 
     /// Returns a vector's storage to its size-class free list (or frees
-    /// it when too small to pool or the class list is full).
-    pub(crate) fn release(&self, mut v: Vec<f64>) {
+    /// it when too small to pool or the class list is full). The vector
+    /// keeps its length and contents, which
+    /// [`acquire_for_overwrite`](Self::acquire_for_overwrite) reuses.
+    pub(crate) fn release(&self, v: Vec<f64>) {
         let cap = v.capacity();
         if cap < MIN_POOL_ELEMS {
             return;
@@ -153,7 +174,6 @@ impl BufferPool {
         // Largest power of two ≤ capacity, so the class key never
         // overstates what the vector can hold.
         let class = 1usize << (usize::BITS - 1 - cap.leading_zeros());
-        v.clear();
         {
             let mut free = self.free.lock().unwrap();
             let list = free.entry(class).or_default();
@@ -189,6 +209,31 @@ mod tests {
         assert_eq!((v2.as_ptr(), v2.capacity()), (ptr, cap));
         assert!(v2.iter().all(|&x| x == 0.0));
         assert_eq!(pool.held_bytes(), 0);
+    }
+
+    #[test]
+    fn overwrite_acquisition_reuses_storage_without_a_fill() {
+        let pool = BufferPool::new();
+        let mut v = pool.acquire_for_overwrite(1000);
+        assert_eq!(v.len(), 1000);
+        v.fill(7.0);
+        let ptr = v.as_ptr();
+        pool.release(v);
+        let v = pool.acquire_for_overwrite(900);
+        assert_eq!((v.len(), v.as_ptr()), (900, ptr));
+        // Release builds keep the released contents; debug builds poison.
+        let want = if cfg!(debug_assertions) {
+            f64::NAN
+        } else {
+            7.0
+        };
+        assert!(v.iter().all(|x| x.to_bits() == want.to_bits()));
+        pool.release(v);
+        // A longer request fills its growth; zeroed acquisitions still zero.
+        let v = pool.acquire_for_overwrite(1000);
+        assert_eq!(v.len(), 1000);
+        pool.release(v);
+        assert!(pool.acquire_zeroed(1000).iter().all(|&x| x == 0.0));
     }
 
     #[test]

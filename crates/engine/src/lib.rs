@@ -14,6 +14,8 @@
 //!   rates, model-size scaling, performance, dynamic data),
 //! * [`report`] — plain-text/CSV table formatting for the bench binaries.
 
+#![deny(unsafe_code)]
+
 pub mod database;
 pub mod estimators;
 pub mod experiments;

@@ -22,6 +22,8 @@
 //! dependency order: it may use devices and KDE models, but knows
 //! nothing about serving or the engine harness.
 
+#![deny(unsafe_code)]
+
 pub mod exact;
 pub mod hybrid;
 pub mod router;

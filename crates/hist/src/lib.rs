@@ -15,6 +15,8 @@
 //! whose merge changes the histogram the least (parent-child or
 //! sibling-sibling, chosen by penalty) is merged.
 
+#![deny(unsafe_code)]
+
 pub mod avi;
 pub mod stholes;
 

@@ -7,8 +7,10 @@
 //! is taken in `ln h` — the gradient is scaled by `h` (eq. 18) and the
 //! positivity safeguard is unnecessary; in linear mode updates toward zero
 //! are clamped to half the current bandwidth, exactly as §4.1 prescribes.
+//! Both modes floor the bandwidth at [`MIN_BANDWIDTH`], below which the
+//! gradient would be NaN.
 
-use crate::estimator::KdeEstimator;
+use crate::estimator::{KdeEstimator, MIN_BANDWIDTH};
 use crate::loss::LossFunction;
 use kdesel_solver::online::{GradientBatch, RmsProp, RmsPropConfig};
 use kdesel_types::QueryFeedback;
@@ -135,7 +137,7 @@ impl AdaptiveTuner {
                 .map(|(&h, &d)| {
                     // Clamp the exponent so a single wild mini-batch cannot
                     // overflow/underflow the bandwidth.
-                    (h.ln() + d.clamp(-30.0, 30.0)).exp().max(f64::MIN_POSITIVE)
+                    (h.ln() + d.clamp(-30.0, 30.0)).exp().max(MIN_BANDWIDTH)
                 })
                 .collect()
         } else {
@@ -145,7 +147,7 @@ impl AdaptiveTuner {
                 .map(|(&h, &d)| {
                     // §4.1: restrict updates towards zero to at most half
                     // the current bandwidth's value.
-                    (h + d).max(0.5 * h)
+                    (h + d).max(0.5 * h).max(MIN_BANDWIDTH)
                 })
                 .collect()
         };

@@ -12,7 +12,7 @@
 //! batching): one solver iteration is one launch over all workload queries,
 //! not `|workload|` separate estimate/gradient sweeps.
 
-use crate::estimator::KdeEstimator;
+use crate::estimator::{KdeEstimator, MIN_BANDWIDTH};
 use crate::loss::LossFunction;
 use kdesel_device::DeviceBuffer;
 use kdesel_solver::{multistart, Bounds, LbfgsConfig, MultistartConfig, Objective};
@@ -197,7 +197,11 @@ pub fn optimize_bandwidth<R: Rng + ?Sized>(
 
     let result = multistart(&objective, &bounds, &[start], &config.multistart, rng);
     let bandwidth: Vec<f64> = if config.log_space {
-        result.x.iter().map(|&v| v.exp()).collect()
+        result
+            .x
+            .iter()
+            .map(|&v| v.exp().max(MIN_BANDWIDTH))
+            .collect()
     } else {
         // Linear mode can return boundary values; enforce positivity.
         result.x.iter().map(|&v| v.max(1e-12)).collect()

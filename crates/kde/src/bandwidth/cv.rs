@@ -22,6 +22,7 @@
 //! why the paper's Batch estimator beats them (§6.2).
 
 use crate::bandwidth::scott::scott_bandwidth;
+use crate::estimator::MIN_BANDWIDTH;
 use kdesel_math::simd::{F64s, LANES};
 use kdesel_math::FRAC_1_SQRT_2PI;
 use kdesel_solver::{multistart, Bounds, LbfgsConfig, MultistartConfig, Objective};
@@ -217,7 +218,7 @@ fn accumulate_group(
         .collect();
     let tcount = group.terms.len();
     let main = n - n % LANES;
-    let mut us: Vec<[f64; LANES]> = vec![[0.0; LANES]; dims];
+    let mut us: Vec<F64s> = vec![F64s::splat(0.0); dims];
     let mut prods: Vec<[f64; LANES]> = vec![[0.0; LANES]; tcount];
     let mut gcons: Vec<[f64; LANES]> = vec![[0.0; LANES]; tcount * dims];
     let mut j0 = 0;
@@ -226,16 +227,16 @@ fn accumulate_group(
         // dimension (the columnar payoff: unit-stride loads).
         for (d, u) in us.iter_mut().enumerate() {
             let xi_d = cols[d * n + i];
-            *u = (F64s::splat(xi_d) - F64s::from_slice(&cols[d * n + j0..])).to_array();
+            *u = F64s::splat(xi_d) - F64s::from_slice(&cols[d * n + j0..]);
         }
         for (t_idx, (t, tc)) in group.terms.iter().zip(&consts).enumerate() {
             let mut prod = F64s::splat(t.coeff);
             for (u, &(a, pref, _, _, _)) in us.iter().zip(tc) {
-                prod = prod * phi_lanes(F64s(*u), pref, a);
+                prod = prod * phi_lanes(*u, pref, a);
             }
             prods[t_idx] = prod.to_array();
             for (d, (u, &(_, _, a2, a3, s))) in us.iter().zip(tc).enumerate() {
-                let uv = F64s(*u);
+                let uv = *u;
                 let dlog = (uv * uv - F64s::splat(a2)) / a3 * s;
                 gcons[t_idx * dims + d] = (prod * dlog).to_array();
             }
@@ -466,7 +467,7 @@ pub fn lscv_bandwidth<R: Rng + ?Sized>(
     };
     let mut h = minimize_cv(&objective, &start, config, rng);
     for v in &mut h {
-        *v *= rescale;
+        *v = (*v * rescale).max(MIN_BANDWIDTH);
     }
     h
 }
@@ -494,7 +495,7 @@ pub fn scv_bandwidth<R: Rng + ?Sized>(
     };
     let mut h = minimize_cv(&objective, &start, config, rng);
     for v in &mut h {
-        *v *= rescale;
+        *v = (*v * rescale).max(MIN_BANDWIDTH);
     }
     h
 }

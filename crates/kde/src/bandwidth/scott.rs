@@ -5,6 +5,7 @@
 //! uses it as the *Heuristic* baseline; §3.2 notes that on real data it
 //! "often leads to overly smoothed estimators".
 
+use crate::estimator::MIN_BANDWIDTH;
 use kdesel_math::stats::column_std_devs;
 
 /// Computes Scott's-rule bandwidths for a row-major sample.
@@ -12,7 +13,7 @@ use kdesel_math::stats::column_std_devs;
 /// Degenerate dimensions (zero variance) receive a small positive fallback
 /// (10⁻³ of the largest per-dimension std, or 10⁻³ absolute when all are
 /// degenerate) so the positivity constraint of optimization problem (5)
-/// holds from the start.
+/// holds from the start; no bandwidth falls below [`MIN_BANDWIDTH`].
 ///
 /// # Panics
 /// Panics on an empty or ragged sample.
@@ -29,7 +30,7 @@ pub fn scott_bandwidth(sample: &[f64], dims: usize) -> Vec<f64> {
         .iter()
         .map(|&sd| {
             let sd = if sd > 0.0 { sd } else { fallback };
-            factor * sd
+            (factor * sd).max(MIN_BANDWIDTH)
         })
         .collect()
 }

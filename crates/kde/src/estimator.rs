@@ -15,6 +15,12 @@ use crate::sweep;
 use kdesel_device::{Device, DeviceBuffer, SoaBuffer};
 use kdesel_types::Rect;
 
+/// The smallest bandwidth a model accepts: `2⁻⁵¹¹ = √f64::MIN_POSITIVE ≈
+/// 1.49e-154`, the smallest `h` whose square is a normal `f64`. Below it
+/// the Gaussian sweep's `1/(2h²)` and `1/(√2·√π·h²)` overflow and every
+/// bandwidth gradient is NaN, which would stop a tuner without a trace.
+pub const MIN_BANDWIDTH: f64 = f64::from_bits(512 << 52);
+
 /// A kernel density model over a fixed-size data sample.
 ///
 /// The device-resident sample uses the columnar (SoA) layout — one
@@ -95,12 +101,14 @@ impl KdeEstimator {
     ///
     /// # Panics
     /// Panics unless every component is positive and finite (the constraint
-    /// of optimization problem 5).
+    /// of optimization problem 5) and at least [`MIN_BANDWIDTH`].
     pub fn set_bandwidth(&mut self, bandwidth: Vec<f64>) {
         assert_eq!(bandwidth.len(), self.dims);
         assert!(
-            bandwidth.iter().all(|&h| h > 0.0 && h.is_finite()),
-            "bandwidth must be positive and finite: {bandwidth:?}"
+            bandwidth
+                .iter()
+                .all(|&h| h >= MIN_BANDWIDTH && h.is_finite()),
+            "bandwidth must be positive and finite, at least {MIN_BANDWIDTH:e}: {bandwidth:?}"
         );
         self.bandwidth = bandwidth;
         self.last_gradient = None;

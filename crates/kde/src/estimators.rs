@@ -469,4 +469,51 @@ mod tests {
         });
         assert!(adaptive.take_pending_replacements().is_empty());
     }
+
+    #[test]
+    fn tuning_toward_zero_lands_on_the_bandwidth_floor_with_finite_gradients() {
+        use crate::estimator::MIN_BANDWIDTH;
+        use kdesel_solver::online::RmsPropConfig;
+        assert_eq!(MIN_BANDWIDTH, f64::MIN_POSITIVE.sqrt());
+        assert_eq!(MIN_BANDWIDTH * MIN_BANDWIDTH, f64::MIN_POSITIVE);
+        // Every point at the origin and a bandwidth just above the floor.
+        // The query's lower edge one bandwidth above the points gives a
+        // large positive dp/dh, so feedback that the true selectivity is
+        // 0 pushes h down by the tuner's largest step, far below the floor.
+        let sample = vec![0.0; 16 * 2];
+        let h0 = 1.2 * MIN_BANDWIDTH;
+        let region = Rect::from_intervals(&[(h0, 1.0), (-1.0, 1.0)]);
+        for log_updates in [true, false] {
+            let mut model =
+                KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
+            model.set_bandwidth(vec![h0, h0]);
+            let config = AdaptiveConfig {
+                mini_batch: 1,
+                log_updates,
+                rmsprop: RmsPropConfig {
+                    rate_init: 50.0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let mut adaptive = AdaptiveKde::from_estimator(model, config, KarmaConfig::default());
+            let estimate = adaptive.estimate(&region);
+            assert!(estimate > 0.1, "log={log_updates}: estimate {estimate}");
+            adaptive.observe(&QueryFeedback {
+                region: region.clone(),
+                estimate,
+                actual: 0.0,
+                cardinality: 0,
+            });
+            assert_eq!(adaptive.updates_applied(), 1);
+            let h = adaptive.model().bandwidth();
+            assert_eq!(h[0], MIN_BANDWIDTH, "log={log_updates}: {h:?}");
+            let (value, gradient) = adaptive.inner.estimate_with_gradient(&region);
+            assert!(value.is_finite(), "log={log_updates}: estimate {value}");
+            assert!(
+                gradient.iter().all(|g| g.is_finite()),
+                "log={log_updates}: gradient {gradient:?}"
+            );
+        }
+    }
 }

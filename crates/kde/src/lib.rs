@@ -27,6 +27,8 @@
 //! batch optimizer already drives a discrete dimension's bandwidth toward
 //! counting (pinned by a test in [`bandwidth::batch`]).
 
+#![deny(unsafe_code)]
+
 pub mod bandwidth;
 pub mod estimator;
 pub mod estimators;
@@ -40,7 +42,7 @@ pub use bandwidth::adaptive::{AdaptiveConfig, AdaptiveTuner};
 pub use bandwidth::batch::{optimize_bandwidth, BatchConfig, WorkloadObjective};
 pub use bandwidth::cv::{lscv_bandwidth, scv_bandwidth, CvConfig};
 pub use bandwidth::scott::scott_bandwidth;
-pub use estimator::KdeEstimator;
+pub use estimator::{KdeEstimator, MIN_BANDWIDTH};
 pub use estimators::{AdaptiveKde, BatchKde, HeuristicKde, ScvKde};
 pub use karma::{KarmaConfig, KarmaMaintenance};
 pub use kdesel_solver::online::RmsPropConfig;

@@ -4,9 +4,9 @@
 //! [`crate::kernel`]: each function consumes a [`ColsView`] — one
 //! unit-stride stripe per dimension, as staged by
 //! `Device::stage_rows_soa` — and processes [`LANES`] sample points per
-//! step with [`F64s`] elementwise arithmetic. Loop bodies are
-//! branch-free, so with `-C target-cpu=native` LLVM lowers them to
-//! packed vector instructions.
+//! step with [`F64s`] elementwise arithmetic: one AVX-512 register per
+//! pack where the build enables `avx512f`, else an aligned array whose
+//! branch-free loops LLVM lowers to the target's packed instructions.
 //!
 //! # Pre-scaled bandwidths
 //!
@@ -41,8 +41,8 @@
 //!   operation sequence: the tail helpers ([`factor_scalar`],
 //!   [`dfactor_scalar`]) are the per-lane expressions of
 //!   [`factor_lanes`]/[`dfactor_lanes`] verbatim, [`F64s`] never
-//!   reassociates or fuses, and `F64s::erf`/`F64s::exp` map the very
-//!   lane functions the tails call.
+//!   reassociates or fuses, and `F64s::erf`/`F64s::exp` and the tails'
+//!   `simd::erf`/`simd::exp` are one generic lane-function source.
 //! * [`DimParams::new`] is deterministic, so recomputing it in a tail
 //!   helper yields the same bits as the hoisted copy.
 //! * Range factors are always `≥ +0.0` (they are probabilities; both
@@ -107,8 +107,9 @@ impl DimParams {
 }
 
 /// [`LANES`] range factors of one dimension: the pre-scaled vector form
-/// of [`KernelFn::range_factor`].
-#[inline]
+/// of [`KernelFn::range_factor`]. Always inlined, so its packs stay in
+/// vector registers instead of passing through stack slots.
+#[inline(always)]
 fn factor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
     match kernel {
         KernelFn::Gaussian => {
@@ -143,7 +144,7 @@ fn factor_scalar(kernel: KernelFn, t: f64, p: DimParams) -> f64 {
 }
 
 /// Elementwise Epanechnikov CDF `0.25·(3u − u³) + 0.5`.
-#[inline]
+#[inline(always)]
 fn epa_cdf_lanes(u: F64s) -> F64s {
     (u * 3.0 - u * u * u) * 0.25 + 0.5
 }
@@ -158,8 +159,9 @@ fn epa_cdf(u: f64) -> f64 {
 /// vector form of [`KernelFn::range_factor_dh`]. Guarded terms
 /// (infinite bounds, compact support) are branch-free: every lane
 /// computes unconditionally and the out-of-support lanes are zeroed,
-/// matching the scalar `else { 0.0 }` arms.
-#[inline]
+/// matching the scalar `else { 0.0 }` arms. Always inlined, like
+/// [`factor_lanes`].
+#[inline(always)]
 fn dfactor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
     match kernel {
         KernelFn::Gaussian => {
@@ -395,30 +397,30 @@ pub(crate) fn fused_strided_into(
     } else {
         0 // scalar fallback handles everything
     };
-    let mut factors = [[0.0f64; LANES]; MAX_STACK_DIMS];
-    let mut dfactors = [[0.0f64; LANES]; MAX_STACK_DIMS];
+    let mut factors = [F64s::splat(0.0); MAX_STACK_DIMS];
+    let mut dfactors = [F64s::splat(0.0); MAX_STACK_DIMS];
     let gbase = offset + usize::from(with_value);
     let mut r = 0;
     while r < main {
         for (j, &p) in params.iter().enumerate() {
             let t = F64s::from_slice(&cols.col(j)[r..]);
-            factors[j] = factor_lanes(kernel, t, p).to_array();
-            dfactors[j] = dfactor_lanes(kernel, t, p).to_array();
+            factors[j] = factor_lanes(kernel, t, p);
+            dfactors[j] = dfactor_lanes(kernel, t, p);
         }
         if with_value {
-            let mut acc = F64s(factors[0]);
-            for f in &factors[1..d] {
-                acc = acc * F64s(*f);
+            let mut acc = factors[0];
+            for &f in &factors[1..d] {
+                acc = acc * f;
             }
             for (l, v) in acc.to_array().iter().enumerate() {
                 out[(r + l) * width + offset] = *v;
             }
         }
         for i in 0..d {
-            let mut acc = F64s(dfactors[i]);
-            for (j, f) in factors[..d].iter().enumerate() {
+            let mut acc = dfactors[i];
+            for (j, &f) in factors[..d].iter().enumerate() {
                 if j != i {
-                    acc = acc * F64s(*f);
+                    acc = acc * f;
                 }
             }
             for (l, v) in acc.to_array().iter().enumerate() {

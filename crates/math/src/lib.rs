@@ -12,10 +12,13 @@
 //! * [`stats`] — streaming (Welford) moments and covariance, used for
 //!   Scott's rule (paper eq. 3) and the dataset generators,
 //! * [`vecops`] — small dense-vector kernels shared by the solver,
-//! * [`simd`] — a portable fixed-width f64 lane type for the vectorized
-//!   columnar kernel sweeps (unsafe-free, auto-vectorized), with the
-//!   branch-free lane `erf` and `exp` the Gaussian sweeps run, pinned
-//!   to within 2 ulp of [`erf`] and 1 ulp of `f64::exp`.
+//! * [`simd`] — the fixed-width f64 lane pack for the vectorized
+//!   columnar kernel sweeps (one AVX-512 register where the build enables
+//!   `avx512f`, an aligned array elsewhere; the workspace's only `unsafe`
+//!   code), with the branch-free lane `erf` and `exp` the Gaussian sweeps
+//!   run, pinned to within 2 ulp of [`erf`] and 1 ulp of `f64::exp`.
+
+#![deny(unsafe_code)]
 
 pub mod erf;
 pub mod normal;

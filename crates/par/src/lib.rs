@@ -47,6 +47,8 @@
 //! what makes fused-vs-unfused bit-identity a structural property rather
 //! than a numerical accident.
 
+#![deny(unsafe_code)]
+
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,14 +64,17 @@ pub const CHUNKS: usize = 64;
 /// longer than starting the thread that runs it, so the minimum is one
 /// spawn-and-join expressed in sweep work. Both figures come from the
 /// `par_dispatch` group of `crates/bench/benches/micro.rs` (medians of
-/// three runs on a 2-vCPU x86-64 KVM guest): a one-block Gaussian 8D
-/// estimate, one fused `sweep_reduce` of 1024 × 484 claimed FLOPs, took
-/// 158 µs run inline by this rule (`work_sized/1`) and 253 µs on a scoped
-/// thread spawned for it (`scoped_spawn/1`), a 95 µs spawn-and-join; at
-/// the inline 3.1 GFLOP/s of claim that is 3.0e5 claimed FLOPs. The
-/// 64-block estimate took 9.9 ms with every block on the caller
-/// (`inline/64`) and 5.8 ms under this rule, on the caller and one
-/// spawned thread (`work_sized/64`).
+/// three runs on a 2-vCPU AVX-512 Xeon KVM guest, with the sweeps on
+/// zmm lane packs): a one-block Gaussian 8D estimate, one fused
+/// `sweep_reduce` of 1024 × 484 claimed FLOPs, took 84 µs run inline by
+/// this rule (`work_sized/1`) and 138 µs on a scoped thread spawned for
+/// it (`scoped_spawn/1`), a 54 µs spawn-and-join; at the inline
+/// 5.9 GFLOP/s of claim that is 3.2e5 claimed FLOPs, so the minimum
+/// stays 3.0e5 (on ymm-width sweeps it measured 158 µs, a 95 µs
+/// spawn-and-join and 3.1 GFLOP/s: also 3.0e5). The 64-block estimate
+/// took 5.8 ms with every block on the caller (`inline/64`) and 3.8 ms
+/// under this rule, on the caller and one spawned thread
+/// (`work_sized/64`).
 pub const MIN_FLOPS_PER_THREAD: f64 = 3.0e5;
 
 /// Number of worker threads to fan out to (cached).

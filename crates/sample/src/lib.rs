@@ -15,6 +15,8 @@
 //! * [`StreamSampler`] — an owning convenience wrapper that materializes a
 //!   uniform sample from any stream (used by tests and dataset tooling).
 
+#![deny(unsafe_code)]
+
 pub mod estimator;
 pub mod reservoir;
 

@@ -54,6 +54,8 @@
 //! coalescing-ratio counters) is registered under `serve.*` in
 //! `kdesel-telemetry`.
 
+#![deny(unsafe_code)]
+
 pub mod capture;
 pub mod config;
 pub mod model;

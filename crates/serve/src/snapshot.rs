@@ -3,7 +3,7 @@
 //! never leaves a torn checkpoint behind.
 
 use crate::model::ModelKey;
-use kdesel_kde::ModelSnapshot;
+use kdesel_kde::{ModelSnapshot, MIN_BANDWIDTH};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -82,8 +82,14 @@ pub fn validate(snapshot: &ModelSnapshot) -> Result<(), String> {
             snapshot.dims
         ));
     }
-    if !snapshot.bandwidth.iter().all(|h| h.is_finite() && *h > 0.0) {
-        return Err("bandwidth entries must be positive and finite".to_string());
+    if !snapshot
+        .bandwidth
+        .iter()
+        .all(|h| h.is_finite() && *h >= MIN_BANDWIDTH)
+    {
+        return Err(format!(
+            "bandwidth entries must be finite and at least {MIN_BANDWIDTH:e}"
+        ));
     }
     if !snapshot.sample.iter().all(|v| v.is_finite()) {
         return Err("sample entries must be finite".to_string());
@@ -178,6 +184,7 @@ mod tests {
             }),
             ("negative bandwidth", |s| s.bandwidth[0] = -1.0),
             ("nan bandwidth", |s| s.bandwidth[0] = f64::NAN),
+            ("bandwidth below the floor", |s| s.bandwidth[0] = 1e-160),
             ("nan sample", |s| s.sample[0] = f64::NAN),
             ("unknown kernel", |s| s.kernel = "triangular".to_string()),
             ("invalid router state", |s| {

@@ -10,6 +10,8 @@
 //! No statistical regression machinery, HTML reports, or CLI filtering —
 //! run with `cargo bench` and read the table from stdout.
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Throughput annotation for a benchmark group.

@@ -10,6 +10,8 @@
 //! `Debug`), which is enough to reproduce — generation is deterministic
 //! per test name.
 
+#![deny(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SampleUniform, SeedableRng};
 use std::ops::Range;

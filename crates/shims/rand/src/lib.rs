@@ -17,6 +17,8 @@
 //! * [`distributions::Distribution`], re-exported by the `rand_distr`
 //!   shim.
 
+#![deny(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level generator interface: everything derives from `next_u64`.

@@ -8,6 +8,8 @@
 //! samples with a ziggurat, so streams are not bit-compatible; behavior
 //! within this workspace is deterministic per seed.
 
+#![deny(unsafe_code)]
+
 pub use rand::distributions::Distribution;
 use rand::RngCore;
 

@@ -14,6 +14,8 @@
 //! * [`testfns`] — standard optimization test functions used by the test
 //!   suite and benches.
 
+#![deny(unsafe_code)]
+
 pub mod lbfgs;
 pub mod linesearch;
 pub mod multistart;

@@ -17,6 +17,8 @@
 //! estimator's reservoir path in the same call, and deletions reach the
 //! model through query feedback (Karma, §4.2).
 
+#![deny(unsafe_code)]
+
 pub mod sampling;
 pub mod table;
 

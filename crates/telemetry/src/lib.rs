@@ -22,6 +22,8 @@
 //! buckets are atomics; the registry map itself is only locked on handle
 //! resolution (done once per call site, not per operation).
 
+#![deny(unsafe_code)]
+
 mod event;
 mod expo;
 pub mod json;

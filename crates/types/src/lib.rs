@@ -13,6 +13,8 @@
 //!   estimator in the evaluation (§6.1.1),
 //! * error metrics and summary statistics used by the experiments (§6.2).
 
+#![deny(unsafe_code)]
+
 pub mod budget;
 pub mod error_metrics;
 pub mod estimator;

@@ -20,6 +20,16 @@ run cargo test -q --offline --release -p kdesel-serve -- --ignored
 # evaluations, about a minute unoptimized and a few seconds in release,
 # so it is #[ignore]d by default and run here.
 run cargo test -q --offline --release -p kdesel-math -- --ignored
+# The lane pack `kdesel_math::simd::F64s` has an AVX-512 arm, which the
+# workspace's target-cpu=native picks on an AVX-512 host, and a portable
+# `[f64; 8]` arm for every other build. Test the portable arm too, built
+# for a target without AVX-512 in its own target dir: its packs must equal
+# the scalar lane functions bitwise and reproduce the pinned hashes of
+# tests/simd_soa.rs.
+run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
+    cargo test -q --offline --target-dir target/portable -p kdesel-math -p kdesel-kde
+run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
+    cargo test -q --offline --target-dir target/portable -p kdesel --test simd_soa
 # The hybrid-estimator serve round-trip (checkpoint, restart, bitwise
 # continuation of the router + tuned KDE member) is the bake-off
 # subsystem's persistence contract; run it by name so a checkpoint-format

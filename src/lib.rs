@@ -24,6 +24,8 @@
 //! assert!(nothing < 1e-9);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use kdesel_data as data;
 pub use kdesel_device as device;
 pub use kdesel_engine as engine;

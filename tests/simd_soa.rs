@@ -135,3 +135,149 @@ proptest! {
         prop_assert_eq!(batch[0].to_bits(), soa.to_bits(), "batch vs per-query");
     }
 }
+
+/// FNV-1a over the bit patterns of `values`.
+fn bits_hash(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// SplitMix64, so the pinned inputs depend on nothing but this file.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next_f64(&mut self, lo: f64, hi: f64) -> f64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        lo + (hi - lo) * ((z >> 11) as f64 / (1u64 << 53) as f64)
+    }
+}
+
+/// Special arguments for the lane-function grids: signed zeros and
+/// infinities, NaN of both signs, erf's saturation and rational switch
+/// points, and subnormals.
+const SPECIAL_ARGS: [f64; 16] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    6.0,
+    -6.0,
+    0.46875,
+    -0.46875,
+    5e-324,
+    -5e-324,
+    1e-310,
+    -1e-310,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+];
+
+/// `SPECIAL_ARGS` followed by `2^13` evenly spaced points over `[lo, hi]`.
+fn lane_grid(lo: f64, hi: f64) -> Vec<f64> {
+    let steps = 1 << 13;
+    let mut args = SPECIAL_ARGS.to_vec();
+    args.extend((0..steps).map(|i| lo + (hi - lo) * f64::from(i) / f64::from(steps - 1)));
+    args
+}
+
+/// Scalar and pack hashes of a lane function over `args`.
+fn lane_hashes(
+    args: &[f64],
+    scalar: fn(f64) -> f64,
+    pack: fn(kdesel::math::simd::F64s) -> kdesel::math::simd::F64s,
+) -> (u64, u64) {
+    use kdesel::math::simd::{F64s, LANES};
+    assert_eq!(args.len() % LANES, 0);
+    let packed = args
+        .chunks_exact(LANES)
+        .flat_map(|c| pack(F64s::from_slice(c)).to_array());
+    (
+        bits_hash(args.iter().map(|&x| scalar(x))),
+        bits_hash(packed),
+    )
+}
+
+/// Every output bit of `estimate_batch`, `estimate_with_gradient` and
+/// `estimate_batch_with_gradients_at` on one seeded model.
+fn estimator_hash(kernel: KernelFn, dims: usize, rows: usize, seed: u64) -> u64 {
+    let mut rng = SplitMix(seed);
+    let sample: Vec<f64> = (0..rows * dims).map(|_| rng.next_f64(0.0, 100.0)).collect();
+    let mut queries: Vec<Rect> = (0..3)
+        .map(|_| {
+            let spans: Vec<(f64, f64)> = (0..dims)
+                .map(|_| {
+                    let a = rng.next_f64(-10.0, 90.0);
+                    (a, a + rng.next_f64(5.0, 70.0))
+                })
+                .collect();
+            Rect::from_intervals(&spans)
+        })
+        .collect();
+    // An unbounded lower edge (the guarded Gaussian derivative) and an
+    // interval far outside the sample (exact-zero factors, `exp` in the
+    // subnormal range and underflow).
+    let mut spans: Vec<(f64, f64)> = (0..dims).map(|_| (20.0, 80.0)).collect();
+    spans[0] = (f64::NEG_INFINITY, 50.0);
+    spans[dims - 1] = (-900.0, -850.0);
+    queries.push(Rect::from_intervals(&spans));
+    let mut est = KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, dims, kernel);
+    let mut bits = est.estimate_batch(&queries);
+    for q in &queries {
+        let (value, gradient) = est.estimate_with_gradient(q);
+        bits.push(value);
+        bits.extend(gradient);
+    }
+    let candidate: Vec<f64> = est.bandwidth().iter().map(|h| h * 0.7).collect();
+    for (value, gradient) in est.estimate_batch_with_gradients_at(&candidate, &queries) {
+        bits.push(value);
+        bits.extend(gradient);
+    }
+    bits_hash(bits)
+}
+
+const ERF_BITS: u64 = 0xa89f_188a_7b71_8870;
+const EXP_BITS: u64 = 0x7a6b_2592_3d89_799e;
+const GAUSSIAN_8D_BITS: u64 = 0xf765_e14d_da2b_178d;
+const EPANECHNIKOV_3D_BITS: u64 = 0xeb2d_0baa_414a_6638;
+
+/// Bit pins against constants computed before the lane pack had an
+/// AVX-512 arm: the scalar and pack lane `erf`/`exp` over grids with
+/// special values, and the seeded estimate, gradient and batched
+/// objective outputs of a Gaussian 8D and an Epanechnikov 3D model. Both
+/// `F64s` arms must reproduce every bit.
+#[test]
+fn lane_functions_and_sweeps_keep_their_pinned_bits() {
+    use kdesel::math::simd::{self, F64s};
+    let erf_args = lane_grid(-8.0, 8.0);
+    let (scalar, pack) = lane_hashes(&erf_args, simd::erf, F64s::erf);
+    let exp_args = lane_grid(-760.0, 720.0);
+    let (exp_scalar, exp_pack) = lane_hashes(&exp_args, simd::exp, F64s::exp);
+    let gauss = estimator_hash(KernelFn::Gaussian, 8, 517, 0x6a05);
+    let epan = estimator_hash(KernelFn::Epanechnikov, 3, 777, 0xe3a);
+    assert_eq!(
+        (scalar, pack),
+        (ERF_BITS, ERF_BITS),
+        "lane erf (scalar, pack)"
+    );
+    assert_eq!(
+        (exp_scalar, exp_pack),
+        (EXP_BITS, EXP_BITS),
+        "lane exp (scalar, pack)"
+    );
+    assert_eq!(gauss, GAUSSIAN_8D_BITS, "Gaussian 8D estimator outputs");
+    assert_eq!(
+        epan, EPANECHNIKOV_3D_BITS,
+        "Epanechnikov 3D estimator outputs"
+    );
+}
