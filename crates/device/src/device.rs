@@ -168,11 +168,149 @@ impl Drop for DeviceBuffer {
     }
 }
 
+/// Rows per distinct value a column must average to be dictionary-coded:
+/// a column of `rows` rows gets a dictionary when it holds at most
+/// `rows / DICT_ROWS_PER_VALUE` distinct values (and at most 2¹⁶, the
+/// `u16` code space). At that ratio a sweep evaluating each distinct
+/// value's kernel factor once per query does at most 1/16 of the
+/// factor work of evaluating every row.
+pub const DICT_ROWS_PER_VALUE: usize = 16;
+
+/// Most distinct values a dictionary of a `rows`-row column may hold.
+fn dict_cap(rows: usize) -> usize {
+    (rows / DICT_ROWS_PER_VALUE).min(1 << 16)
+}
+
+/// A column's dictionary: its distinct values and one `u16` code per
+/// row, with `values[codes[r]]` bitwise equal to the stripe's row `r`.
+/// Values are keyed by their bits, so `-0.0` and `+0.0` (and NaN
+/// payloads) are distinct entries.
+#[derive(Debug)]
+struct Dict {
+    /// Distinct values, in order of first appearance. A value whose last
+    /// row was overwritten stays (it only costs its table entry).
+    values: Vec<f64>,
+    codes: Vec<u16>,
+    /// Open-addressing index over the values' bits: `code + 1` per slot,
+    /// 0 when empty. A power of two long, at most half full.
+    slots: Vec<u32>,
+}
+
+impl Dict {
+    /// Builds the dictionary of one stripe, or `None` once the stripe
+    /// shows more than `cap` distinct values. `slots` and `codes` are
+    /// scratch shared by a staging pass's columns: the index is sized for
+    /// `cap` values up front, so building never rehashes, and a kept
+    /// dictionary takes the codes and a right-sized copy of its index.
+    fn build(
+        stripe: &[f64],
+        cap: usize,
+        slots: &mut Vec<u32>,
+        codes: &mut Vec<u16>,
+    ) -> Option<Self> {
+        if cap == 0 {
+            return None;
+        }
+        slots.clear();
+        slots.resize((2 * cap).next_power_of_two(), 0);
+        codes.clear();
+        codes.reserve(stripe.len());
+        let mut values = Vec::new();
+        for &v in stripe {
+            let code = match probe(slots, &values, v.to_bits()) {
+                (_, Some(code)) => code,
+                (_, None) if values.len() == cap => return None,
+                (slot, None) => {
+                    values.push(v);
+                    slots[slot] = values.len() as u32;
+                    values.len() - 1
+                }
+            };
+            codes.push(code as u16);
+        }
+        let mut dict = Self {
+            values,
+            codes: std::mem::take(codes),
+            slots: Vec::new(),
+        };
+        dict.reindex();
+        Some(dict)
+    }
+
+    /// Rebuilds the index at twice the values' count, rounded up to a
+    /// power of two.
+    fn reindex(&mut self) {
+        self.slots.clear();
+        let len = (2 * self.values.len()).next_power_of_two().max(16);
+        self.slots.resize(len, 0);
+        for (code, v) in self.values.iter().enumerate() {
+            let (slot, _) = probe(&self.slots, &self.values[..code], v.to_bits());
+            self.slots[slot] = code as u32 + 1;
+        }
+    }
+
+    /// The code of `v`, appending it when new; `None` when a new value
+    /// would take the dictionary past `cap` values.
+    fn code_of(&mut self, v: f64, cap: usize) -> Option<u16> {
+        let slot = match probe(&self.slots, &self.values, v.to_bits()) {
+            (_, Some(code)) => return Some(code as u16),
+            (_, None) if self.values.len() == cap => return None,
+            (slot, None) => slot,
+        };
+        self.values.push(v);
+        self.slots[slot] = self.values.len() as u32;
+        if 2 * self.values.len() > self.slots.len() {
+            self.reindex();
+        }
+        Some((self.values.len() - 1) as u16)
+    }
+}
+
+/// Looks `bits` up in an open-addressing index over `values` (slot =
+/// `code + 1`, 0 when empty): the slot holding it with its code, or the
+/// empty slot where it would go.
+#[inline]
+fn probe(slots: &[u32], values: &[f64], bits: u64) -> (usize, Option<usize>) {
+    let mask = slots.len() - 1;
+    let mut i = slot_hash(bits) & mask;
+    loop {
+        match slots[i] {
+            0 => return (i, None),
+            s if values[s as usize - 1].to_bits() == bits => return (i, Some(s as usize - 1)),
+            _ => i = (i + 1) & mask,
+        }
+    }
+}
+
+/// Fibonacci hash of a value's bits, folded so the low slot bits depend
+/// on the exponent and high mantissa bits that small integers differ in.
+fn slot_hash(bits: u64) -> usize {
+    let h = (bits ^ (bits >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h >> 32) as usize
+}
+
+/// A dictionary-coded column as a sweep sees it: the column's distinct
+/// values and the codes of the rows in view, with `values[codes[r]]`
+/// bitwise equal to row `r` of the column's stripe.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnDict<'a> {
+    /// The column's distinct values.
+    pub values: &'a [f64],
+    /// One code per row in view.
+    pub codes: &'a [u16],
+}
+
 /// A device-resident sample staged column-major (structure-of-arrays):
 /// one contiguous stripe per dimension, so the per-dimension kernel
 /// factor of paper eq. 16 reads memory at unit stride — the CPU-side
 /// analogue of the coalesced global-memory access pattern the paper's
 /// GPU kernels get from one-thread-per-point layout (§5).
+///
+/// A column with few distinct values (at most `rows /`
+/// [`DICT_ROWS_PER_VALUE`]) also carries a dictionary beside its
+/// stripe ([`SoaBuffer::dict`]), so a sweep can evaluate each distinct
+/// value's kernel factor once per query and read the rows' factors by
+/// code. The stripe itself is the same either way.
 ///
 /// Created by [`Device::stage_rows_soa`]; consumed by the `sweep_*`
 /// kernels. Mutation goes through [`Device::write_row_soa`] so every
@@ -182,21 +320,49 @@ pub struct SoaBuffer {
     buf: DeviceBuffer,
     rows: usize,
     dims: usize,
-    /// Telemetry bookkeeping: the `device.soa_staged_bytes` gauge and the
-    /// amount this buffer added to it (0 when telemetry was off at
-    /// staging time), so drop can subtract exactly what stage added.
-    staged: Option<(Arc<kdesel_telemetry::Gauge>, f64)>,
+    /// One entry per dimension: the column's dictionary, if coded.
+    dicts: Vec<Option<Dict>>,
+    /// Telemetry bookkeeping, set when telemetry was on at staging time
+    /// so drop subtracts exactly what staging added.
+    staged: Option<StagedGauges>,
+}
+
+/// The gauges a staged sample adds to: `device.soa_staged_bytes` (by
+/// `bytes`) and `device.soa_dict_columns` (by its coded columns).
+#[derive(Debug)]
+struct StagedGauges {
+    bytes: Arc<kdesel_telemetry::Gauge>,
+    staged_bytes: f64,
+    dict_columns: Arc<kdesel_telemetry::Gauge>,
 }
 
 impl Drop for SoaBuffer {
     fn drop(&mut self) {
-        if let Some((gauge, bytes)) = self.staged.take() {
-            gauge.add(-bytes);
+        if let Some(g) = self.staged.take() {
+            g.bytes.add(-g.staged_bytes);
+            g.dict_columns.add(-(self.dict_columns() as f64));
         }
     }
 }
 
 impl SoaBuffer {
+    /// Dimension `d`'s dictionary (codes for every row), when its column
+    /// is dictionary-coded.
+    ///
+    /// # Panics
+    /// Panics when `d` is out of range.
+    pub fn dict(&self, d: usize) -> Option<ColumnDict<'_>> {
+        self.dicts[d].as_ref().map(|dict| ColumnDict {
+            values: &dict.values,
+            codes: &dict.codes,
+        })
+    }
+
+    /// Number of dictionary-coded columns.
+    pub fn dict_columns(&self) -> usize {
+        self.dicts.iter().filter(|d| d.is_some()).count()
+    }
+
     /// Number of staged rows (sample points).
     pub fn rows(&self) -> usize {
         self.rows
@@ -225,13 +391,14 @@ impl SoaBuffer {
 #[derive(Debug, Clone, Copy)]
 pub struct ColsView<'a> {
     data: &'a [f64],
+    dicts: &'a [Option<Dict>],
     total_rows: usize,
     dims: usize,
     start: usize,
     len: usize,
 }
 
-impl ColsView<'_> {
+impl<'a> ColsView<'a> {
     /// Rows in this window.
     pub fn rows(&self) -> usize {
         self.len
@@ -246,9 +413,21 @@ impl ColsView<'_> {
     ///
     /// # Panics
     /// Panics when `d` is out of range.
-    pub fn col(&self, d: usize) -> &[f64] {
+    pub fn col(&self, d: usize) -> &'a [f64] {
         assert!(d < self.dims, "column {d} out of range");
         &self.data[d * self.total_rows + self.start..][..self.len]
+    }
+
+    /// Dimension `d`'s dictionary with the codes of this window's rows,
+    /// when its column is dictionary-coded.
+    ///
+    /// # Panics
+    /// Panics when `d` is out of range.
+    pub fn dict(&self, d: usize) -> Option<ColumnDict<'a>> {
+        self.dicts[d].as_ref().map(|dict| ColumnDict {
+            values: &dict.values,
+            codes: &dict.codes[self.start..][..self.len],
+        })
     }
 }
 
@@ -271,6 +450,8 @@ struct Meters {
     measured_us: Arc<kdesel_telemetry::Gauge>,
     /// Bytes currently staged column-major on this device.
     soa_bytes: Arc<kdesel_telemetry::Gauge>,
+    /// Dictionary-coded columns in this device's staged samples.
+    soa_dicts: Arc<kdesel_telemetry::Gauge>,
     /// Per-launch-kind latency histograms (`device.kernel.<kind>`).
     kinds: KindMeters,
 }
@@ -287,6 +468,7 @@ impl Meters {
             modeled_us: r.gauge(&format!("device.modeled_us.{}", backend.name())),
             measured_us: r.gauge(&format!("device.measured_us.{}", backend.name())),
             soa_bytes: r.gauge("device.soa_staged_bytes"),
+            soa_dicts: r.gauge("device.soa_dict_columns"),
             kinds: KindMeters::new(),
         }
     }
@@ -522,6 +704,11 @@ impl Device {
     /// access on the GPU. Charged exactly like [`Device::upload`] of the
     /// same rows; the transpose happens device-side.
     ///
+    /// The same pass gives each column that holds at most `rows /`
+    /// [`DICT_ROWS_PER_VALUE`] distinct values a dictionary
+    /// ([`SoaBuffer::dict`]); a column gives its attempt up as soon as it
+    /// shows one value more.
+    ///
     /// # Panics
     /// Panics when `dims` is zero or `host_rows` is ragged.
     pub fn stage_rows_soa(&self, host_rows: &[f64], dims: usize) -> SoaBuffer {
@@ -529,7 +716,7 @@ impl Device {
         assert_eq!(host_rows.len() % dims, 0, "ragged host rows");
         let rows = host_rows.len() / dims;
         let bytes = std::mem::size_of_val(host_rows);
-        let buf = self.charge(
+        let (buf, dicts) = self.charge(
             Launch::transfer(LaunchKind::StageRowsSoa, bytes),
             self.cost.transfer(bytes),
             |s| {
@@ -543,25 +730,43 @@ impl Device {
                         data[d * rows + r] = v;
                     }
                 }
-                self.wrap(data)
+                let (mut slots, mut codes) = (Vec::new(), Vec::new());
+                let dicts: Vec<Option<Dict>> = (0..dims)
+                    .map(|d| {
+                        let stripe = &data[d * rows..][..rows];
+                        Dict::build(stripe, dict_cap(rows), &mut slots, &mut codes)
+                    })
+                    .collect();
+                (self.wrap(data), dicts)
             },
         );
-        let staged = kdesel_telemetry::enabled().then(|| {
-            self.meters.soa_bytes.add(bytes as f64);
-            (Arc::clone(&self.meters.soa_bytes), bytes as f64)
-        });
-        SoaBuffer {
+        let mut soa = SoaBuffer {
             buf,
             rows,
             dims,
-            staged,
+            dicts,
+            staged: None,
+        };
+        if kdesel_telemetry::enabled() {
+            let m = &self.meters;
+            m.soa_bytes.add(bytes as f64);
+            m.soa_dicts.add(soa.dict_columns() as f64);
+            soa.staged = Some(StagedGauges {
+                bytes: Arc::clone(&m.soa_bytes),
+                staged_bytes: bytes as f64,
+                dict_columns: Arc::clone(&m.soa_dicts),
+            });
         }
+        soa
     }
 
     /// Overwrites one staged row (one transfer of `dims` values) — the
     /// columnar equivalent of [`Device::write_at`] for the paper's
     /// single-PCIe-write sample-point replacement (§5.1). The write
-    /// scatters into the per-dimension stripes device-side.
+    /// scatters into the per-dimension stripes device-side and keeps
+    /// every dictionary in step: a value the column's dictionary lacks
+    /// is appended while the dictionary stays within its cap, and past
+    /// the cap the column drops its dictionary.
     ///
     /// # Panics
     /// Panics when `row` is out of range or `values` is not `dims` long.
@@ -571,7 +776,8 @@ impl Device {
             "device write OOB"
         );
         let bytes = std::mem::size_of_val(values);
-        self.charge(
+        let cap = dict_cap(buf.rows);
+        let dropped = self.charge(
             Launch::transfer(LaunchKind::WriteRowSoa, bytes),
             self.cost.transfer(bytes),
             |s| {
@@ -579,11 +785,37 @@ impl Device {
                 s.bytes_up += bytes as u64;
             },
             || {
+                let mut dropped = 0u32;
                 for (d, &v) in values.iter().enumerate() {
                     buf.buf.data[d * buf.rows + row] = v;
+                    let slot = &mut buf.dicts[d];
+                    if let Some(dict) = slot {
+                        match dict.code_of(v, cap) {
+                            Some(code) => dict.codes[row] = code,
+                            None => {
+                                *slot = None;
+                                dropped += 1;
+                            }
+                        }
+                    }
                 }
+                dropped
             },
-        )
+        );
+        if let Some(g) = &buf.staged {
+            g.dict_columns.add(-f64::from(dropped));
+        }
+    }
+
+    /// Runs `f` on `len` elements of pooled scratch whose prior contents
+    /// are unspecified (NaN in debug builds), then returns the storage to
+    /// the pool: the home of a launch's hoisted constants, such as the
+    /// per-query kernel parameters and factor tables a sweep reads.
+    pub fn with_scratch<T>(&self, len: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
+        let mut scratch = self.pool.acquire_for_overwrite(len);
+        let out = f(&mut scratch);
+        self.pool.release(scratch);
+        out
     }
 
     /// Backend dispatch for a columnar sweep: hands each fixed-size
@@ -603,6 +835,7 @@ impl Device {
         debug_assert_eq!(out.len(), sample.rows * out_width);
         let view = |start: usize, len: usize| ColsView {
             data: &sample.buf.data,
+            dicts: &sample.dicts,
             total_rows: sample.rows,
             dims: sample.dims,
             start,
@@ -1268,6 +1501,105 @@ mod tests {
         let d = Device::new(Backend::CpuSeq);
         let mut soa = d.stage_rows_soa(&[0.0; 6], 3);
         d.write_row_soa(&mut soa, 2, &[1.0, 2.0, 3.0]);
+    }
+
+    /// Asserts `values[codes[r]]` equals row `r` of the stripe, bitwise,
+    /// in every dictionary-coded column.
+    fn assert_dicts_match_stripes(d: &Device, soa: &SoaBuffer) {
+        let (rows, dims) = (soa_rows(d, soa), soa.dims());
+        for j in 0..dims {
+            let Some(dict) = soa.dict(j) else {
+                continue;
+            };
+            assert_eq!(dict.codes.len(), soa.rows(), "column {j}");
+            for (r, &code) in dict.codes.iter().enumerate() {
+                assert_eq!(
+                    dict.values[usize::from(code)].to_bits(),
+                    rows[r * dims + j].to_bits(),
+                    "column {j} row {r}"
+                );
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn staging_codes_columns_with_few_distinct_values() {
+        // 1,000 rows: a coded column holds at most 62 distinct values.
+        let n = 1000;
+        let cap = n / DICT_ROWS_PER_VALUE;
+        let host: Vec<f64> = (0..n)
+            .flat_map(|r| {
+                [
+                    // Signed zeros are two values.
+                    [0.0, -0.0, 1.5][r % 3],
+                    (r % cap) as f64,
+                    (r % (cap + 1)) as f64,
+                    (r as f64 * 0.37).sin(),
+                ]
+            })
+            .collect();
+        for b in BACKENDS {
+            let d = Device::new(b);
+            let soa = d.stage_rows_soa(&host, 4);
+            let distinct: Vec<Option<usize>> = (0..4)
+                .map(|j| soa.dict(j).map(|c| c.values.len()))
+                .collect();
+            assert_eq!(distinct, [Some(3), Some(cap), None, None], "{}", b.name());
+            assert_eq!(soa.dict_columns(), 2);
+            assert_eq!(bits(&soa_rows(&d, &soa)), bits(&host), "{}", b.name());
+            assert_dicts_match_stripes(&d, &soa);
+        }
+        // Fewer than 16 rows leave no room for a dictionary.
+        let tiny = Device::new(Backend::CpuSeq).stage_rows_soa(&[1.0; 15], 1);
+        assert_eq!(tiny.dict_columns(), 0);
+    }
+
+    #[test]
+    fn row_writes_keep_dictionaries_in_step() {
+        // 160 rows: at most 10 distinct values per coded column.
+        let d = Device::new(Backend::CpuSeq);
+        let host: Vec<f64> = (0..160).flat_map(|r| [(r % 4) as f64; 2]).collect();
+        let mut soa = d.stage_rows_soa(&host, 2);
+        assert_eq!(soa.dict_columns(), 2);
+        // A value the dictionary holds, then new values up to the cap.
+        d.write_row_soa(&mut soa, 5, &[2.0, 2.0]);
+        for (i, v) in (4..10).enumerate() {
+            d.write_row_soa(&mut soa, 7 * i, &[f64::from(v), -0.0]);
+        }
+        let distinct = |soa: &SoaBuffer, j| soa.dict(j).map(|c| c.values.len());
+        assert_eq!((distinct(&soa, 0), distinct(&soa, 1)), (Some(10), Some(5)));
+        assert_dicts_match_stripes(&d, &soa);
+        // One value past the cap drops that column's dictionary only,
+        // and the stripe still takes the write.
+        d.write_row_soa(&mut soa, 3, &[10.0, 1.0]);
+        assert_eq!((distinct(&soa, 0), distinct(&soa, 1)), (None, Some(5)));
+        assert_dicts_match_stripes(&d, &soa);
+        assert_eq!(soa_rows(&d, &soa)[3 * 2..][..2], [10.0, 1.0]);
+        // A write to a dropped column stays a plain stripe write.
+        d.write_row_soa(&mut soa, 3, &[0.0, 0.0]);
+        assert_eq!(distinct(&soa, 0), None);
+        assert_dicts_match_stripes(&d, &soa);
+    }
+
+    #[test]
+    fn scratch_is_pooled() {
+        let d = Device::new(Backend::CpuSeq);
+        let len = d.with_scratch(300, |s| {
+            s.fill(1.0);
+            s.len()
+        });
+        assert_eq!(len, 300);
+        let misses = d.stats().pool_misses;
+        d.with_scratch(290, |s| assert_eq!(s.len(), 290));
+        assert_eq!(
+            d.stats().pool_misses,
+            misses,
+            "a warm scratch is a pool hit"
+        );
     }
 
     #[test]

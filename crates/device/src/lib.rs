@@ -25,7 +25,12 @@
 //! # One staging layout
 //!
 //! A sample is staged one way: column-major stripes ([`SoaBuffer`], via
-//! [`Device::stage_rows_soa`]), read by the `sweep_*` kernels. The
+//! [`Device::stage_rows_soa`]), read by the `sweep_*` kernels. A column
+//! with at most one distinct value per [`DICT_ROWS_PER_VALUE`] rows also
+//! carries a dictionary beside its stripe ([`SoaBuffer::dict`]), which
+//! staging builds and [`Device::write_row_soa`] keeps in step, so a
+//! sweep can evaluate each distinct value's kernel factor once per query
+//! and read the rows' factors by code. The
 //! estimate, the fused estimate+gradient and the batched estimate are
 //! sweeps; the unfused gradient is [`Device::sweep_multi`] plus
 //! [`Device::reduce_sum_columns`]. Row-major [`DeviceBuffer`]s remain
@@ -79,7 +84,8 @@ pub mod profile;
 pub use calibrate::{CalibrationConfig, FitReport, MeasuredPoint, MeasuredProfile};
 pub use cost::{CostModel, CostProfile};
 pub use device::{
-    Backend, ColsView, Device, DeviceBuffer, DeviceStats, SoaBuffer, SWEEP_BLOCK_ROWS,
+    Backend, ColsView, ColumnDict, Device, DeviceBuffer, DeviceStats, SoaBuffer,
+    DICT_ROWS_PER_VALUE, SWEEP_BLOCK_ROWS,
 };
 pub use profile::{DeviceProfile, KindProfile, Launch, LaunchKind};
 

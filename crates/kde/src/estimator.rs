@@ -150,16 +150,14 @@ impl KdeEstimator {
         // the same storage instead of missing the pool every round.
         self.last_contributions = None;
         // (2)+(3)+(4) Map, reduce, and download the scalar — one kernel.
-        let kernel = self.kernel;
-        let bw = &self.bandwidth;
-        let lo = region.lo();
-        let hi = region.hi();
-        let flops = kernel.flops_per_factor() * self.dims as f64;
+        let regions = std::slice::from_ref(region);
         let (sum, contributions) =
-            self.device
-                .sweep_reduce(&self.sample, flops, true, |view, out| {
-                    sweep::contributions_into(kernel, &view, lo, hi, bw, out);
-                });
+            self.with_plan(&self.bandwidth, regions, false, |plan, consts| {
+                self.device
+                    .sweep_reduce(&self.sample, plan.flops_per_row(1), true, |view, out| {
+                        sweep::values_into(plan, consts, &view, out);
+                    })
+            });
         self.last_contributions = contributions;
         (sum / self.size as f64).clamp(0.0, 1.0)
     }
@@ -182,17 +180,20 @@ impl KdeEstimator {
         let _bounds_buf = self.device.upload(&bounds);
         // As in `estimate`: recycle the stale retained buffer first.
         self.last_contributions = None;
-        let kernel = self.kernel;
-        let bw = &self.bandwidth;
-        let lo = region.lo();
-        let hi = region.hi();
-        let d = self.dims;
-        let flops = kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64;
+        let regions = std::slice::from_ref(region);
         let (sums, contributions) =
-            self.device
-                .sweep_multi_reduce(&self.sample, 1 + d, flops, true, |view, out| {
-                    sweep::fused_strided_into(kernel, &view, lo, hi, bw, out, 1 + d, 0, true);
-                });
+            self.with_plan(&self.bandwidth, regions, true, |plan, consts| {
+                let flops = plan.flops_per_row(1);
+                self.device.sweep_multi_reduce(
+                    &self.sample,
+                    1 + self.dims,
+                    flops,
+                    true,
+                    |view, out| {
+                        sweep::fused_into(plan, consts, &view, out, true);
+                    },
+                )
+            });
         self.last_contributions = contributions;
         let estimate = (sums[0] / self.size as f64).clamp(0.0, 1.0);
         let inv_s = 1.0 / self.size as f64;
@@ -228,17 +229,13 @@ impl KdeEstimator {
         }
         let _span = self.estimate_seconds.span();
         let _bounds_buf = self.stage_bounds(regions);
-        let kernel = self.kernel;
-        let bw = &self.bandwidth;
         let b = regions.len();
-        let flops = kernel.flops_per_factor() * self.dims as f64 * b as f64;
-        let sums = self
-            .device
-            .sweep_batch(&self.sample, b, flops, |view, out| {
-                for (q, r) in regions.iter().enumerate() {
-                    sweep::contributions_strided_into(kernel, &view, r.lo(), r.hi(), bw, out, b, q);
-                }
-            });
+        let sums = self.with_plan(&self.bandwidth, regions, false, |plan, consts| {
+            self.device
+                .sweep_batch(&self.sample, b, plan.flops_per_row(b), |view, out| {
+                    sweep::values_into(plan, consts, &view, out);
+                })
+        });
         sums.iter()
             .map(|sum| (sum / self.size as f64).clamp(0.0, 1.0))
             .collect()
@@ -283,28 +280,15 @@ impl KdeEstimator {
             assert_eq!(r.dims(), self.dims, "query dimensionality mismatch");
         }
         let _h_buf = self.device.upload(bandwidth);
-        let kernel = self.kernel;
-        let d = self.dims;
         let b = regions.len();
-        let width = 1 + d;
-        let flops = (kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64) * b as f64;
-        let (sums, _) =
+        let width = 1 + self.dims;
+        let (sums, _) = self.with_plan(bandwidth, regions, true, |plan, consts| {
+            let flops = plan.flops_per_row(b);
             self.device
                 .sweep_multi_reduce(&self.sample, b * width, flops, false, |view, out| {
-                    for (q, r) in regions.iter().enumerate() {
-                        sweep::fused_strided_into(
-                            kernel,
-                            &view,
-                            r.lo(),
-                            r.hi(),
-                            bandwidth,
-                            out,
-                            b * width,
-                            q * width,
-                            true,
-                        );
-                    }
-                });
+                    sweep::fused_into(plan, consts, &view, out, true);
+                })
+        });
         let inv_s = 1.0 / self.size as f64;
         sums.chunks_exact(width)
             .map(|chunk| {
@@ -313,6 +297,26 @@ impl KdeEstimator {
                 (estimate, grad)
             })
             .collect()
+    }
+
+    /// Hoists one launch's constants into pooled device scratch — every
+    /// region's kernel parameters at `bandwidth`, and the factor tables
+    /// (with `gradient`, also the derivative tables) of the sample's
+    /// dictionary-coded columns — then runs `launch` with them. The
+    /// tables are computed here, once per query, before the device fans
+    /// the sweep out.
+    fn with_plan<T>(
+        &self,
+        bandwidth: &[f64],
+        regions: &[Rect],
+        gradient: bool,
+        launch: impl FnOnce(&sweep::Plan<'_>, &[f64]) -> T,
+    ) -> T {
+        let plan = sweep::Plan::new(self.kernel, &self.sample, gradient);
+        self.device.with_scratch(plan.len(regions.len()), |consts| {
+            plan.fill(consts, regions, bandwidth);
+            launch(&plan, consts)
+        })
     }
 
     /// The retained contribution buffer of the most recent estimate.
@@ -330,18 +334,15 @@ impl KdeEstimator {
     /// asserted bit-identical to it.
     pub fn estimator_gradient(&self, region: &Rect) -> Vec<f64> {
         assert_eq!(region.dims(), self.dims);
-        let kernel = self.kernel;
-        let bw = &self.bandwidth;
-        let lo = region.lo();
-        let hi = region.hi();
         // Gradient needs all d factors plus d derivative terms per point.
         let d = self.dims;
-        let flops = kernel.flops_per_factor() * (d * 2) as f64 + (d * d) as f64;
-        let partials = self
-            .device
-            .sweep_multi(&self.sample, d, flops, |view, out| {
-                sweep::fused_strided_into(kernel, &view, lo, hi, bw, out, d, 0, false);
-            });
+        let regions = std::slice::from_ref(region);
+        let partials = self.with_plan(&self.bandwidth, regions, true, |plan, consts| {
+            self.device
+                .sweep_multi(&self.sample, d, plan.flops_per_row(1), |view, out| {
+                    sweep::fused_into(plan, consts, &view, out, false);
+                })
+        });
         let mut grad = self.device.reduce_sum_columns(&partials, d);
         let inv_s = 1.0 / self.size as f64;
         for g in &mut grad {
@@ -670,6 +671,99 @@ mod tests {
         let (_, _) = e.estimate_with_gradient(&q);
         e.replace_point(0, &[0.5, 0.5]);
         assert!(e.cached_gradient(&q).is_none(), "sample change");
+    }
+
+    /// Asserts `values[codes[r]]` equals row `r` of the staged stripe,
+    /// bitwise, in every dictionary-coded column.
+    fn assert_codes_match_stripes(e: &KdeEstimator) {
+        let d = e.dims;
+        let copy = e.device.sweep_multi(&e.sample, d, 0.0, |cols, out| {
+            for j in 0..d {
+                for (o, &v) in out[j..].iter_mut().step_by(d).zip(cols.col(j)) {
+                    *o = v;
+                }
+            }
+        });
+        let stripes = e.device.download(&copy);
+        for j in 0..d {
+            let Some(dict) = e.sample.dict(j) else {
+                continue;
+            };
+            for (r, &code) in dict.codes.iter().enumerate() {
+                assert_eq!(
+                    dict.values[usize::from(code)].to_bits(),
+                    stripes[r * d + j].to_bits(),
+                    "column {j} row {r}"
+                );
+            }
+        }
+    }
+
+    /// Every output bit of the estimate, fused-gradient and batched
+    /// sweeps over `regions`.
+    fn output_bits(e: &mut KdeEstimator, regions: &[Rect]) -> Vec<u64> {
+        let mut out = e.estimate_batch(regions);
+        for q in regions {
+            out.push(e.estimate(q));
+            let (value, grad) = e.estimate_with_gradient(q);
+            out.push(value);
+            out.extend(grad);
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn replacements_keep_dictionaries_and_outputs_in_step() {
+        // 480 rows: at most 30 distinct values per coded column. Column 0
+        // (6 values) and column 1 (25) are coded, column 2 is not.
+        let (n, d) = (480, 3);
+        let mut rng = StdRng::seed_from_u64(77);
+        let sample: Vec<f64> = (0..n)
+            .flat_map(|_| {
+                [
+                    f64::from(rng.gen_range(0..6u8)),
+                    f64::from(rng.gen_range(0..25u8)) * 0.5,
+                    rng.gen_range(0.0..10.0),
+                ]
+            })
+            .collect();
+        let regions = [
+            Rect::from_intervals(&[(1.0, 3.0), (2.0, 8.0), (2.0, 7.5)]),
+            Rect::from_intervals(&[(f64::NEG_INFINITY, 0.0), (0.5, 0.5), (-1.0, 4.0)]),
+            Rect::from_intervals(&[(-0.0, 6.0), (20.0, f64::INFINITY), (0.0, 10.0)]),
+        ];
+        for kernel in [KernelFn::Gaussian, KernelFn::Epanechnikov] {
+            let mut e = KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, d, kernel);
+            assert_eq!(e.sample.dict_columns(), 2);
+            for step in 0..40u8 {
+                // Column 0 writes values its dictionary holds; column 1
+                // a new value every third step, passing its cap at the
+                // sixth; column 2 fresh continuous values.
+                let coded = if step % 3 == 0 {
+                    f64::from(50 + step)
+                } else {
+                    f64::from(rng.gen_range(0..25u8)) * 0.5
+                };
+                let row = [
+                    f64::from(rng.gen_range(0..6u8)),
+                    coded,
+                    rng.gen_range(0.0..10.0),
+                ];
+                e.replace_point(rng.gen_range(0..n), &row);
+                assert_codes_match_stripes(&e);
+                assert_eq!(e.sample.dict(1).is_some(), step < 15, "step {step}");
+                let mut fresh =
+                    KdeEstimator::new(Device::new(Backend::CpuSeq), e.host_sample(), d, kernel);
+                fresh.set_bandwidth(e.bandwidth().to_vec());
+                assert_eq!(
+                    output_bits(&mut e, &regions),
+                    output_bits(&mut fresh, &regions),
+                    "{} step {step}",
+                    kernel.name()
+                );
+            }
+            assert!(e.sample.dict(0).is_some());
+        }
     }
 
     #[test]

@@ -25,9 +25,11 @@ run cargo test -q --offline --release -p kdesel-math -- --ignored
 # `[f64; 8]` arm for every other build. Test the portable arm too, built
 # for a target without AVX-512 in its own target dir: its packs must equal
 # the scalar lane functions bitwise and reproduce the pinned hashes of
-# tests/simd_soa.rs.
+# tests/simd_soa.rs, and the device's dictionary staging tests run there
+# too.
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
-    cargo test -q --offline --target-dir target/portable -p kdesel-math -p kdesel-kde
+    cargo test -q --offline --target-dir target/portable -p kdesel-math -p kdesel-kde \
+    -p kdesel-device
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
     cargo test -q --offline --target-dir target/portable -p kdesel --test simd_soa
 # The hybrid-estimator serve round-trip (checkpoint, restart, bitwise

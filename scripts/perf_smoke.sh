@@ -10,8 +10,10 @@
 #   shows the max_batch=16 throughput cliff again (wall clock, adaptive
 #   throughput at 16 must stay within 35% of the best small window).
 # * bench_simd (run with PERF_SMOKE=1) fails when the vectorized SoA
-#   Epanechnikov or Gaussian estimate sweep is less than 2x faster than
-#   the scalar row-major (AoS) baseline at n=16384, d=8, single thread,
+#   Epanechnikov or Gaussian estimate sweep, or the Gaussian one on a
+#   Power sample whose dictionary-coded columns read per-query factor
+#   tables, is less than 2x faster than the scalar row-major (AoS)
+#   baseline at n=16384, d=8, single thread,
 #   or (gate or not) when either kernel's SoA estimate or fused
 #   value+gradient disagrees with the baseline by more than
 #   1e-12*max(|a|,|b|,1). The division-free Epanechnikov sweep holds

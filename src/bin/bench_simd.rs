@@ -12,7 +12,13 @@
 //!   loop over `contribution_with_gradient`, writing `1 + d` outputs per
 //!   row and pairwise-summing the columns.
 //!
-//! Both kernels are measured and both estimate sweeps are gated:
+//! Both kernels run on a uniform sample, whose continuous columns every
+//! sweep evaluates row by row. The Gaussian kernel also runs on a Power
+//! sample projected to 8D (`gaussian_dict`), whose weekday and
+//! sub-metering columns staging dictionary-codes: the sweeps evaluate
+//! those columns' factors once per distinct value and read them by code.
+//!
+//! Both kernels are measured and every estimate sweep is gated:
 //! Epanechnikov is pure polynomial arithmetic, and Gaussian runs the
 //! branch-free lane `erf`/`exp` of `kdesel_math::simd`, so both vectorize
 //! while the scalar baseline calls Cody's `erf` and libm `exp` per
@@ -24,15 +30,18 @@
 //! 1 on a mismatch, so a wrong fast path cannot report a speedup.
 //!
 //! Results go to `BENCH_simd.json` (override with `BENCH_SIMD_OUT`).
-//! With `PERF_SMOKE=1` the run fails (exit 1) if either kernel's
-//! estimate sweep is less than 2x faster than the scalar AoS baseline
-//! — the perf-smoke gate.
+//! With `PERF_SMOKE=1` the run fails (exit 1) if any estimate sweep
+//! (Epanechnikov, Gaussian, Gaussian on the dictionary-coded sample) is
+//! less than 2x faster than the scalar AoS baseline — the perf-smoke
+//! gate.
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
+use kdesel_data::Dataset;
 use kdesel_device::{Backend, Device, DeviceBuffer};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn};
+use kdesel_storage::sampling;
 use kdesel_types::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,18 +115,16 @@ fn json_path(r: &PathReport) -> String {
     )
 }
 
-/// Runs both sweeps for one kernel and returns the two comparisons.
+/// Runs both sweeps for one kernel and returns the two comparisons,
+/// labelled `name/estimate` and `name/fused_gradient`.
 fn bench_kernel(
+    name: &str,
     kernel: KernelFn,
     sample: &[f64],
     dims: usize,
     region: &Rect,
     reps: usize,
 ) -> (PathReport, PathReport) {
-    let name = match kernel {
-        KernelFn::Gaussian => "gaussian",
-        KernelFn::Epanechnikov => "epanechnikov",
-    };
     // Vectorized side: the estimator itself (SoA staging + lane sweeps).
     let mut est = KdeEstimator::new(Device::new(Backend::CpuSeq), sample, dims, kernel);
     let bw: Vec<f64> = est.bandwidth().to_vec();
@@ -211,10 +218,50 @@ fn main() {
     let extent = vec![80.0; dims];
     let region = Rect::centered(&center, &extent);
 
-    let (epa_est, epa_fused) = bench_kernel(KernelFn::Epanechnikov, &sample, dims, &region, reps);
-    let (gauss_est, gauss_fused) = bench_kernel(KernelFn::Gaussian, &sample, dims, &region, reps);
+    let (epa_est, epa_fused) = bench_kernel(
+        "epanechnikov",
+        KernelFn::Epanechnikov,
+        &sample,
+        dims,
+        &region,
+        reps,
+    );
+    let (gauss_est, gauss_fused) =
+        bench_kernel("gaussian", KernelFn::Gaussian, &sample, dims, &region, reps);
 
-    let rows = [&epa_est, &epa_fused, &gauss_est, &gauss_fused];
+    // The dictionary-coded sample: `points` rows drawn from a Power table
+    // projected to 8D, and a box over the middle 80% of every column.
+    let table = Dataset::Power.generate_projected(dims, points * 4, seed);
+    let power = sampling::sample_rows(&table, points, &mut rng);
+    let coded = Device::new(Backend::CpuSeq)
+        .stage_rows_soa(&power, dims)
+        .dict_columns();
+    eprintln!("# gaussian_dict: {coded} of {dims} Power columns dictionary-coded");
+    let spans: Vec<(f64, f64)> = (0..dims)
+        .map(|j| {
+            let col = power.iter().skip(j).step_by(dims).copied();
+            let lo = col.clone().fold(f64::INFINITY, f64::min);
+            let hi = col.fold(f64::NEG_INFINITY, f64::max);
+            (lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+        })
+        .collect();
+    let (dict_est, dict_fused) = bench_kernel(
+        "gaussian_dict",
+        KernelFn::Gaussian,
+        &power,
+        dims,
+        &Rect::from_intervals(&spans),
+        reps,
+    );
+
+    let rows = [
+        &epa_est,
+        &epa_fused,
+        &gauss_est,
+        &gauss_fused,
+        &dict_est,
+        &dict_fused,
+    ];
     let mut table = TextTable::new(["sweep", "scalar_ms", "simd_ms", "speedup"]);
     for r in rows {
         table.row([
@@ -227,11 +274,13 @@ fn main() {
     emit(&cli, &table);
 
     let json = format!(
-        "{{\n  \"config\": {{\"points\": {points}, \"dims\": {dims}, \"reps\": {reps}, \"seed\": {seed}}},\n  \"epanechnikov\": {{\n    \"estimate\": {},\n    \"fused_gradient\": {}\n  }},\n  \"gaussian\": {{\n    \"estimate\": {},\n    \"fused_gradient\": {}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\"points\": {points}, \"dims\": {dims}, \"reps\": {reps}, \"seed\": {seed}}},\n  \"epanechnikov\": {{\n    \"estimate\": {},\n    \"fused_gradient\": {}\n  }},\n  \"gaussian\": {{\n    \"estimate\": {},\n    \"fused_gradient\": {}\n  }},\n  \"gaussian_dict\": {{\n    \"coded_columns\": {coded},\n    \"estimate\": {},\n    \"fused_gradient\": {}\n  }}\n}}\n",
         json_path(&epa_est),
         json_path(&epa_fused),
         json_path(&gauss_est),
         json_path(&gauss_fused),
+        json_path(&dict_est),
+        json_path(&dict_fused),
     );
     let out = std::env::var("BENCH_SIMD_OUT").unwrap_or_else(|_| "BENCH_simd.json".into());
     if let Err(e) = std::fs::write(&out, &json) {
@@ -240,10 +289,10 @@ fn main() {
     }
     eprintln!("# wrote {out}");
 
-    // --- Perf-smoke gate: both vectorized estimate sweeps must hold 2x.
+    // --- Perf-smoke gate: every vectorized estimate sweep must hold 2x.
     let gated = std::env::var("PERF_SMOKE").is_ok_and(|v| v == "1");
     let mut regressed = false;
-    for r in [&epa_est, &gauss_est] {
+    for r in [&epa_est, &gauss_est, &dict_est] {
         if r.speedup() >= 2.0 {
             eprintln!(
                 "# simd gate ok: {} sweep {:.2}x over scalar AoS",
@@ -284,6 +333,14 @@ fn main() {
                     epa_fused.speedup(),
                 ),
                 ("gaussian_fused_speedup".to_string(), gauss_fused.speedup()),
+                (
+                    "gaussian_dict_estimate_speedup".to_string(),
+                    dict_est.speedup(),
+                ),
+                (
+                    "gaussian_dict_fused_speedup".to_string(),
+                    dict_fused.speedup(),
+                ),
             ],
         ),
         &[

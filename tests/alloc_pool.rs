@@ -64,6 +64,31 @@ fn steady_state_batches_reuse_pooled_buffers_without_allocating() {
         dims,
         KernelFn::Gaussian,
     );
+    // The same sample with its first two columns rounded to integers, so
+    // staging dictionary-codes them (at most 64 distinct values each):
+    // its launches also read per-query factor tables, which must come
+    // from the pool too.
+    let coded: Vec<f64> = sample
+        .chunks_exact(dims)
+        .flat_map(|row| {
+            let mut row = row.to_vec();
+            row[0] = (row[0] / 5.0).floor();
+            row[1] = (row[1] / 2.0).floor();
+            row
+        })
+        .collect();
+    let mut coded_est = KdeEstimator::new(
+        Device::new(Backend::SimGpu),
+        &coded,
+        dims,
+        KernelFn::Gaussian,
+    );
+    assert_eq!(
+        Device::new(Backend::CpuSeq)
+            .stage_rows_soa(&coded, dims)
+            .dict_columns(),
+        2
+    );
     let queries: Vec<Rect> = (0..batch)
         .map(|_| {
             let spans: Vec<(f64, f64)> = (0..dims)
@@ -88,15 +113,17 @@ fn steady_state_batches_reuse_pooled_buffers_without_allocating() {
     // Warmup populates every size class the loop will ever need.
     for _ in 0..3 {
         round(&mut est);
+        round(&mut coded_est);
     }
 
     let allocs_before = LARGE_ALLOCS.load(Ordering::Relaxed);
-    let stats_before = est.device().stats();
+    let stats_before = [est.device().stats(), coded_est.device().stats()];
     for _ in 0..32 {
         round(&mut est);
+        round(&mut coded_est);
     }
     let allocs_after = LARGE_ALLOCS.load(Ordering::Relaxed);
-    let stats_after = est.device().stats();
+    let stats_after = [est.device().stats(), coded_est.device().stats()];
 
     assert_eq!(
         allocs_after,
@@ -104,12 +131,14 @@ fn steady_state_batches_reuse_pooled_buffers_without_allocating() {
         "steady-state batches performed {} large heap allocations",
         allocs_after - allocs_before
     );
-    assert_eq!(
-        stats_after.pool_misses, stats_before.pool_misses,
-        "steady-state batches missed the buffer pool"
-    );
-    assert!(
-        stats_after.pool_hits > stats_before.pool_hits,
-        "steady-state batches never exercised the pool"
-    );
+    for (before, after) in stats_before.iter().zip(&stats_after) {
+        assert_eq!(
+            after.pool_misses, before.pool_misses,
+            "steady-state batches missed the buffer pool"
+        );
+        assert!(
+            after.pool_hits > before.pool_hits,
+            "steady-state batches never exercised the pool"
+        );
+    }
 }

@@ -91,7 +91,17 @@ fn modeled_costs_reproduce_figure7_shape() {
     );
     let base: Vec<f64> = table.rows().flat_map(|(_, r)| r.to_vec()).collect();
     let cost = |backend: Backend, n: usize| -> f64 {
-        let sample: Vec<f64> = base.iter().copied().cycle().take(n * dims).collect();
+        // Tile `k` moves every value `k` ulps, so tiling repeats no value:
+        // a column repeating each value 16 or more times would be staged
+        // dictionary-coded and sweep cheaper than Figure 7's continuous
+        // samples.
+        let sample: Vec<f64> = base
+            .iter()
+            .cycle()
+            .take(n * dims)
+            .enumerate()
+            .map(|(i, v)| f64::from_bits(v.to_bits() + (i / base.len()) as u64))
+            .collect();
         let mut est = KdeEstimator::new(Device::new(backend), &sample, dims, KernelFn::Gaussian);
         est.device().reset_timing();
         for q in &queries {

@@ -281,3 +281,124 @@ fn lane_functions_and_sweeps_keep_their_pinned_bits() {
         "Epanechnikov 3D estimator outputs"
     );
 }
+
+/// Every output bit of the five sweep entry points — `estimate`,
+/// `estimate_with_gradient`, `estimator_gradient`, `estimate_batch` and
+/// `estimate_batch_with_gradients_at` — of a model over `sample` on
+/// `backend`.
+fn entry_points_hash(
+    backend: Backend,
+    kernel: KernelFn,
+    sample: &[f64],
+    dims: usize,
+    queries: &[Rect],
+) -> u64 {
+    let mut est = KdeEstimator::new(Device::new(backend), sample, dims, kernel);
+    let mut bits = Vec::new();
+    for q in queries {
+        bits.push(est.estimate(q));
+        let (value, gradient) = est.estimate_with_gradient(q);
+        bits.push(value);
+        bits.extend(gradient);
+        bits.extend(est.estimator_gradient(q));
+    }
+    bits.extend(est.estimate_batch(queries));
+    let candidate: Vec<f64> = est.bandwidth().iter().map(|h| h * 0.7).collect();
+    for (value, gradient) in est.estimate_batch_with_gradients_at(&candidate, queries) {
+        bits.push(value);
+        bits.extend(gradient);
+    }
+    bits_hash(bits)
+}
+
+/// Three seeded boxes over `sample`'s value range, and one whose edges
+/// are `-∞` in dimension 0, `+∞` in dimension 1, zero-width on a sample
+/// value in the middle dimensions and far below the sample in the last.
+fn pin_queries(sample: &[f64], dims: usize, rng: &mut SplitMix) -> Vec<Rect> {
+    let range = |j: usize| {
+        let col = sample.iter().skip(j).step_by(dims);
+        let lo = col.clone().copied().fold(f64::INFINITY, f64::min);
+        (lo, col.copied().fold(f64::NEG_INFINITY, f64::max))
+    };
+    let mut queries: Vec<Rect> = (0..3)
+        .map(|_| {
+            let spans: Vec<(f64, f64)> = (0..dims)
+                .map(|j| {
+                    let (lo, hi) = range(j);
+                    let a = rng.next_f64(lo, hi);
+                    (a, a + rng.next_f64(0.0, 0.6) * (hi - lo))
+                })
+                .collect();
+            Rect::from_intervals(&spans)
+        })
+        .collect();
+    let row = &sample[dims * 7..][..dims];
+    let mut spans: Vec<(f64, f64)> = row.iter().map(|&v| (v, v)).collect();
+    spans[0].0 = f64::NEG_INFINITY;
+    spans[1].1 = f64::INFINITY;
+    let (lo, hi) = range(dims - 1);
+    spans[dims - 1] = (lo - 50.0 * (hi - lo + 1.0), lo - 40.0 * (hi - lo + 1.0));
+    queries.push(Rect::from_intervals(&spans));
+    queries
+}
+
+/// The first 2,085 rows of the Power table projected to 8D, whose
+/// weekday and sub-metering columns have few distinct values, and its
+/// pin queries.
+fn power_8d() -> (Vec<f64>, Vec<Rect>) {
+    let table = kdesel::data::Dataset::Power.generate_projected(8, 2_085, 0x9e3);
+    let sample: Vec<f64> = table.rows().flat_map(|(_, r)| r.to_vec()).collect();
+    let queries = pin_queries(&sample, 8, &mut SplitMix(0x5eed));
+    (sample, queries)
+}
+
+/// 1,100 rows of three integer-valued columns (0..12, 0..50, and -2..=2
+/// with both zeros) and their pin queries.
+fn integers_3d() -> (Vec<f64>, Vec<Rect>) {
+    let mut rng = SplitMix(0x1e7);
+    let sample: Vec<f64> = (0..1_100)
+        .flat_map(|_| {
+            let zeros = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0];
+            [
+                rng.next_f64(0.0, 12.0).floor(),
+                rng.next_f64(0.0, 50.0).floor(),
+                zeros[rng.next_f64(0.0, 6.0) as usize],
+            ]
+        })
+        .collect();
+    let queries = pin_queries(&sample, 3, &mut rng);
+    (sample, queries)
+}
+
+const POWER_8D_GAUSSIAN_BITS: u64 = 0x9731_686a_1362_beaf;
+const INTEGERS_3D_EPANECHNIKOV_BITS: u64 = 0xb2fb_c512_15a5_7da5;
+
+/// Bit pins of dictionary-coded models against constants computed before
+/// samples had dictionaries: a Gaussian model of a Power 8D sample and an
+/// Epanechnikov model of integer-valued columns (row counts off both the
+/// lane width and the sweep block), over all five sweep entry points, on
+/// CpuSeq and CpuPar. Reading coded columns' factors from per-query
+/// tables must reproduce every bit of evaluating every row.
+#[test]
+fn dictionary_coded_models_keep_their_pinned_bits() {
+    let (power, power_queries) = power_8d();
+    let (integers, integer_queries) = integers_3d();
+    let staging = Device::new(Backend::CpuSeq);
+    assert_eq!(staging.stage_rows_soa(&power, 8).dict_columns(), 3);
+    assert_eq!(staging.stage_rows_soa(&integers, 3).dict_columns(), 3);
+    for backend in [Backend::CpuSeq, Backend::CpuPar] {
+        let gauss = entry_points_hash(backend, KernelFn::Gaussian, &power, 8, &power_queries);
+        let epan = entry_points_hash(
+            backend,
+            KernelFn::Epanechnikov,
+            &integers,
+            3,
+            &integer_queries,
+        );
+        assert_eq!(gauss, POWER_8D_GAUSSIAN_BITS, "{backend:?} Power 8D");
+        assert_eq!(
+            epan, INTEGERS_3D_EPANECHNIKOV_BITS,
+            "{backend:?} integers 3D"
+        );
+    }
+}
