@@ -23,20 +23,32 @@
 //!   block, so it never pays for a thread it cannot use.
 //! * Otherwise it runs on `t` threads, the most that `available_parallelism`,
 //!   the block or chunk count and the work (`flops / t ≥`
-//!   [`MIN_FLOPS_PER_THREAD`]) allow. The blocks are dealt out as `t`
-//!   contiguous shares; the calling thread runs the last share itself
-//!   and `t − 1` scoped threads named `kdesel-par-<i>` run the others, so
-//!   the caller never sits idle while a spawned thread does its work.
+//!   [`MIN_FLOPS_PER_THREAD`]) allow. The blocks or chunks are dealt out
+//!   as `t` contiguous shares; the calling thread runs the last share
+//!   itself and `t − 1` scoped threads named `kdesel-par-<i>` run the
+//!   others, so the caller never sits idle while a spawned thread does
+//!   its work.
+//! * In a block call ([`par_for_each_block_mut`]), a thread that has
+//!   finished its share takes the blocks the others have not started,
+//!   one at a time from the far end of their shares. Each thread still
+//!   runs the first block of its own share. A spawned thread that starts
+//!   late costs the call at most about one block, not its whole share.
+//!   A late start is common: the host's scheduler may queue a new thread
+//!   behind its parent on a busy core while another core idles. It did
+//!   so for seconds at a time on a 2-vCPU KVM guest after an idle spell.
+//!   Meanwhile the queued thread waits for the whole launch, not half of
+//!   it, so an idle core has longer to pull it across.
 //!
 //! # Why no bit can move
 //!
-//! A share is a run of whole blocks or chunks. Block boundaries come from
-//! the caller's block size and chunk boundaries from [`CHUNKS`] alone;
-//! every block writes only its own output range and chunk results are
-//! combined in chunk order after all shares finish. The thread count
-//! decides *who* computes a block, never *which* elements it covers or
-//! in what order they are summed, so inline and fanned-out calls return
-//! the same bits.
+//! A share is a run of whole blocks or chunks, and a taken block is a
+//! whole block. Block boundaries come from the caller's block size and
+//! chunk boundaries from [`CHUNKS`] alone; every block writes only its
+//! own output range, and chunk results are combined in chunk order after
+//! all shares finish. The thread count and the timing decide *who*
+//! computes a block, never *which* elements it covers or in what order
+//! they are summed. Inline and fanned-out calls therefore return the same
+//! bits.
 //!
 //! The device layer's *fused* sweeps (`sweep_reduce`,
 //! `sweep_multi_reduce`, `sweep_batch`) lean on the same guarantee from
@@ -52,6 +64,7 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Fixed chunk count for reductions — determinism demands this never
 /// depend on the machine's core count.
@@ -160,13 +173,19 @@ where
 
 /// Calls `f(i, &mut items[i])` for every element; `flops` is the whole
 /// call's claimed work. Elements are independent, so any split is
-/// deterministic.
+/// deterministic. They go out in [`CHUNKS`] blocks, so a thread takes
+/// another thread's work a block at a time, not an element at a time.
 pub fn par_for_each_mut<T, F>(items: &mut [T], flops: f64, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    par_for_each_block_mut(items, 1, flops, |i, item| f(i, &mut item[0]));
+    let block = items.len().div_ceil(CHUNKS).max(1);
+    par_for_each_block_mut(items, block, flops, |b, chunk| {
+        for (j, item) in chunk.iter_mut().enumerate() {
+            f(b * block + j, item);
+        }
+    });
 }
 
 /// Calls `f(block_index, &mut out[block*block_elems..])` for every
@@ -193,28 +212,95 @@ where
 }
 
 /// [`par_for_each_block_mut`] on exactly `threads` shares (fewer when
-/// there are fewer blocks).
+/// there are fewer blocks). Each thread runs its share's first block,
+/// then the rest of its share front to back, then takes the other
+/// shares' remaining blocks from their far ends.
 fn for_each_block_on<T, F>(threads: usize, out: &mut [T], block_elems: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     let blocks = out.len().div_ceil(block_elems);
+    if threads < 2 || blocks < 2 {
+        for (b, block) in out.chunks_mut(block_elems).enumerate() {
+            f(b, block);
+        }
+        return;
+    }
     let mut rest = out;
-    let shares: Vec<(usize, &mut [T])> = ranges(blocks, threads)
+    let (firsts, queues): (Vec<_>, Vec<_>) = ranges(blocks, threads)
         .into_iter()
         .map(|range| {
             let elems = (range.len() * block_elems).min(rest.len());
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(elems);
+            let (share, tail) = std::mem::take(&mut rest).split_at_mut(elems);
             rest = tail;
-            (range.start, head)
+            let (first, later) = share.split_at_mut(block_elems.min(elems));
+            let queue = Blocks {
+                next: range.start + 1,
+                data: later,
+                block_elems,
+            };
+            ((range.start, first), Mutex::new(queue))
         })
-        .collect();
-    run_shares(shares, |(first, share)| {
-        for (i, block) in share.chunks_mut(block_elems).enumerate() {
-            f(first + i, block);
+        .unzip();
+    let queues = &queues;
+    let shares: Vec<_> = firsts.into_iter().enumerate().collect();
+    run_shares(shares, |(k, (b, first))| {
+        f(b, first);
+        while let Some((b, block)) = take(&queues[k], Blocks::pop_front) {
+            f(b, block);
+        }
+        for queue in queues[k + 1..].iter().chain(&queues[..k]) {
+            while let Some((b, block)) = take(queue, Blocks::pop_back) {
+                f(b, block);
+            }
         }
     });
+}
+
+/// A block taken from a share, with its index.
+type Taken<'a, T> = Option<(usize, &'a mut [T])>;
+
+/// Whole blocks not yet started, contiguous: `data` begins with block
+/// `next` (only the call's last block may be short).
+struct Blocks<'a, T> {
+    next: usize,
+    data: &'a mut [T],
+    block_elems: usize,
+}
+
+impl<'a, T> Blocks<'a, T> {
+    /// The first block, with its index.
+    fn pop_front(&mut self) -> Taken<'a, T> {
+        if self.data.is_empty() {
+            return None;
+        }
+        let len = self.block_elems.min(self.data.len());
+        let (block, later) = std::mem::take(&mut self.data).split_at_mut(len);
+        self.data = later;
+        self.next += 1;
+        Some((self.next - 1, block))
+    }
+
+    /// The last block, with its index.
+    fn pop_back(&mut self) -> Taken<'a, T> {
+        if self.data.is_empty() {
+            return None;
+        }
+        let last = (self.data.len() - 1) / self.block_elems;
+        let (earlier, block) = std::mem::take(&mut self.data).split_at_mut(last * self.block_elems);
+        self.data = earlier;
+        Some((self.next + last, block))
+    }
+}
+
+/// Takes one block from `queue` with `pop`, holding its lock only while
+/// taking it.
+fn take<'a, T>(
+    queue: &Mutex<Blocks<'a, T>>,
+    pop: fn(&mut Blocks<'a, T>) -> Taken<'a, T>,
+) -> Taken<'a, T> {
+    pop(&mut queue.lock().expect("no thread panics while taking a block"))
 }
 
 /// Parallel map-reduce with an explicit accumulator combiner (the shape
@@ -353,8 +439,19 @@ mod tests {
         );
     }
 
+    /// Distinct threads among `seen`, in order of first appearance.
+    fn threads_of(seen: &[Visit]) -> Vec<ThreadId> {
+        let mut ids = Vec::new();
+        for v in seen {
+            if !ids.contains(&v.3) {
+                ids.push(v.3);
+            }
+        }
+        ids
+    }
+
     #[test]
-    fn fan_out_runs_the_last_share_on_the_caller_and_names_the_rest() {
+    fn fan_out_starts_each_share_on_its_owner_and_names_the_helpers() {
         let caller = std::thread::current().id();
         let (len, block): (usize, usize) = (64 * 16 + 3, 16);
         let blocks = len.div_ceil(block);
@@ -362,26 +459,72 @@ mod tests {
             let seen = visits(len, block, |out, seen| {
                 for_each_block_on(threads, out, block, |b, c| record(seen, b, c))
             });
+            // Whoever finishes early may take later blocks of any share,
+            // but each share's first block runs on the share's owner: the
+            // caller for the last share, `kdesel-par-<k>` for share `k`.
             let shares = ranges(blocks, threads);
             for (k, share) in shares.iter().enumerate() {
-                for v in &seen[share.clone()] {
-                    if k + 1 == shares.len() {
-                        assert_eq!(v.3, caller, "last share's block {} off the caller", v.0);
-                    } else {
-                        assert_ne!(v.3, caller, "share {k}'s block {} on the caller", v.0);
-                        assert_eq!(v.4.as_deref(), Some(format!("kdesel-par-{k}").as_str()));
-                    }
+                let first = &seen[share.start];
+                if k + 1 == shares.len() {
+                    assert_eq!(first.3, caller, "last share's first block off the caller");
+                } else {
+                    assert_ne!(first.3, caller, "share {k}'s first block on the caller");
+                    assert_eq!(first.4.as_deref(), Some(format!("kdesel-par-{k}").as_str()));
                 }
             }
+            assert_eq!(threads_of(&seen).len(), threads);
+            assert!(seen
+                .iter()
+                .all(|v| v.3 == caller
+                    || v.4.as_deref().is_some_and(|n| n.starts_with("kdesel-par-"))));
         }
         // The public entry point fans out as far as the host allows.
         let seen = visits(len, block, |out, seen| {
             par_for_each_block_mut(out, block, HUGE, |b, c| record(seen, b, c))
         });
-        let mut ids: Vec<ThreadId> = seen.iter().map(|v| v.3).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), workers().min(blocks));
-        assert_eq!(*ids.last().unwrap(), caller);
+        assert_eq!(threads_of(&seen).len(), workers().min(blocks));
+        let last = ranges(blocks, workers().min(blocks)).pop().unwrap();
+        assert_eq!(seen[last.start].3, caller);
+    }
+
+    #[test]
+    fn a_finished_thread_takes_a_late_share_from_its_far_end() {
+        // Share 0's first block holds its thread until every other block
+        // has run, so only the caller can run the rest of share 0: it
+        // takes them after its own share, last block first.
+        let caller = std::thread::current().id();
+        let (len, block): (usize, usize) = (40 * 8, 8);
+        let blocks = len.div_ceil(block);
+        // The other blocks, in the order they ran.
+        let ran = (Mutex::new(Vec::new()), std::sync::Condvar::new());
+        let seen = visits(len, block, |out, seen| {
+            for_each_block_on(2, out, block, |b, c| {
+                record(seen, b, c);
+                let (order, changed) = &ran;
+                let mut order = order.lock().unwrap();
+                if b == 0 {
+                    let wait = std::time::Duration::from_secs(60);
+                    let (order, timeout) = changed
+                        .wait_timeout_while(order, wait, |order| order.len() < blocks - 1)
+                        .unwrap();
+                    drop(order);
+                    assert!(
+                        !timeout.timed_out(),
+                        "no thread took share 0's later blocks"
+                    );
+                } else {
+                    order.push(b);
+                    changed.notify_all();
+                }
+            })
+        });
+        let share0 = ranges(blocks, 2)[0].clone();
+        assert_eq!(seen[0].4.as_deref(), Some("kdesel-par-0"));
+        assert!(seen[1..].iter().all(|v| v.3 == caller));
+        let order = ran.0.into_inner().unwrap();
+        let taken = &order[order.len() - (share0.len() - 1)..];
+        let far_end_first: Vec<usize> = (1..share0.end).rev().collect();
+        assert_eq!(taken, far_end_first);
     }
 
     #[test]
