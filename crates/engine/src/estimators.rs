@@ -1,7 +1,7 @@
 //! Unified estimator construction and feedback plumbing.
 
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{ExactScanEstimator, HybridEstimator, RouterConfig};
+use kdesel_estimators::ExactScanEstimator;
 use kdesel_hist::{AviEstimator, SthConfig, SthHoles};
 use kdesel_kde::{
     AdaptiveConfig, AdaptiveKde, BatchConfig, BatchKde, CvConfig, HeuristicKde, KarmaConfig,
@@ -30,10 +30,8 @@ pub enum EstimatorKind {
     Avi,
     /// Naive sample-counting baseline (§2.3's "naïve" sampling estimator).
     Sampling,
-    /// Exact scan over a staged table snapshot (bake-off family).
+    /// Exact scan over a staged table snapshot (the exact baseline).
     Exact,
-    /// KDE + exact behind the hybrid cost/error router.
-    Hybrid,
 }
 
 impl EstimatorKind {
@@ -58,8 +56,8 @@ impl EstimatorKind {
     ];
 
     /// Every kind the engine can build: the extended paper line-up plus
-    /// the bake-off families.
-    pub const FULL: [EstimatorKind; 9] = [
+    /// the exact baseline.
+    pub const FULL: [EstimatorKind; 8] = [
         EstimatorKind::Avi,
         EstimatorKind::Sampling,
         EstimatorKind::SthHoles,
@@ -68,7 +66,6 @@ impl EstimatorKind {
         EstimatorKind::Batch,
         EstimatorKind::Adaptive,
         EstimatorKind::Exact,
-        EstimatorKind::Hybrid,
     ];
 
     /// Report name.
@@ -82,7 +79,6 @@ impl EstimatorKind {
             EstimatorKind::Avi => "avi",
             EstimatorKind::Sampling => "sampling",
             EstimatorKind::Exact => "exact",
-            EstimatorKind::Hybrid => "hybrid",
         }
     }
 
@@ -114,8 +110,6 @@ pub struct BuildConfig {
     pub adaptive: AdaptiveConfig,
     /// Karma-maintenance settings.
     pub karma: KarmaConfig,
-    /// Hybrid-router settings (bake-off families).
-    pub router: RouterConfig,
 }
 
 impl BuildConfig {
@@ -130,7 +124,6 @@ impl BuildConfig {
             cv: CvConfig::default(),
             adaptive: AdaptiveConfig::default(),
             karma: KarmaConfig::default(),
-            router: RouterConfig::default(),
         }
     }
 
@@ -184,14 +177,6 @@ pub enum AnyEstimator {
     Sampling(SampleEstimator),
     /// Exact scan over a staged snapshot of the full table.
     Exact(ExactScanEstimator),
-    /// Hybrid bake-off estimator plus the reservoir state its KDE
-    /// member needs for inserts.
-    Hybrid {
-        /// The routed two-family estimator.
-        hybrid: Box<HybridEstimator>,
-        /// Host-side reservoir decision procedure for inserts.
-        reservoir: ReservoirSampler,
-    },
 }
 
 impl AnyEstimator {
@@ -275,27 +260,6 @@ impl AnyEstimator {
             EstimatorKind::Exact => {
                 AnyEstimator::Exact(ExactScanEstimator::new(device(), &flat_rows(table), dims))
             }
-            EstimatorKind::Hybrid => {
-                // The KDE member works from the ANALYZE sample like its
-                // standalone kind; the exact member scans the full table —
-                // that is its whole value proposition.
-                let kde = AdaptiveKde::new(
-                    device(),
-                    sample,
-                    dims,
-                    config.kernel,
-                    config.adaptive.clone(),
-                    config.karma.clone(),
-                );
-                let exact = ExactScanEstimator::new(device(), &flat_rows(table), dims);
-                let capacity = kde.model().sample_size();
-                let seen = (table.row_count() as u64).max(capacity as u64);
-                let hybrid = HybridEstimator::new(kde, exact, config.router.clone());
-                AnyEstimator::Hybrid {
-                    hybrid: Box::new(hybrid),
-                    reservoir: ReservoirSampler::new(capacity, seen),
-                }
-            }
         }
     }
 
@@ -310,7 +274,6 @@ impl AnyEstimator {
             AnyEstimator::Avi(_) => EstimatorKind::Avi,
             AnyEstimator::Sampling(_) => EstimatorKind::Sampling,
             AnyEstimator::Exact(_) => EstimatorKind::Exact,
-            AnyEstimator::Hybrid { .. } => EstimatorKind::Hybrid,
         }
     }
 
@@ -332,7 +295,6 @@ impl AnyEstimator {
             AnyEstimator::Avi(a) => a.estimate(region),
             AnyEstimator::Sampling(s) => s.estimate(region),
             AnyEstimator::Exact(e) => e.estimate(region),
-            AnyEstimator::Hybrid { hybrid, .. } => hybrid.estimate_routed(region).0,
         }
     }
 
@@ -363,39 +325,16 @@ impl AnyEstimator {
             AnyEstimator::SthHoles(h) => {
                 h.refine(&feedback.region, |r| table.count_in(r));
             }
-            AnyEstimator::Hybrid { hybrid, .. } => {
-                // The hybrid attributes the q-error to whichever family
-                // answered and forwards KDE-attributed feedback to Karma;
-                // any flagged sample points get refreshed from the table
-                // exactly like the standalone adaptive estimator.
-                kdesel_types::SelectivityEstimator::observe(hybrid.as_mut(), feedback);
-                for index in hybrid.take_pending_replacements() {
-                    if let Some(row) = sampling::sample_one(table, rng) {
-                        hybrid.replace_point(index, &row);
-                    }
-                }
-            }
         }
     }
 
     /// Notifies the estimator of an inserted tuple (§4.2 reservoir path).
     /// Only the adaptive estimator reacts.
     pub fn handle_insert<R: Rng + ?Sized>(&mut self, row: &[f64], rng: &mut R) {
-        match self {
-            AnyEstimator::Adaptive { kde, reservoir } => {
-                if let ReservoirDecision::Replace(slot) = reservoir.observe(rng) {
-                    kde.reservoir_replace(slot, row);
-                }
+        if let AnyEstimator::Adaptive { kde, reservoir } = self {
+            if let ReservoirDecision::Replace(slot) = reservoir.observe(rng) {
+                kde.reservoir_replace(slot, row);
             }
-            AnyEstimator::Hybrid { hybrid, reservoir } => {
-                // Only the KDE member's sample refreshes; the exact member
-                // goes deliberately stale so the router can catch it
-                // drifting (the bake-off's shifting segment).
-                if let ReservoirDecision::Replace(slot) = reservoir.observe(rng) {
-                    hybrid.reservoir_replace(slot, row);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -412,9 +351,6 @@ impl AnyEstimator {
             AnyEstimator::Avi(a) => a.memory_bytes(),
             AnyEstimator::Sampling(s) => kdesel_types::SelectivityEstimator::memory_bytes(s),
             AnyEstimator::Exact(e) => e.memory_bytes(),
-            AnyEstimator::Hybrid { hybrid, .. } => {
-                kdesel_types::SelectivityEstimator::memory_bytes(hybrid.as_ref())
-            }
         }
     }
 }
@@ -581,24 +517,23 @@ mod tests {
     }
 
     #[test]
-    fn builds_bakeoff_kinds_and_estimates() {
+    fn builds_exact_kind_and_estimates() {
         let table = small_table(9);
         let mut rng = StdRng::seed_from_u64(10);
         let sample = sampling::sample_rows(&table, 128, &mut rng);
         let config = BuildConfig::paper_default(2);
         let region = table.bounding_box().unwrap();
-        for kind in [EstimatorKind::Exact, EstimatorKind::Hybrid] {
-            let mut e = AnyEstimator::build(kind, &table, &sample, &[], &config, &mut rng);
-            assert_eq!(e.kind(), kind);
-            assert_eq!(EstimatorKind::from_name(e.name()), Some(kind));
-            let v = e.estimate(&region);
-            assert!(
-                (0.8..=1.0).contains(&v),
-                "{}: whole-domain estimate {v}",
-                kind.name()
-            );
-            assert!(e.memory_bytes() > 0);
-        }
+        let kind = EstimatorKind::Exact;
+        let mut e = AnyEstimator::build(kind, &table, &sample, &[], &config, &mut rng);
+        assert_eq!(e.kind(), kind);
+        assert_eq!(EstimatorKind::from_name(e.name()), Some(kind));
+        let v = e.estimate(&region);
+        assert!(
+            (0.8..=1.0).contains(&v),
+            "{}: whole-domain estimate {v}",
+            kind.name()
+        );
+        assert!(e.memory_bytes() > 0);
     }
 
     #[test]
@@ -618,44 +553,6 @@ mod tests {
         // Truth on an arbitrary box, not just the sample's view of it.
         let region = Rect::cube(2, 10.0, 60.0);
         assert_eq!(e.estimate(&region), table.selectivity(&region));
-    }
-
-    #[test]
-    fn hybrid_feedback_and_inserts_flow() {
-        let table = small_table(13);
-        let mut rng = StdRng::seed_from_u64(14);
-        let sample = sampling::sample_rows(&table, 64, &mut rng);
-        let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Hybrid,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
-        for _ in 0..5 {
-            let region = Rect::cube(2, 20.0, 70.0);
-            let est = e.estimate(&region);
-            let fb = QueryFeedback {
-                region,
-                estimate: est,
-                actual: table.selectivity(&Rect::cube(2, 20.0, 70.0)),
-                cardinality: 0,
-            };
-            e.handle_feedback(&table, &fb, &mut rng);
-        }
-        for _ in 0..200 {
-            e.handle_insert(&[50.0, 50.0], &mut rng);
-        }
-        let v = e.estimate(&Rect::cube(2, 0.0, 100.0));
-        assert!(v > 0.0, "hybrid stopped estimating: {v}");
-        if let AnyEstimator::Hybrid { hybrid, .. } = &e {
-            let total: u64 = hybrid.router().decisions().iter().sum();
-            assert!(total >= 6, "router saw {total} decisions");
-        } else {
-            panic!("expected hybrid variant");
-        }
     }
 
     #[test]

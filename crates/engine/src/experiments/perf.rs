@@ -8,6 +8,12 @@
 //! STHoles estimation is measured wall-clock over the fully-built
 //! histogram, excluding maintenance, exactly as in the paper.
 //!
+//! Beyond the paper, the exact scan (*Exact Selectivity Computation*,
+//! PAPERS.md) runs the same queries over a table of `size` rows (capped
+//! at the table) on both backends, so its measured wall time answers the
+//! question the paper leaves open: at what table size a KDE of a given
+//! sample size is cheaper than the truth.
+//!
 //! For Adaptive, §5.5 hides the gradient/Karma computation behind the
 //! query's own execution: "the only measurable performance impact of
 //! Adaptive [is] the latency penalties incurred by the additional kernel
@@ -18,9 +24,9 @@
 
 use kdesel_data::{generate_workload, synthetic, WorkloadKind, WorkloadSpec};
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{ExactScanEstimator, HybridConfig, HybridEstimator};
+use kdesel_estimators::ExactScanEstimator;
 use kdesel_hist::{SthConfig, SthHoles};
-use kdesel_kde::{AdaptiveKde, KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn};
+use kdesel_kde::{KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn};
 use kdesel_storage::{sampling, Table};
 use kdesel_types::{QueryFeedback, Rect};
 use rand::rngs::StdRng;
@@ -40,8 +46,6 @@ pub struct PerfConfig {
     pub queries: usize,
     /// STHoles bucket counts matched byte-for-byte to each sample size.
     pub include_stholes: bool,
-    /// Also sweep the bake-off families (exact scan, hybrid).
-    pub include_bakeoff: bool,
     /// Base seed.
     pub seed: u64,
 }
@@ -54,7 +58,6 @@ impl Default for PerfConfig {
             sample_sizes: (10..=20).map(|p| 1usize << p).collect(),
             queries: 100,
             include_stholes: true,
-            include_bakeoff: true,
             seed: 0xf177,
         }
     }
@@ -128,27 +131,14 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfSeries> {
             points,
         });
     }
-    if config.include_bakeoff {
-        let sweep =
-            |f: &dyn Fn(usize) -> PerfPoint| config.sample_sizes.iter().map(|&s| f(s)).collect();
-        for backend in [Backend::SimGpu, Backend::CpuPar] {
-            series.push(PerfSeries {
-                label: format!("exact/{}", backend.name()),
-                points: sweep(&|size| measure_exact(&table, &regions, backend, size, config.seed)),
-            });
-        }
+    for backend in [Backend::SimGpu, Backend::CpuPar] {
         series.push(PerfSeries {
-            label: "hybrid/sim-gpu".to_string(),
-            points: sweep(&|size| {
-                measure_hybrid(
-                    &table,
-                    &regions,
-                    &actuals,
-                    Backend::SimGpu,
-                    size,
-                    config.seed,
-                )
-            }),
+            label: format!("exact/{}", backend.name()),
+            points: config
+                .sample_sizes
+                .iter()
+                .map(|&size| measure_exact(&table, &regions, backend, size, config.seed))
+                .collect(),
         });
     }
     series
@@ -245,7 +235,7 @@ fn sized_sample(table: &Table, size: usize, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// Measures the exact-scan family over a `size`-row staged snapshot
+/// Measures the exact scan over a `size`-row staged snapshot
 /// (capped at the table — an exact scan never duplicates rows).
 fn measure_exact(
     table: &Table,
@@ -268,57 +258,6 @@ fn measure_exact(
         model_size: size,
         modeled_seconds: Some(est.device().modeled_seconds() - t0),
         measured_seconds: wall.elapsed().as_secs_f64(),
-    }
-}
-
-/// Measures the hybrid router's end-to-end overhead: whatever mix of
-/// families it chose, billed at each member's device-ledger delta.
-fn measure_hybrid(
-    table: &Table,
-    regions: &[Rect],
-    actuals: &[f64],
-    backend: Backend,
-    size: usize,
-    seed: u64,
-) -> PerfPoint {
-    let mut rng = StdRng::seed_from_u64(seed ^ size as u64 ^ 0x11b2);
-    let dims = table.dims();
-    let sample = sized_sample(table, size, &mut rng);
-    let config = HybridConfig::default();
-    // Members mirror their standalone measurements: the KDE holds the
-    // full `size`-point sample, the exact member scans a `size`-row
-    // table snapshot.
-    let kde = AdaptiveKde::new(
-        Device::new(backend),
-        &sample,
-        dims,
-        config.kernel,
-        config.adaptive.clone(),
-        config.karma.clone(),
-    );
-    let exact_rows = sampling::sample_rows(table, size.min(table.row_count()), &mut rng);
-    let exact = ExactScanEstimator::new(Device::new(backend), &exact_rows, dims);
-    let mut hybrid = HybridEstimator::new(kde, exact, config.router.clone());
-    let kde0 = hybrid.kde().model().device().modeled_seconds();
-    let exact0 = hybrid.exact().device().modeled_seconds();
-    let wall = Instant::now();
-    for (region, &actual) in regions.iter().zip(actuals) {
-        let (estimate, _family) = hybrid.estimate_routed(region);
-        let feedback = QueryFeedback {
-            region: region.clone(),
-            estimate,
-            actual,
-            cardinality: 0,
-        };
-        kdesel_types::SelectivityEstimator::observe(&mut hybrid, &feedback);
-    }
-    let measured = wall.elapsed().as_secs_f64();
-    let modeled = (hybrid.kde().model().device().modeled_seconds() - kde0)
-        + (hybrid.exact().device().modeled_seconds() - exact0);
-    PerfPoint {
-        model_size: size,
-        modeled_seconds: Some(modeled),
-        measured_seconds: measured,
     }
 }
 
@@ -393,11 +332,10 @@ mod tests {
             sample_sizes: vec![1 << 10, 1 << 14, 1 << 18],
             queries: 20,
             include_stholes: false,
-            include_bakeoff: false,
             seed: 1,
         };
         let series = run_perf(&config);
-        assert_eq!(series.len(), 4);
+        assert_eq!(series.len(), 6);
 
         let get = |label: &str| {
             series
@@ -435,25 +373,24 @@ mod tests {
     }
 
     #[test]
-    fn bakeoff_series_join_the_sweep() {
+    fn exact_series_join_the_sweep() {
         let config = PerfConfig {
             dims: 3,
             rows: 3_000,
             sample_sizes: vec![1 << 7, 1 << 10],
             queries: 10,
             include_stholes: false,
-            include_bakeoff: true,
             seed: 3,
         };
         let series = run_perf(&config);
-        for label in ["exact/sim-gpu", "exact/cpu-par", "hybrid/sim-gpu"] {
+        for label in ["exact/sim-gpu", "exact/cpu-par"] {
             let s = series
                 .iter()
                 .find(|s| s.label == label)
                 .unwrap_or_else(|| panic!("missing series {label}"));
             assert_eq!(s.points.len(), 2);
             for p in &s.points {
-                let m = p.modeled_seconds.expect("bake-off series are modeled");
+                let m = p.modeled_seconds.expect("exact series are modeled");
                 assert!(m > 0.0, "{label}: modeled {m}");
             }
         }
@@ -474,7 +411,6 @@ mod tests {
             sample_sizes: vec![1 << 8, 1 << 13],
             queries: 50,
             include_stholes: true,
-            include_bakeoff: false,
             seed: 2,
         };
         let series = run_perf(&config);

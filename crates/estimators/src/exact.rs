@@ -2,21 +2,19 @@
 //!
 //! *Exact Selectivity Computation* (PAPERS.md) observes that for small
 //! in-memory tables, scanning beats every estimator: the answer is the
-//! truth. This estimator stages the table's rows as columnar SoA
-//! stripes once and answers each query with a single fused
-//! [`sweep_reduce`](Device::sweep_reduce) launch that sums a
-//! branch-free 0/1 containment indicator per row. The per-query device
-//! cost is charged through the calibrated [`CostModel`], so the hybrid
-//! router can price a scan honestly against a KDE launch.
+//! truth, at a cost linear in the table. This estimator stages the
+//! table's rows as columnar SoA stripes once and answers each query
+//! with a single fused [`sweep_reduce`](Device::sweep_reduce) launch
+//! that sums a branch-free 0/1 containment indicator per row, so the
+//! device ledger charges and times it like any other sweep.
 //!
 //! Because every per-row value is exactly `0.0` or `1.0`, the device's
 //! pairwise summation is exact — the estimate is bitwise equal to a
 //! scalar host loop on every backend (pinned by proptest).
 //!
-//! The staged copy is deliberately **not** maintained under inserts:
-//! like a dropped index, an exact scan over a stale snapshot is only
-//! exact for the data it saw. The bake-off's shifting-distribution
-//! segment exploits precisely this failure mode.
+//! The staged copy is not maintained under inserts: like a dropped
+//! index, an exact scan over a stale snapshot is only exact for the
+//! data it saw.
 
 use kdesel_device::{Device, SoaBuffer};
 use kdesel_types::{Rect, SelectivityEstimator};
@@ -98,23 +96,9 @@ impl ExactScanEstimator {
         hits as f64 / rows as f64
     }
 
-    /// Modeled device seconds one query costs: the sweep's kernel
-    /// charge plus the scalar result download, mirroring
-    /// [`Device::sweep_reduce`]'s ledger entry.
-    pub fn query_cost(&self) -> f64 {
-        let model = self.device.cost_model();
-        model.kernel_vectorized(self.rows, FLOPS_PER_DIM * self.dims as f64 + 4.0)
-            + model.transfer(std::mem::size_of::<f64>())
-    }
-
     /// Rows in the staged snapshot.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Snapshot dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
     }
 
     /// The device the snapshot lives on.
@@ -187,20 +171,5 @@ mod tests {
     fn empty_snapshot_estimates_zero() {
         let est = ExactScanEstimator::new(Device::new(Backend::CpuSeq), &[], 2);
         assert_eq!(est.estimate(&Rect::cube(2, 0.0, 1.0)), 0.0);
-    }
-
-    #[test]
-    fn query_cost_tracks_ledger_charge() {
-        let dims = 2;
-        let data = rows(500, dims, 4);
-        let est = ExactScanEstimator::new(Device::new(Backend::SimGpu), &data, dims);
-        let before = est.device().modeled_seconds();
-        est.estimate(&Rect::cube(dims, 0.0, 50.0));
-        let charged = est.device().modeled_seconds() - before;
-        assert!(
-            (charged - est.query_cost()).abs() <= 1e-12 * charged.max(1.0),
-            "query_cost {} vs ledger {charged}",
-            est.query_cost()
-        );
     }
 }

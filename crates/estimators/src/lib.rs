@@ -1,33 +1,22 @@
-//! Estimator bake-off: an exact baseline beside the KDE, behind a hybrid
-//! cost/error router.
+//! The exact-scan baseline beside the paper's estimators.
 //!
 //! The paper evaluates KDE against four classical baselines
 //! (heuristics, STHoles, AVI, sampling). This crate adds the exact
-//! family a modern comparison needs and the router that arbitrates
-//! between it and the self-tuning KDE:
+//! baseline a modern comparison needs: [`exact`] —
+//! [`ExactScanEstimator`], a scan of the staged table (*Exact
+//! Selectivity Computation*, PAPERS.md) through one fused
+//! `sweep_reduce` launch per query. Figure 7 measures its wall time
+//! against the KDE's as the table grows, and Table 1 ranks it with
+//! the others.
 //!
-//! * [`exact`] — an exact-scan estimator (*Exact Selectivity
-//!   Computation*, PAPERS.md) sweeping the SoA stripes through one
-//!   fused `sweep_reduce` launch, costed through the calibrated
-//!   [`CostProfile`](kdesel_device::CostProfile) so the router can
-//!   price it honestly,
-//! * [`router`] — [`HybridRouter`]: per query, pick the family whose
-//!   rolling q-error window (shaped like the serving drift
-//!   observatory's), penalized by its modeled latency against the
-//!   budget, looks best,
-//! * [`hybrid`] — [`HybridEstimator`]: KDE + exact behind one router,
-//!   with feedback attributed to whichever family answered.
-//!
-//! The crate sits between `kdesel-kde` and `kdesel-serve` in the
-//! dependency order: it may use devices and KDE models, but knows
-//! nothing about serving or the engine harness.
+//! The crate sits between `kdesel-kde` and the engine harness in the
+//! dependency order. Its manifest still names `kdesel-kde`,
+//! `kdesel-solver` and `kdesel-telemetry`, and `kdesel-serve` still
+//! names this crate, though none of those edges is used: the benchmark
+//! harness's lockfile records them (DESIGN §2).
 
 #![deny(unsafe_code)]
 
 pub mod exact;
-pub mod hybrid;
-pub mod router;
 
 pub use exact::ExactScanEstimator;
-pub use hybrid::{HybridConfig, HybridEstimator};
-pub use router::{Family, HybridRouter, RouterConfig};

@@ -117,7 +117,7 @@ fn model_record(id: u64, key: &ModelKey, model: &ServedModel) -> Event {
         }
         columns.push_str(column);
     }
-    let mut event = Event::new("capture.model")
+    let event = Event::new("capture.model")
         .u64("m", id)
         .str("table", key.table())
         .str("columns", columns)
@@ -126,60 +126,29 @@ fn model_record(id: u64, key: &ModelKey, model: &ServedModel) -> Event {
         .str("kernel", &snapshot.kernel)
         .f64_slice("sample", &snapshot.sample)
         .f64_slice("bandwidth", &snapshot.bandwidth);
-    // The adaptive-tuning fields, shared by the adaptive kind and the
-    // hybrid kind's KDE member.
-    fn tuning_fields(
-        event: Event,
-        adaptive: &kdesel_kde::AdaptiveConfig,
-        karma: &kdesel_kde::KarmaConfig,
-    ) -> Event {
-        event
-            .str("loss", adaptive.loss.name())
-            .u64("mini_batch", adaptive.mini_batch as u64)
-            .u64("log_updates", u64::from(adaptive.log_updates))
-            .f64("rms_smoothing", adaptive.rmsprop.smoothing)
-            .f64("rms_rate_init", adaptive.rmsprop.rate_init)
-            .f64("rms_rate_min", adaptive.rmsprop.rate_min)
-            .f64("rms_rate_max", adaptive.rmsprop.rate_max)
-            .f64("rms_rate_inc", adaptive.rmsprop.rate_inc)
-            .f64("rms_rate_dec", adaptive.rmsprop.rate_dec)
-            .f64("rms_epsilon", adaptive.rmsprop.epsilon)
-            .str("karma_loss", karma.loss.name())
-            .f64("karma_k_max", karma.k_max)
-            .f64("karma_threshold", karma.threshold)
-            .u64("karma_shortcut", u64::from(karma.empty_region_shortcut))
-    }
     match model {
-        ServedModel::Static(_) => {
-            event = event.str("kind", "static");
-        }
+        ServedModel::Static(_) => event.str("kind", "static"),
         ServedModel::Adaptive { kde, refresh } => {
-            event = tuning_fields(
-                event
-                    .str("kind", "adaptive")
-                    .u64("refresh", u64::from(refresh.is_some())),
-                kde.adaptive_config(),
-                kde.karma_config(),
-            );
-        }
-        ServedModel::Hybrid { hybrid, refresh } => {
-            // Routing is deterministic in (configs, router state); models
-            // are recorded at registration, when the router is fresh, so
-            // the configs alone let replay reproduce every decision.
-            let router = hybrid.router().config();
-            event = tuning_fields(
-                event
-                    .str("kind", "hybrid")
-                    .u64("refresh", u64::from(refresh.is_some()))
-                    .u64("router_window", router.window as u64)
-                    .f64("router_budget", router.latency_budget)
-                    .u64("router_probe", router.probe_every),
-                hybrid.kde().adaptive_config(),
-                hybrid.kde().karma_config(),
-            );
+            let (adaptive, karma) = (kde.adaptive_config(), kde.karma_config());
+            event
+                .str("kind", "adaptive")
+                .u64("refresh", u64::from(refresh.is_some()))
+                .str("loss", adaptive.loss.name())
+                .u64("mini_batch", adaptive.mini_batch as u64)
+                .u64("log_updates", u64::from(adaptive.log_updates))
+                .f64("rms_smoothing", adaptive.rmsprop.smoothing)
+                .f64("rms_rate_init", adaptive.rmsprop.rate_init)
+                .f64("rms_rate_min", adaptive.rmsprop.rate_min)
+                .f64("rms_rate_max", adaptive.rmsprop.rate_max)
+                .f64("rms_rate_inc", adaptive.rmsprop.rate_inc)
+                .f64("rms_rate_dec", adaptive.rmsprop.rate_dec)
+                .f64("rms_epsilon", adaptive.rmsprop.epsilon)
+                .str("karma_loss", karma.loss.name())
+                .f64("karma_k_max", karma.k_max)
+                .f64("karma_threshold", karma.threshold)
+                .u64("karma_shortcut", u64::from(karma.empty_region_shortcut))
         }
     }
-    event
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Registry keys and the served model variants.
 
 use kdesel_device::Device;
-use kdesel_estimators::HybridEstimator;
 use kdesel_kde::{AdaptiveKde, KdeEstimator, ModelSnapshot};
 use kdesel_types::{QueryFeedback, Rect, SelectivityEstimator};
 use std::fmt;
@@ -98,9 +97,8 @@ impl fmt::Display for ModelKey {
 pub type RefreshFn = Box<dyn FnMut(usize) -> Option<Vec<f64>> + Send>;
 
 /// A registry entry: a static estimator (heuristic/SCV/batch bandwidth,
-/// no feedback consumption), the paper's self-tuning adaptive estimator
-/// with an optional tuple-refresh source, or a hybrid of that estimator
-/// and an exact scan.
+/// no feedback consumption) or the paper's self-tuning adaptive estimator
+/// with an optional tuple-refresh source.
 pub enum ServedModel {
     /// Fixed-bandwidth model; feedback is accepted and discarded.
     Static(Box<KdeEstimator>),
@@ -113,16 +111,6 @@ pub enum ServedModel {
         /// flagged slots are dropped (bandwidth tuning still applies).
         refresh: Option<RefreshFn>,
     },
-    /// Two estimator families (adaptive KDE, exact scan) behind a
-    /// cost/error router; the answering family's window scores the
-    /// feedback, and the KDE member adapts from all of it.
-    Hybrid {
-        /// The routed estimator bundle.
-        hybrid: Box<HybridEstimator>,
-        /// Replacement-tuple source for the KDE member's Karma-flagged
-        /// slots.
-        refresh: Option<RefreshFn>,
-    },
 }
 
 impl fmt::Debug for ServedModel {
@@ -132,11 +120,6 @@ impl fmt::Debug for ServedModel {
             Self::Adaptive { kde, refresh } => f
                 .debug_struct("Adaptive")
                 .field("kde", kde)
-                .field("refresh", &refresh.is_some())
-                .finish(),
-            Self::Hybrid { hybrid, refresh } => f
-                .debug_struct("Hybrid")
-                .field("decisions", &hybrid.router().decisions())
                 .field("refresh", &refresh.is_some())
                 .finish(),
         }
@@ -166,63 +149,25 @@ impl ServedModel {
         }
     }
 
-    /// Wraps a hybrid (KDE + exact) estimator without a tuple-refresh
-    /// source.
-    pub fn hybrid(hybrid: HybridEstimator) -> Self {
-        Self::Hybrid {
-            hybrid: Box::new(hybrid),
-            refresh: None,
-        }
-    }
-
-    /// Wraps a hybrid estimator with a tuple-refresh source for the KDE
-    /// member's Karma replacements.
-    pub fn hybrid_with_refresh(hybrid: HybridEstimator, refresh: RefreshFn) -> Self {
-        Self::Hybrid {
-            hybrid: Box::new(hybrid),
-            refresh: Some(refresh),
-        }
-    }
-
     /// Dimensionality of the estimated column set.
     pub fn dims(&self) -> usize {
         self.estimator().dims()
     }
 
-    /// The underlying KDE model (for hybrid models, the KDE member).
+    /// The underlying KDE model.
     pub fn estimator(&self) -> &KdeEstimator {
         match self {
             Self::Static(e) => e,
             Self::Adaptive { kde, .. } => kde.model(),
-            Self::Hybrid { hybrid, .. } => hybrid.kde().model(),
         }
     }
 
-    /// Serves one batch. Static and adaptive models issue ONE fused
-    /// launch for the whole group — per-query results are bit-identical
-    /// to sequential `estimate` calls (pinned by tests in `kdesel-kde`
-    /// and re-pinned end-to-end in `tests/serve.rs`) — and report no
-    /// families. Hybrid models route each query individually and report
-    /// which family answered it, for the `serve.request` spans.
-    pub(crate) fn estimate_batch(
-        &mut self,
-        regions: &[Rect],
-    ) -> (Vec<f64>, Option<Vec<&'static str>>) {
-        match self {
-            Self::Static(_) | Self::Adaptive { .. } => {
-                (self.estimator().estimate_batch(regions), None)
-            }
-            Self::Hybrid { hybrid, .. } => {
-                let mut estimates = Vec::with_capacity(regions.len());
-                let mut families = Vec::with_capacity(regions.len());
-                for region in regions {
-                    let (estimate, family) = hybrid.estimate_routed(region);
-                    estimates.push(estimate);
-                    families.push(family.name());
-                }
-                (estimates, Some(families))
-            }
-        }
+    /// Serves one batch with ONE fused launch for the whole group —
+    /// per-query results are bit-identical to sequential `estimate` calls
+    /// (pinned by tests in `kdesel-kde` and re-pinned end-to-end in
+    /// `tests/serve.rs`).
+    pub(crate) fn estimate_batch(&self, regions: &[Rect]) -> Vec<f64> {
+        self.estimator().estimate_batch(regions)
     }
 
     /// Applies one feedback item off the hot path. For adaptive models
@@ -254,33 +199,12 @@ impl ServedModel {
                 }
                 replaced
             }
-            Self::Hybrid { hybrid, refresh } => {
-                // The hybrid observes the feedback itself: the q-error
-                // lands in the answering family's rolling window, and the
-                // KDE member re-primes + tunes only when it answered.
-                hybrid.observe(feedback);
-                let mut replaced = Vec::new();
-                let flagged = hybrid.take_pending_replacements();
-                if let Some(refresh) = refresh {
-                    for index in flagged {
-                        if let Some(row) = refresh(index) {
-                            hybrid.replace_point(index, &row);
-                            replaced.push((index, row));
-                        }
-                    }
-                }
-                replaced
-            }
         }
     }
 
-    /// Captures the model state for warm restart. Hybrid snapshots embed
-    /// the router's adaptive state next to the KDE member's.
+    /// Captures the model state for warm restart.
     pub fn snapshot(&self) -> ModelSnapshot {
-        match self {
-            Self::Hybrid { hybrid, .. } => hybrid.snapshot(),
-            _ => ModelSnapshot::of(self.estimator()),
-        }
+        ModelSnapshot::of(self.estimator())
     }
 
     /// Replaces the model state with `snapshot`, preserving the backend
@@ -309,7 +233,6 @@ impl ServedModel {
                     karma,
                 );
             }
-            Self::Hybrid { hybrid, .. } => hybrid.restore_from_snapshot(snapshot)?,
         }
         Ok(())
     }
@@ -366,8 +289,7 @@ mod tests {
     fn static_model_ignores_feedback() {
         let mut model = fixed_model();
         let region = Rect::cube(2, 0.0, 1.0);
-        let (before, families) = model.estimate_batch(std::slice::from_ref(&region));
-        assert!(families.is_none());
+        let before = model.estimate_batch(std::slice::from_ref(&region));
         let replaced = model.apply_feedback(&QueryFeedback {
             region: region.clone(),
             estimate: before[0],
@@ -375,7 +297,7 @@ mod tests {
             cardinality: 9,
         });
         assert!(replaced.is_empty());
-        assert_eq!(model.estimate_batch(&[region]).0, before);
+        assert_eq!(model.estimate_batch(&[region]), before);
     }
 
     #[test]
@@ -391,7 +313,7 @@ mod tests {
         let mut model = ServedModel::adaptive(kde);
         let bw_before = model.estimator().bandwidth().to_vec();
         let region = Rect::from_intervals(&[(0.1, 0.9), (0.1, 0.9)]);
-        let estimate = model.estimate_batch(std::slice::from_ref(&region)).0[0];
+        let estimate = model.estimate_batch(std::slice::from_ref(&region))[0];
         for _ in 0..AdaptiveConfig::default().mini_batch {
             model.apply_feedback(&QueryFeedback {
                 region: region.clone(),
@@ -415,7 +337,6 @@ mod tests {
             dims: 3,
             kernel: "gaussian".to_string(),
             bandwidth: vec![1.0, 1.0, 1.0],
-            router: None,
         };
         let err = model.restore_in_place(&snapshot).unwrap_err();
         assert!(err.contains("dims"), "unexpected error {err:?}");

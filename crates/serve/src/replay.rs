@@ -30,7 +30,6 @@ use crate::config::ServeConfig;
 use crate::model::{ModelKey, ServedModel};
 use crate::service::Service;
 use kdesel_device::{Backend, Device};
-use kdesel_estimators::{ExactScanEstimator, HybridEstimator, RouterConfig};
 use kdesel_kde::{
     AdaptiveConfig, AdaptiveKde, KarmaConfig, LossFunction, ModelSnapshot, RmsPropConfig,
 };
@@ -70,12 +69,6 @@ enum CapturedKind {
         refresh: bool,
         adaptive: AdaptiveConfig,
         karma: KarmaConfig,
-    },
-    Hybrid {
-        refresh: bool,
-        adaptive: AdaptiveConfig,
-        karma: KarmaConfig,
-        router: RouterConfig,
     },
 }
 
@@ -369,26 +362,6 @@ impl Capture {
                         ServedModel::adaptive(kde)
                     }
                 }
-                CapturedKind::Hybrid {
-                    refresh,
-                    adaptive,
-                    karma,
-                    router,
-                } => {
-                    let kde =
-                        AdaptiveKde::from_estimator(estimator, adaptive.clone(), karma.clone());
-                    let exact = ExactScanEstimator::new(
-                        Device::new(model.backend),
-                        &model.snapshot.sample,
-                        model.snapshot.dims,
-                    );
-                    let hybrid = HybridEstimator::new(kde, exact, router.clone());
-                    if *refresh {
-                        ServedModel::hybrid_with_refresh(hybrid, scripted_refresh(script))
-                    } else {
-                        ServedModel::hybrid(hybrid)
-                    }
-                }
             };
             builder = builder.register(model.key.clone(), served);
         }
@@ -496,58 +469,39 @@ fn parse_model(record: &Json) -> Result<CapturedModel, String> {
         dims: record.usize("dims")?,
         kernel: record.str("kernel")?.to_string(),
         bandwidth: f64_slice(record, "bandwidth")?,
-        router: None,
     };
-    // The model constructors assert these ranges; checking them here turns
-    // an out-of-range field into a load error instead of a replay panic.
-    fn parse_tuning(record: &Json) -> Result<(AdaptiveConfig, KarmaConfig), String> {
-        let adaptive = AdaptiveConfig {
-            loss: parse_loss(record.str("loss")?)?,
-            mini_batch: record.usize("mini_batch")?,
-            log_updates: record.u64("log_updates")? != 0,
-            rmsprop: RmsPropConfig {
-                smoothing: record.f64("rms_smoothing")?,
-                rate_init: record.f64("rms_rate_init")?,
-                rate_min: record.f64("rms_rate_min")?,
-                rate_max: record.f64("rms_rate_max")?,
-                rate_inc: record.f64("rms_rate_inc")?,
-                rate_dec: record.f64("rms_rate_dec")?,
-                epsilon: record.f64("rms_epsilon")?,
-            },
-        };
-        let karma = KarmaConfig {
-            loss: parse_loss(record.str("karma_loss")?)?,
-            k_max: record.f64("karma_k_max")?,
-            threshold: record.f64("karma_threshold")?,
-            empty_region_shortcut: record.u64("karma_shortcut")? != 0,
-        };
-        adaptive.validate()?;
-        karma.validate()?;
-        Ok((adaptive, karma))
-    }
     let kind = match record.str("kind")? {
         "static" => CapturedKind::Static,
         "adaptive" => {
-            let (adaptive, karma) = parse_tuning(record)?;
+            let adaptive = AdaptiveConfig {
+                loss: parse_loss(record.str("loss")?)?,
+                mini_batch: record.usize("mini_batch")?,
+                log_updates: record.u64("log_updates")? != 0,
+                rmsprop: RmsPropConfig {
+                    smoothing: record.f64("rms_smoothing")?,
+                    rate_init: record.f64("rms_rate_init")?,
+                    rate_min: record.f64("rms_rate_min")?,
+                    rate_max: record.f64("rms_rate_max")?,
+                    rate_inc: record.f64("rms_rate_inc")?,
+                    rate_dec: record.f64("rms_rate_dec")?,
+                    epsilon: record.f64("rms_epsilon")?,
+                },
+            };
+            let karma = KarmaConfig {
+                loss: parse_loss(record.str("karma_loss")?)?,
+                k_max: record.f64("karma_k_max")?,
+                threshold: record.f64("karma_threshold")?,
+                empty_region_shortcut: record.u64("karma_shortcut")? != 0,
+            };
+            // The model constructors assert these ranges; checking them
+            // here turns an out-of-range field into a load error instead
+            // of a replay panic.
+            adaptive.validate()?;
+            karma.validate()?;
             CapturedKind::Adaptive {
                 refresh: record.u64("refresh")? != 0,
                 adaptive,
                 karma,
-            }
-        }
-        "hybrid" => {
-            let (adaptive, karma) = parse_tuning(record)?;
-            let router = RouterConfig {
-                window: record.usize("router_window")?,
-                latency_budget: record.f64("router_budget")?,
-                probe_every: record.u64("router_probe")?,
-            };
-            router.validate()?;
-            CapturedKind::Hybrid {
-                refresh: record.u64("refresh")? != 0,
-                adaptive,
-                karma,
-                router,
             }
         }
         other => return Err(format!("unknown model kind {other:?}")),
@@ -750,32 +704,20 @@ mod tests {
     #[test]
     fn load_rejects_out_of_range_tuning_without_panicking() {
         use crate::capture::Recorder;
-        use kdesel_estimators::HybridConfig;
         use kdesel_kde::KernelFn;
 
         let sample: Vec<f64> = (0..32).map(|i| f64::from(i) * 0.5).collect();
-        let models = vec![
-            (
-                ModelKey::new("orders", &["price"]),
-                ServedModel::adaptive(AdaptiveKde::new(
-                    Device::new(Backend::CpuSeq),
-                    &sample,
-                    1,
-                    KernelFn::Gaussian,
-                    AdaptiveConfig::default(),
-                    KarmaConfig::default(),
-                )),
-            ),
-            (
-                ModelKey::new("parts", &["size"]),
-                ServedModel::hybrid(HybridEstimator::from_sample(
-                    Device::new(Backend::CpuSeq),
-                    &sample,
-                    1,
-                    &HybridConfig::default(),
-                )),
-            ),
-        ];
+        let models = vec![(
+            ModelKey::new("orders", &["price"]),
+            ServedModel::adaptive(AdaptiveKde::new(
+                Device::new(Backend::CpuSeq),
+                &sample,
+                1,
+                KernelFn::Gaussian,
+                AdaptiveConfig::default(),
+                KarmaConfig::default(),
+            )),
+        )];
         let dir = std::env::temp_dir().join(format!("kdesel-replay-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let recorded = dir.join("tuning-recorded.jsonl");
@@ -790,7 +732,6 @@ mod tests {
             (2, "mini_batch", "0", "mini_batch"),
             (2, "rms_smoothing", "1.5", "smoothing"),
             (2, "karma_k_max", "-3.0", "k_max"),
-            (3, "router_window", "0", "window"),
         ] {
             let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
             edited[line - 1] = set_field(&edited[line - 1], key, value);
@@ -802,6 +743,22 @@ mod tests {
                 "{key}={value}: {err}"
             );
         }
+
+        // A model recorded as the retired hybrid kind, router settings
+        // included, is a load error rather than a model.
+        let hybrid = format!(
+            r#"{},"router_window":64,"router_budget":0.002,"router_probe":16}}"#,
+            set_field(lines[1], "kind", r#""hybrid""#)
+                .strip_suffix('}')
+                .expect("one object per line")
+        );
+        let mut edited: Vec<&str> = lines.clone();
+        edited[1] = &hybrid;
+        let err = Capture::load(&write_lines("tuning-hybrid", &edited)).unwrap_err();
+        assert!(
+            err.contains(r#"capture line 2: unknown model kind "hybrid""#),
+            "{err}"
+        );
     }
 
     #[test]

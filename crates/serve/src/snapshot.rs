@@ -97,11 +97,6 @@ pub fn validate(snapshot: &ModelSnapshot) -> Result<(), String> {
     if !matches!(snapshot.kernel.as_str(), "gaussian" | "epanechnikov") {
         return Err(format!("unknown kernel {:?}", snapshot.kernel));
     }
-    if let Some(router) = &snapshot.router {
-        router
-            .validate()
-            .map_err(|e| format!("router state: {e}"))?;
-    }
     Ok(())
 }
 
@@ -115,7 +110,6 @@ mod tests {
             dims: 2,
             kernel: "gaussian".to_string(),
             bandwidth: vec![0.5, 0.6],
-            router: None,
         }
     }
 
@@ -187,14 +181,6 @@ mod tests {
             ("bandwidth below the floor", |s| s.bandwidth[0] = 1e-160),
             ("nan sample", |s| s.sample[0] = f64::NAN),
             ("unknown kernel", |s| s.kernel = "triangular".to_string()),
-            ("invalid router state", |s| {
-                s.router = Some(kdesel_types::RouterState {
-                    families: vec!["kde".to_string()],
-                    windows: vec![vec![0.5]],
-                    decisions: vec![0],
-                    last: None,
-                })
-            }),
         ];
         for (what, corrupt) in cases {
             let mut snap = snapshot();

@@ -320,7 +320,7 @@ impl Worker {
         let traced = kdesel_telemetry::tracing() || self.capture.is_some();
         let stats_before = traced.then(|| self.model.estimator().device().stats());
         let started = Instant::now();
-        let (estimates, families) = self.model.estimate_batch(&regions);
+        let estimates = self.model.estimate_batch(&regions);
         let launch_seconds = started.elapsed().as_secs_f64();
         self.launch_window.push_back(launch_seconds);
         if self.launch_window.len() > LAUNCH_WINDOW {
@@ -333,14 +333,7 @@ impl Worker {
             let device = self.model.estimator().device();
             let launch_stats = device.stats().since(&before);
             let profile = device.profile();
-            self.emit_request_spans(
-                &batch,
-                &estimates,
-                families.as_deref(),
-                launch_seconds,
-                &launch_stats,
-                &profile,
-            );
+            self.emit_request_spans(&batch, &estimates, launch_seconds, &launch_stats, &profile);
         }
         if kdesel_telemetry::enabled() {
             self.meters.batches.inc();
@@ -401,23 +394,19 @@ impl Worker {
         &self,
         batch: &[EstimateRequest],
         estimates: &[f64],
-        families: Option<&[&'static str]>,
         launch_seconds: f64,
         launch_stats: &DeviceStats,
         profile: &kdesel_device::DeviceProfile,
     ) {
-        for (i, (req, &estimate)) in batch.iter().zip(estimates).enumerate() {
+        for (req, &estimate) in batch.iter().zip(estimates) {
             let root = SpanContext::root_of(req.trace);
-            let mut request = self
-                .tag_model(Event::new("serve.request").ctx(&root))
-                .f64_slice("lo", req.region.lo())
-                .f64_slice("hi", req.region.hi())
-                .f64("estimate", estimate)
-                .f64("wait_s", req.submitted.elapsed().as_secs_f64());
-            if let Some(families) = families {
-                request = request.str("family", families[i]);
-            }
-            self.emit(request);
+            self.emit(
+                self.tag_model(Event::new("serve.request").ctx(&root))
+                    .f64_slice("lo", req.region.lo())
+                    .f64_slice("hi", req.region.hi())
+                    .f64("estimate", estimate)
+                    .f64("wait_s", req.submitted.elapsed().as_secs_f64()),
+            );
             let batch_span = root.child();
             self.emit(
                 Event::new("serve.batch")

@@ -20,7 +20,6 @@ pub mod error_metrics;
 pub mod estimator;
 pub mod feedback;
 pub mod rect;
-pub mod router;
 pub mod stats;
 
 pub use budget::{MemoryBudget, Precision};
@@ -28,5 +27,4 @@ pub use error_metrics::{ErrorMetric, QERROR_SMOOTHING};
 pub use estimator::{ConstantEstimator, SelectivityEstimator};
 pub use feedback::{LabelledQuery, QueryFeedback};
 pub use rect::Rect;
-pub use router::RouterState;
 pub use stats::{FiveNumberSummary, Summary};

@@ -32,12 +32,12 @@ run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
     -p kdesel-device
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" \
     cargo test -q --offline --target-dir target/portable -p kdesel --test simd_soa
-# The hybrid-estimator serve round-trip (checkpoint, restart, bitwise
-# continuation of the router + tuned KDE member) is the bake-off
-# subsystem's persistence contract; run it by name so a checkpoint-format
-# change can't slip through a filtered test run.
-run cargo test -q --offline --release -p kdesel --test bakeoff \
-    hybrid_snapshot_roundtrip_through_serve
+# The adaptive serve round-trip (feedback-tuned model checkpointed at
+# shutdown, restarted from disk, bitwise continuation of estimates and
+# tuning) is the serving layer's persistence contract; run it by name so
+# a checkpoint-format change can't slip through a filtered test run.
+run cargo test -q --offline --release -p kdesel --test serve \
+    adaptive_snapshot_roundtrip_through_serve
 # The benchmark harness (perfbench/, its own package outside the
 # workspace) builds against the library crates: build it and run its
 # tests, so a removed or renamed API it calls fails here rather than in
@@ -65,24 +65,14 @@ run cargo run --release --offline --bin kdesel-replay -- \
 run cargo run --release --offline --bin kdesel-calibrate -- \
     --backend cpu-seq --quick --gate 20 --out "$replay_dir/calibration.json"
 
-# Bake-off gate: the hybrid router's q-error p95 over the mixed bake-off
-# workload must not exceed the best single family's (KDE or exact scan).
-# Fixed cost profiles and seeded workloads make it deterministic, and it
-# runs in about a second in release, so it guards the routing on every
-# pass. Its report and history line go to the temp dir, not the tree.
-run env PERF_SMOKE=1 BENCH_BAKEOFF_OUT="$replay_dir/bakeoff.json" \
-    BENCH_HISTORY_OUT="$replay_dir/history.jsonl" \
-    cargo run --release --offline --bin bench_bakeoff
-
 # Optional perf gate: PERF_SMOKE=1 scripts/check.sh additionally runs the
-# fusion, serving, SIMD and bake-off microbenches and fails on a >2x
-# modeled-cost regression of the estimate hot path, <2x modeled
-# coalescing at batch 16, a reappearance of the max_batch=16 throughput
-# cliff in the adaptive window sweep, a <2x wall-clock SoA estimate
-# sweep speedup (Epanechnikov or Gaussian), or the bake-off gate above
-# (see scripts/perf_smoke.sh). Add BENCH_TREND=1 to also gate each
-# bench's metrics against the rolling median of
-# results/BENCH_history.jsonl.
+# fusion, serving and SIMD microbenches and fails on a >2x modeled-cost
+# regression of the estimate hot path, <2x modeled coalescing at batch
+# 16, a reappearance of the max_batch=16 throughput cliff in the
+# adaptive window sweep, or a <2x wall-clock SoA estimate sweep speedup
+# (Epanechnikov or Gaussian) (see scripts/perf_smoke.sh). Add
+# BENCH_TREND=1 to also gate each bench's metrics against the rolling
+# median of results/BENCH_history.jsonl.
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
     run scripts/perf_smoke.sh
 fi

@@ -19,12 +19,6 @@
 #   1e-12*max(|a|,|b|,1). The division-free Epanechnikov sweep holds
 #   ~2.5x on a plain AVX2 core and the lane-erf Gaussian sweep ~4x,
 #   leaving headroom over the threshold.
-# * bench_bakeoff (run with PERF_SMOKE=1) fails when the hybrid router's
-#   q-error p95 over the mixed bake-off workload (small/highdim/shifting
-#   segments) exceeds the best single family's (KDE or exact scan) — the
-#   router must never lose to its own best member. Pure estimation
-#   quality on seeded deterministic workloads, so the gate is
-#   machine-insensitive; scripts/check.sh runs it on every pass too.
 #
 # bench_fusion modeled seconds and the bench_serve coalescing speedup
 # come from the deterministic device cost model, so those gates are
@@ -46,20 +40,18 @@
 #   cargo run --release --bin bench_fusion   (writes BENCH_fusion.json)
 #   cargo run --release --bin bench_serve    (writes BENCH_serve.json)
 #   cargo run --release --bin bench_simd     (writes BENCH_simd.json)
-#   cargo run --release --bin bench_bakeoff  (writes BENCH_bakeoff.json)
 # and committing the results (plus the results/BENCH_history.jsonl lines
 # those runs append).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --bin bench_fusion --bin bench_serve \
-    --bin bench_simd --bin bench_bakeoff
+    --bin bench_simd
 out=$(mktemp /tmp/bench_fusion.XXXXXX.json)
 serve_out=$(mktemp /tmp/bench_serve.XXXXXX.json)
 simd_out=$(mktemp /tmp/bench_simd.XXXXXX.json)
-bakeoff_out=$(mktemp /tmp/bench_bakeoff.XXXXXX.json)
 hist_out=$(mktemp /tmp/bench_history.XXXXXX.jsonl)
-trap 'rm -f "$out" "$serve_out" "$simd_out" "$bakeoff_out" "$hist_out"' EXIT
+trap 'rm -f "$out" "$serve_out" "$simd_out" "$hist_out"' EXIT
 # Seed the throwaway history with the checked-in one so BENCH_TREND=1 has
 # a rolling baseline to compare against.
 if [[ -f results/BENCH_history.jsonl ]]; then
@@ -70,5 +62,4 @@ BENCH_FUSION_BASELINE=BENCH_fusion.json BENCH_FUSION_OUT="$out" \
     ./target/release/bench_fusion
 PERF_SMOKE=1 BENCH_SERVE_OUT="$serve_out" ./target/release/bench_serve
 PERF_SMOKE=1 BENCH_SIMD_OUT="$simd_out" ./target/release/bench_simd
-PERF_SMOKE=1 BENCH_BAKEOFF_OUT="$bakeoff_out" ./target/release/bench_bakeoff
 echo "=== perf smoke passed ==="

@@ -11,10 +11,9 @@ use kdesel_engine::EstimatorKind;
 
 fn main() {
     let cli = Cli::parse();
-    // The paper's five, plus the bake-off families: the exact baseline
-    // and the hybrid router over it and the self-tuning KDE.
+    // The paper's five, plus the exact-scan baseline.
     let mut estimators = EstimatorKind::ALL.to_vec();
-    estimators.extend([EstimatorKind::Exact, EstimatorKind::Hybrid]);
+    estimators.push(EstimatorKind::Exact);
     let config = StaticConfig {
         rows: cli.rows_or(6_000, 100_000),
         repetitions: cli.reps_or(2, 25),

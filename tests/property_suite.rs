@@ -3,13 +3,13 @@
 
 use kdesel::device::calibrate::PointOp;
 use kdesel::device::{Backend, CostProfile, Device, MeasuredPoint, MeasuredProfile};
+use kdesel::estimators::ExactScanEstimator;
 use kdesel::hist::{SthConfig, SthHoles};
 use kdesel::kde::{
     AdaptiveConfig, AdaptiveKde, KarmaConfig, KdeEstimator, KernelFn, ModelSnapshot,
 };
 use kdesel::serve::snapshot;
 use kdesel::storage::Table;
-use kdesel::types::RouterState;
 use kdesel::{QueryFeedback, Rect, SelectivityEstimator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,47 +48,18 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Strategy: no router state, or a valid one over 1–3 families whose
-/// names need escaping.
-fn router_strategy() -> impl Strategy<Value = Option<RouterState>> {
-    (0usize..4)
-        .prop_flat_map(|n| {
-            (
-                proptest::collection::vec(proptest::collection::vec(finite_f64(), 0..5), n),
-                proptest::collection::vec(0u64..u64::MAX, n),
-                0..n + 1,
-            )
-        })
-        .prop_map(|(windows, decisions, last)| {
-            let families: Vec<String> = (0..windows.len())
-                .map(|i| format!("family \"{i}\"\\\n"))
-                .collect();
-            (!families.is_empty()).then(|| RouterState {
-                windows: windows
-                    .into_iter()
-                    .map(|w| w.into_iter().map(|q| 1.0 + q.abs()).collect())
-                    .collect(),
-                decisions,
-                last: families.get(last).cloned(),
-                families,
-            })
-        })
-}
-
 fn snapshot_strategy() -> impl Strategy<Value = ModelSnapshot> {
     (
         proptest::collection::vec(finite_f64(), 0..40),
         1usize..9,
         0usize..3,
         proptest::collection::vec(finite_f64(), 0..9),
-        router_strategy(),
     )
-        .prop_map(|(sample, dims, kernel, bandwidth, router)| ModelSnapshot {
+        .prop_map(|(sample, dims, kernel, bandwidth)| ModelSnapshot {
             sample,
             dims,
             kernel: ["gaussian", "epanechnikov", "we\"ird\\ \u{1}σ"][kernel].to_string(),
             bandwidth,
-            router,
         })
 }
 
@@ -317,6 +288,48 @@ proptest! {
             prop_assert_eq!(bits(&back.bandwidth), bits(&snap.bandwidth), "step {i}");
             prop_assert_eq!(bits(&back.sample), bits(&snap.sample), "step {i}");
             prop_assert_eq!((back.dims, &back.kernel), (snap.dims, &snap.kernel));
+        }
+    }
+
+    /// The exact scan's fused device sweep is bitwise equal to the
+    /// scalar host loop on every backend, including adversarial
+    /// rectangles whose bounds sit exactly on data coordinates (the
+    /// 0/1 containment indicator admits no rounding slack).
+    #[test]
+    fn exact_scan_matches_scalar_reference_bitwise(
+        points in proptest::collection::vec(
+            (0.0f64..100.0, 0.0f64..100.0, 0.0f64..100.0), 1..160),
+        bounds in proptest::collection::vec((-10.0f64..110.0, -10.0f64..110.0), 3),
+        snap_mask in 0u8..8,
+        snap_index in 0usize..usize::MAX,
+    ) {
+        let dims = 3;
+        let mut data = Vec::with_capacity(points.len() * dims);
+        for (x, y, z) in &points {
+            data.extend_from_slice(&[*x, *y, *z]);
+        }
+        let intervals: Vec<(f64, f64)> = (0..dims)
+            .map(|d| {
+                let (a, b) = bounds[d];
+                let (mut lo, mut hi) = (a.min(b), a.max(b));
+                if snap_mask & (1 << d) != 0 {
+                    // Pin this dimension's bounds to an actual data
+                    // coordinate: a zero-width boundary-equality box.
+                    let row = snap_index % points.len();
+                    lo = data[row * dims + d];
+                    hi = lo;
+                }
+                (lo, hi)
+            })
+            .collect();
+        let region = Rect::from_intervals(&intervals);
+        let want = ExactScanEstimator::scalar_reference(&data, dims, &region);
+        for backend in [Backend::CpuSeq, Backend::CpuPar, Backend::SimGpu] {
+            let est = ExactScanEstimator::new(Device::new(backend), &data, dims);
+            let got = est.estimate(&region);
+            prop_assert_eq!(
+                got.to_bits(), want.to_bits(),
+                "{:?}: {} vs {}", backend, got, want);
         }
     }
 

@@ -8,9 +8,10 @@ use kdesel::kde::{
     AdaptiveConfig, AdaptiveKde, KarmaConfig, KdeEstimator, KernelFn, ModelSnapshot,
 };
 use kdesel::serve::{
-    AdaptiveWaitConfig, CheckpointPolicy, ModelKey, ServeConfig, ServeError, ServedModel, Service,
+    AdaptiveWaitConfig, CheckpointPolicy, ModelKey, ServeConfig, ServeError, ServeHandle,
+    ServedModel, Service,
 };
-use kdesel::{QueryFeedback, Rect};
+use kdesel::{QueryFeedback, Rect, SelectivityEstimator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,6 +272,122 @@ fn snapshot_round_trip_preserves_estimates_bitwise() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Serve an adaptive model with feedback, checkpoint it at shutdown and
+/// restart from disk: the restored service continues bit for bit where an
+/// in-process model does that saw the same history and went through the
+/// same snapshot/restore cycle — on estimates and on the bandwidth its
+/// feedback tunes.
+#[test]
+fn adaptive_snapshot_roundtrip_through_serve() {
+    let dims = 2;
+    let sample = sample(96, dims, 11);
+    let dir = temp_dir("adaptive-roundtrip");
+    let key = ModelKey::new("orders", &["price", "qty"]);
+    let policy = CheckpointPolicy::in_dir(&dir);
+    let model = || {
+        AdaptiveKde::new(
+            Device::new(Backend::CpuSeq),
+            &sample,
+            dims,
+            KernelFn::Gaussian,
+            AdaptiveConfig::default(),
+            KarmaConfig::default(),
+        )
+    };
+    let build_service = || {
+        Service::builder(ServeConfig {
+            checkpoint: Some(policy.clone()),
+            ..ServeConfig::default()
+        })
+        .register(key.clone(), ServedModel::adaptive(model()))
+        .build()
+        .unwrap()
+    };
+    let phase1 = regions(24, dims, 12);
+    let phase2 = regions(24, dims, 13);
+    // Feedback that skews against the estimate, so tuning moves the
+    // bandwidth.
+    let feedback = |region: &Rect, estimate: f64, i: usize| QueryFeedback {
+        region: region.clone(),
+        estimate,
+        actual: (estimate * if i.is_multiple_of(3) { 0.2 } else { 0.9 }).min(1.0),
+        cardinality: 0,
+    };
+    // The served loop: estimate, feed back, and wait until the feedback
+    // is applied, so the executor interleaves exactly like `control`.
+    let serve = |handle: &ServeHandle, region: &Rect, i: usize| {
+        let estimate = handle.estimate(&key, region).unwrap();
+        handle
+            .feedback(&key, feedback(region, estimate, i))
+            .unwrap();
+        handle.flush(&key).unwrap();
+        estimate
+    };
+    // The same loop in process, with the serve executor's feedback step:
+    // re-prime the fused sweep for the region, observe, and drop the
+    // slots Karma flags (there is no refresh source).
+    let control_step = |control: &mut AdaptiveKde, region: &Rect, i: usize| {
+        let estimate = control.estimate(region);
+        let feedback = feedback(region, estimate, i);
+        let _ = control.estimate(&feedback.region);
+        control.observe(&feedback);
+        let _ = control.take_pending_replacements();
+        estimate
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    // First life: serve phase 1 with feedback, then shut down (which
+    // writes the checkpoint).
+    let service = build_service();
+    let handle = service.handle();
+    for (i, region) in phase1.iter().enumerate() {
+        serve(&handle, region, i);
+    }
+    service.shutdown().unwrap();
+
+    // Control: the same history in process, then the restore the second
+    // life performs.
+    let mut control = model();
+    for (i, region) in phase1.iter().enumerate() {
+        control_step(&mut control, region, i);
+    }
+    let snapshot = ModelSnapshot::of(control.model());
+    let mut control = AdaptiveKde::from_estimator(
+        snapshot.restore(Device::new(Backend::CpuSeq)),
+        AdaptiveConfig::default(),
+        KarmaConfig::default(),
+    );
+
+    // Second life: a freshly registered model is restored from disk with
+    // the tuned bandwidth and must continue exactly where the control
+    // does.
+    let service = build_service();
+    let handle = service.handle();
+    let restored = handle.report(&key).unwrap().bandwidth;
+    assert_eq!(bits(&restored), bits(control.model().bandwidth()));
+    assert_ne!(
+        bits(&restored),
+        bits(model().model().bandwidth()),
+        "phase 1 must tune the bandwidth off its default"
+    );
+    for (i, region) in phase2.iter().enumerate() {
+        let got = serve(&handle, region, i);
+        let want = control_step(&mut control, region, i);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "query {i}: restored model diverged: {got} vs {want}"
+        );
+        assert_eq!(
+            bits(&handle.report(&key).unwrap().bandwidth),
+            bits(control.model().bandwidth()),
+            "query {i}: bandwidth diverged"
+        );
+    }
+    service.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A corrupted checkpoint must fail the build loudly (never a silent cold
 /// start), and `ModelSnapshot::from_json` must reject malformed JSON.
 #[test]
@@ -314,6 +431,8 @@ fn malformed_snapshots_are_rejected() {
         "{\"sample\":[1.0],\"dims\":1,\"kernel\":\"gaussian\",\"bandwidth\":[1.0]}trailing",
         "{\"mystery\":1}",
         "{\"sample\":[0.1,0.2,0.3,0.4],\"dims\":2.9,\"kernel\":\"gaussian\",\"bandwidth\":[0.5,0.6]}",
+        // A checkpoint carrying the retired hybrid router's state.
+        "{\"sample\":[0.1,0.2],\"dims\":1,\"kernel\":\"gaussian\",\"bandwidth\":[0.5],\"router\":{\"families\":[\"kde\",\"exact\"],\"windows\":[[1.5],[]],\"decisions\":[1,0],\"last\":\"kde\"}}",
     ] {
         assert!(ModelSnapshot::from_json(bad).is_err(), "accepted {bad:?}");
     }
