@@ -2,8 +2,9 @@
 //!
 //! These complement the Figure 7 binary: where `fig7_performance` models
 //! the paper's hardware, these measure this machine's actual throughput of
-//! the building blocks (Cody's and the lane erf, estimate, gradient,
-//! Karma pass, STHoles estimate, reservoir decisions, CpuPar dispatch).
+//! the building blocks (Cody's and the lane erf, the lane exp, estimate,
+//! gradient, Karma pass, STHoles estimate, reservoir decisions, CpuPar
+//! dispatch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kdesel_device::{Backend, Device, SWEEP_BLOCK_ROWS};
@@ -45,6 +46,37 @@ fn bench_erf(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    g.finish();
+}
+
+fn bench_exp(c: &mut Criterion) {
+    // The lane exp the Gaussian gradient sweeps run, a pack at a time:
+    // arguments in [-300, 0], then the same with one lane in eight below
+    // the -746 clamp (result +0.0). A lane that reaches zero through the
+    // subnormal range costs its whole pack a microcode assist, so a gap
+    // between the two rows is an assist.
+    let values: Vec<f64> = (0..1024).map(|i| -300.0 * i as f64 / 1023.0).collect();
+    let underflow: Vec<f64> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| if i % LANES == 0 { x - 800.0 } else { x })
+        .collect();
+    let mut g = c.benchmark_group("exp");
+    g.throughput(Throughput::Elements(values.len() as u64));
+    for (name, xs) in [
+        ("lane_1024_values", &values),
+        ("lane_1024_underflow", &underflow),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut acc = F64s::splat(0.0);
+                for pack in black_box(xs).chunks_exact(LANES) {
+                    acc = acc + F64s::from_slice(pack).exp();
+                }
+                black_box(acc)
+            })
+        });
+    }
     g.finish();
 }
 
@@ -279,6 +311,7 @@ fn bench_par_dispatch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_erf,
+    bench_exp,
     bench_estimate,
     bench_gradient,
     bench_karma,

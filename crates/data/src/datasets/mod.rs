@@ -48,17 +48,6 @@ impl Dataset {
         }
     }
 
-    /// Full row count of the original dataset.
-    pub fn full_rows(self) -> usize {
-        match self {
-            Dataset::Bike => 17_379,
-            Dataset::Forest => 581_012,
-            Dataset::Power => 2_075_259,
-            Dataset::Protein => 45_730,
-            Dataset::Synthetic => 1_000_000,
-        }
-    }
-
     /// Number of attributes the generator produces before projection.
     pub fn full_dims(self) -> usize {
         match self {

@@ -52,12 +52,6 @@ impl Database {
         &self.table
     }
 
-    /// Overrides the build configuration (budget, backend, kernel, ...).
-    /// Takes effect at the next [`analyze`](Self::analyze).
-    pub fn set_build_config(&mut self, config: BuildConfig) {
-        self.config = config;
-    }
-
     /// Whether statistics exist.
     pub fn has_statistics(&self) -> bool {
         self.estimator.is_some()

@@ -10,9 +10,10 @@
 //!
 //! Beyond the paper, the exact scan (*Exact Selectivity Computation*,
 //! PAPERS.md) runs the same queries over a table of `size` rows (capped
-//! at the table) on both backends, so its measured wall time answers the
-//! question the paper leaves open: at what table size a KDE of a given
-//! sample size is cheaper than the truth.
+//! at the table, and reported as the rows scanned) on both backends, so
+//! its measured wall time answers the question the paper leaves open: at
+//! what table size a KDE of a given sample size is cheaper than the
+//! truth.
 //!
 //! For Adaptive, §5.5 hides the gradient/Karma computation behind the
 //! query's own execution: "the only measurable performance impact of
@@ -66,8 +67,8 @@ impl Default for PerfConfig {
 /// One backend's overhead at one model size.
 #[derive(Debug, Clone)]
 pub struct PerfPoint {
-    /// Model size (sample points, or the byte-equivalent bucket count for
-    /// STHoles).
+    /// Model size (sample points, the byte-equivalent bucket count for
+    /// STHoles, or the rows an exact scan read).
     pub model_size: usize,
     /// Modeled seconds for the whole query batch (KDE backends).
     pub modeled_seconds: Option<f64>,
@@ -235,8 +236,9 @@ fn sized_sample(table: &Table, size: usize, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// Measures the exact scan over a `size`-row staged snapshot
-/// (capped at the table — an exact scan never duplicates rows).
+/// Measures the exact scan over a `size`-row staged snapshot, capped at
+/// the table (an exact scan never duplicates rows); the point reports
+/// the rows scanned.
 fn measure_exact(
     table: &Table,
     regions: &[Rect],
@@ -244,8 +246,9 @@ fn measure_exact(
     size: usize,
     seed: u64,
 ) -> PerfPoint {
+    let scanned = size.min(table.row_count());
     let mut rng = StdRng::seed_from_u64(seed ^ size as u64 ^ 0xe4ac);
-    let rows = sampling::sample_rows(table, size.min(table.row_count()), &mut rng);
+    let rows = sampling::sample_rows(table, scanned, &mut rng);
     let est = ExactScanEstimator::new(Device::new(backend), &rows, table.dims());
     let t0 = est.device().modeled_seconds();
     let wall = Instant::now();
@@ -255,7 +258,7 @@ fn measure_exact(
     }
     std::hint::black_box(sink);
     PerfPoint {
-        model_size: size,
+        model_size: scanned,
         modeled_seconds: Some(est.device().modeled_seconds() - t0),
         measured_seconds: wall.elapsed().as_secs_f64(),
     }
@@ -377,7 +380,7 @@ mod tests {
         let config = PerfConfig {
             dims: 3,
             rows: 3_000,
-            sample_sizes: vec![1 << 7, 1 << 10],
+            sample_sizes: vec![1 << 7, 1 << 10, 1 << 12],
             queries: 10,
             include_stholes: false,
             seed: 3,
@@ -388,7 +391,9 @@ mod tests {
                 .iter()
                 .find(|s| s.label == label)
                 .unwrap_or_else(|| panic!("missing series {label}"));
-            assert_eq!(s.points.len(), 2);
+            // A size past the table scans, and reports, the whole table.
+            let sizes: Vec<usize> = s.points.iter().map(|p| p.model_size).collect();
+            assert_eq!(sizes, [1 << 7, 1 << 10, 3_000], "{label}");
             for p in &s.points {
                 let m = p.modeled_seconds.expect("exact series are modeled");
                 assert!(m > 0.0, "{label}: modeled {m}");

@@ -31,7 +31,10 @@
 //! oracle, `exp` within 1 ulp of libm — not the oracles the reference
 //! kernels call. A pack of them vectorizes (eight erf arguments take a
 //! few packed rational evaluations instead of eight branchy scalar
-//! calls), and the difference stays inside the same 1e-12 band.
+//! calls), and the difference stays inside the same 1e-12 band. A
+//! factor's two `erf`s, and a derivative's two `exp`s, run as one
+//! interleaved pair (`F64s::erf_pair`, `F64s::exp_pair`), whose lanes
+//! are bitwise those of two single packs.
 //!
 //! # Dictionary-coded columns
 //!
@@ -55,8 +58,9 @@
 //!   operation sequence: the tail helpers ([`factor_scalar`],
 //!   [`dfactor_scalar`]) are the per-lane expressions of
 //!   [`factor_lanes`]/[`dfactor_lanes`] verbatim, [`F64s`] never
-//!   reassociates or fuses, and `F64s::erf`/`F64s::exp` and the tails'
-//!   `simd::erf`/`simd::exp` are one generic lane-function source.
+//!   reassociates or fuses, and `F64s::erf_pair`/`F64s::exp_pair` and
+//!   the tails' `simd::erf`/`simd::exp` are one generic lane-function
+//!   source.
 //! * A table entry is [`factor_lanes`]/[`dfactor_lanes`] (or, on the
 //!   table's tail, their scalar twins) of the distinct value with the
 //!   query's [`DimParams`], and a value's code reproduces its bits
@@ -132,8 +136,10 @@ impl DimParams {
 fn factor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
     match kernel {
         KernelFn::Gaussian => {
-            let e_hi = ((F64s::splat(p.hi) - t) * p.inv).erf();
-            let e_lo = ((F64s::splat(p.lo) - t) * p.inv).erf();
+            let [e_hi, e_lo] = F64s::erf_pair([
+                (F64s::splat(p.hi) - t) * p.inv,
+                (F64s::splat(p.lo) - t) * p.inv,
+            ]);
             (e_hi - e_lo) * 0.5
         }
         KernelFn::Epanechnikov => {
@@ -186,11 +192,10 @@ fn dfactor_lanes(kernel: KernelFn, t: F64s, p: DimParams) -> F64s {
         KernelFn::Gaussian => {
             // `d·exp(−d²/2h²)`; the lanes of an infinite bound (where it
             // is `∞·0`) are zeroed, like the scalar `else { 0.0 }` arm.
-            let term = |d: F64s| -> F64s {
-                (d * (-d * d * p.inv_2h2).exp()).zero_unless_within(d, f64::MIN, f64::MAX)
-            };
-            let t_lo = term(F64s::splat(p.lo) - t);
-            let t_hi = term(F64s::splat(p.hi) - t);
+            let (d_lo, d_hi) = (F64s::splat(p.lo) - t, F64s::splat(p.hi) - t);
+            let [e_lo, e_hi] = F64s::exp_pair([-d_lo * d_lo * p.inv_2h2, -d_hi * d_hi * p.inv_2h2]);
+            let t_lo = (d_lo * e_lo).zero_unless_within(d_lo, f64::MIN, f64::MAX);
+            let t_hi = (d_hi * e_hi).zero_unless_within(d_hi, f64::MIN, f64::MAX);
             (t_lo - t_hi) * p.dnorm
         }
         KernelFn::Epanechnikov => {

@@ -81,6 +81,13 @@ fn sub_i64(a: __m512i, b: __m512i) -> __m512i {
     unsafe { _mm512_sub_epi64(a, b) }
 }
 
+/// The integer `k` per lane that adding [`ROUND_SHIFT`] left in
+/// `shifted`'s low mantissa bits: the lane form of [`super::shifted_int`].
+#[inline(always)]
+fn shifted_int(shifted: F64s) -> __m512i {
+    sub_i64(bits(shifted), splat_i64(ROUND_SHIFT.to_bits() as i64))
+}
+
 /// `2ᵏ` per lane for `-1022 ≤ k ≤ 1023`: the lane form of
 /// [`super::pow2`], `((k + 1023) as u64) << 52`.
 #[inline(always)]
@@ -187,10 +194,15 @@ impl Lane for F64s {
 
     #[inline(always)]
     fn exp2_halves(shifted: Self) -> (Self, Self) {
-        let k = sub_i64(bits(shifted), splat_i64(ROUND_SHIFT.to_bits() as i64));
+        let k = shifted_int(shifted);
         // SAFETY: avx512f is enabled; register-only arithmetic shift, as
         // `i64 >> 1`.
         let k_half = unsafe { _mm512_srai_epi64::<1>(k) };
         (pow2(k_half), pow2(sub_i64(k, k_half)))
+    }
+
+    #[inline(always)]
+    fn exp2(shifted: Self) -> Self {
+        pow2(shifted_int(shifted))
     }
 }

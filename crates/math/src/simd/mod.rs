@@ -16,10 +16,18 @@
 //!
 //! **One lane-function source.** The transcendentals [`erf`] and
 //! [`exp`] are written once, generically over a private lane trait
-//! that `f64` and `F64s` both implement: arithmetic, compares, and
-//! selects in place of branches. A scalar sweep tail calls the `f64`
-//! instance and a vector group the `F64s` one, so tails and groups run
-//! one IEEE-754 operation sequence on either arm.
+//! that `f64`, `F64s` and a pair of `F64s` all implement: arithmetic,
+//! compares, and selects in place of branches. A scalar sweep tail
+//! calls the `f64` instance, a vector group the `F64s` one, and a
+//! group that needs two evaluations ([`F64s::erf_pair`],
+//! [`F64s::exp_pair`]) the pair one, so tails and groups run one
+//! IEEE-754 operation sequence on either arm.
+//!
+//! **No subnormal detours.** A lane whose result is known to be zero
+//! gets there through an exact-zero factor, never by rounding through
+//! the subnormal range: x86 cores run an operation with a subnormal
+//! result as a microcode assist for the whole pack, several times the
+//! cost of the arithmetic.
 //!
 //! **Bit-identity contract.** Every lane applies exactly the IEEE-754
 //! operation the scalar code would: neither arm reassociates or fuses a
@@ -96,6 +104,9 @@ trait Lane:
     /// [`ROUND_SHIFT`] left in `shifted`'s low mantissa bits: two normal
     /// factors whose product is `2ᵏ` (see [`exp`]).
     fn exp2_halves(shifted: Self) -> (Self, Self);
+    /// `2ᵏ` as one factor, for the same `k` as [`Lane::exp2_halves`];
+    /// only for `-1022 ≤ k ≤ 1023`, where it is normal.
+    fn exp2(shifted: Self) -> Self;
 }
 
 impl Lane for f64 {
@@ -147,9 +158,14 @@ impl Lane for f64 {
 
     #[inline(always)]
     fn exp2_halves(shifted: Self) -> (Self, Self) {
-        let k = shifted.to_bits() as i64 - ROUND_SHIFT.to_bits() as i64;
+        let k = shifted_int(shifted);
         let k_half = k >> 1;
         (pow2(k_half), pow2(k - k_half))
+    }
+
+    #[inline(always)]
+    fn exp2(shifted: Self) -> Self {
+        pow2(shifted_int(shifted))
     }
 }
 
@@ -194,7 +210,7 @@ fn erf_lanes<V: Lane>(x: V) -> V {
     let num = V::select(small, y * (small_num + A[3]), tail_num + C[7]);
     let den = V::select(small, small_den + B[3], tail_den + D[7]);
     let q = num / den;
-    let e = V::select(small, q, V::splat(1.0) - exp_lanes(-z) * q);
+    let e = V::select(small, q, V::splat(1.0) - exp_neg_square(z) * q);
     V::select(x.is_nan(), V::splat(f64::NAN), e.copysign(x))
 }
 
@@ -227,6 +243,13 @@ const INV_FACTORIALS: [f64; 14] = [
     1.0 / 6_227_020_800.0,
 ];
 
+/// The integer `k` that adding [`ROUND_SHIFT`] left in `shifted`'s low
+/// mantissa bits.
+#[inline(always)]
+fn shifted_int(shifted: f64) -> i64 {
+    shifted.to_bits() as i64 - ROUND_SHIFT.to_bits() as i64
+}
+
 /// `2ᵏ` for `-1022 ≤ k ≤ 1023`, built from its exponent bits.
 #[inline(always)]
 fn pow2(k: i64) -> f64 {
@@ -241,7 +264,9 @@ fn pow2(k: i64) -> f64 {
 /// Cody–Waite reduction `x = k·ln 2 + r` with `|r| ≤ ln 2 / 2`, a
 /// degree-13 Taylor polynomial for `eʳ`, and `2ᵏ` applied as two
 /// normal factors `2^⌊k/2⌋·2^(k−⌊k/2⌋)`, so only the last multiply can
-/// round (once) into the subnormal range.
+/// round (once) into the subnormal range. Arguments at or below the
+/// clamp at −746, whose result is `+0.0`, take an exact-zero second
+/// factor instead of rounding through that range.
 #[inline(always)]
 pub fn exp(x: f64) -> f64 {
     exp_lanes(x)
@@ -252,6 +277,17 @@ fn exp_lanes<V: Lane>(x: V) -> V {
     // Past these ends the result is +0.0 or +∞ anyway; the clamp keeps
     // k's exponent factors normal. NaN passes through.
     let x = x.clamp(-746.0, 710.0);
+    let (p, shifted) = exp_unscaled(x);
+    let (scale_lo, scale_hi) = V::exp2_halves(shifted);
+    // At −746, `p·2⁻⁵³⁸·2⁻⁵³⁸` rounds to +0.0 through the subnormal
+    // range; a zero factor gives the same +0.0 without the assist.
+    p * scale_lo * V::select(x.le(-746.0), V::splat(0.0), scale_hi)
+}
+
+/// `eʳ` and the shifted `k` of the reduction `x = k·ln 2 + r`: [`exp`]
+/// before its `2ᵏ` scaling.
+#[inline(always)]
+fn exp_unscaled<V: Lane>(x: V) -> (V, V) {
     let shifted = x * std::f64::consts::LOG2_E + ROUND_SHIFT;
     let k = shifted - ROUND_SHIFT;
     let r = (x - k * LN2_HI) - k * LN2_LO;
@@ -259,8 +295,17 @@ fn exp_lanes<V: Lane>(x: V) -> V {
     for &c in INV_FACTORIALS[..13].iter().rev() {
         p = p * r + c;
     }
-    let (scale_lo, scale_hi) = V::exp2_halves(shifted);
-    p * scale_lo * scale_hi
+    (p, shifted)
+}
+
+/// `e⁻ᶻ` for [`erf`]'s `z = y² ∈ [0, 36]`, bitwise [`exp`]`(−z)`: the
+/// clamp never fires there, and every `k ∈ [−52, 0]` makes `2ᵏ` and
+/// `eʳ·2ᵏ` normal, so one exact multiply by `2ᵏ` equals the two exact
+/// multiplies by its halves.
+#[inline(always)]
+fn exp_neg_square<V: Lane>(z: V) -> V {
+    let (p, shifted) = exp_unscaled(-z);
+    p * V::exp2(shifted)
 }
 
 impl F64s {
@@ -323,6 +368,21 @@ impl F64s {
         exp_lanes(self)
     }
 
+    /// [`F64s::erf`] of two packs as one interleaved evaluation: the two
+    /// packs' operations alternate, so their dependency chains overlap.
+    /// Each lane is bitwise the scalar [`erf`].
+    #[inline(always)]
+    pub fn erf_pair(packs: [F64s; 2]) -> [F64s; 2] {
+        erf_lanes(Pair(packs)).0
+    }
+
+    /// [`F64s::exp`] of two packs as one interleaved evaluation, like
+    /// [`F64s::erf_pair`]. Each lane is bitwise the scalar [`exp`].
+    #[inline(always)]
+    pub fn exp_pair(packs: [F64s; 2]) -> [F64s; 2] {
+        exp_lanes(Pair(packs)).0
+    }
+
     /// Elementwise `f64::clamp`.
     ///
     /// # Panics
@@ -365,6 +425,123 @@ with_scalar!(Add, add, +);
 with_scalar!(Sub, sub, -);
 with_scalar!(Mul, mul, *);
 with_scalar!(Div, div, /);
+
+/// Two packs as one lane value, for [`F64s::erf_pair`] and
+/// [`F64s::exp_pair`]: every operation applies to the first pack, then
+/// to the second, so each lane runs exactly the operation sequence of a
+/// single pack.
+#[derive(Clone, Copy)]
+struct Pair([F64s; 2]);
+
+impl Pair {
+    #[inline(always)]
+    fn map(self, f: impl Fn(F64s) -> F64s) -> Self {
+        let [a, b] = self.0;
+        Pair([f(a), f(b)])
+    }
+
+    #[inline(always)]
+    fn zip(self, rhs: Self, f: impl Fn(F64s, F64s) -> F64s) -> Self {
+        let ([a, b], [c, d]) = (self.0, rhs.0);
+        Pair([f(a, c), f(b, d)])
+    }
+
+    #[inline(always)]
+    fn test(self, f: impl Fn(F64s) -> <F64s as Lane>::Mask) -> [<F64s as Lane>::Mask; 2] {
+        let [a, b] = self.0;
+        [f(a), f(b)]
+    }
+}
+
+macro_rules! pair_binary {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl $trait for Pair {
+            type Output = Pair;
+            #[inline(always)]
+            fn $method(self, rhs: Pair) -> Pair {
+                self.zip(rhs, |a, b| a $op b)
+            }
+        }
+
+        impl $trait<f64> for Pair {
+            type Output = Pair;
+            #[inline(always)]
+            fn $method(self, rhs: f64) -> Pair {
+                self.map(|a| a $op rhs)
+            }
+        }
+    };
+}
+
+pair_binary!(Add, add, +);
+pair_binary!(Sub, sub, -);
+pair_binary!(Mul, mul, *);
+pair_binary!(Div, div, /);
+
+impl Neg for Pair {
+    type Output = Pair;
+    #[inline(always)]
+    fn neg(self) -> Pair {
+        self.map(|a| -a)
+    }
+}
+
+impl Lane for Pair {
+    type Mask = [<F64s as Lane>::Mask; 2];
+
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        Pair([F64s::splat(v); 2])
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.map(Lane::abs)
+    }
+
+    #[inline(always)]
+    fn copysign(self, sign: Self) -> Self {
+        self.zip(sign, Lane::copysign)
+    }
+
+    #[inline(always)]
+    fn clamp(self, lo: f64, hi: f64) -> Self {
+        self.map(|a| Lane::clamp(a, lo, hi))
+    }
+
+    #[inline(always)]
+    fn lt(self, bound: f64) -> Self::Mask {
+        self.test(|a| a.lt(bound))
+    }
+
+    #[inline(always)]
+    fn le(self, bound: f64) -> Self::Mask {
+        self.test(|a| a.le(bound))
+    }
+
+    #[inline(always)]
+    fn is_nan(self) -> Self::Mask {
+        self.test(Lane::is_nan)
+    }
+
+    #[inline(always)]
+    fn select([m, n]: Self::Mask, yes: Self, no: Self) -> Self {
+        let ([y, z], [a, b]) = (yes.0, no.0);
+        Pair([F64s::select(m, y, a), F64s::select(n, z, b)])
+    }
+
+    #[inline(always)]
+    fn exp2_halves(shifted: Self) -> (Self, Self) {
+        let [a, b] = shifted.0;
+        let ((a_lo, a_hi), (b_lo, b_hi)) = (F64s::exp2_halves(a), F64s::exp2_halves(b));
+        (Pair([a_lo, b_lo]), Pair([a_hi, b_hi]))
+    }
+
+    #[inline(always)]
+    fn exp2(shifted: Self) -> Self {
+        shifted.map(Lane::exp2)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -501,6 +678,105 @@ mod tests {
         assert_eq!(exp(0.0), 1.0);
     }
 
+    /// The lane [`exp`] as it was before lanes clamped at −746 took an
+    /// exact-zero factor: every lane scaled by both halves of `2ᵏ`.
+    fn exp_two_halves(x: f64) -> f64 {
+        let x = x.clamp(-746.0, 710.0);
+        let shifted = x * std::f64::consts::LOG2_E + ROUND_SHIFT;
+        let k = shifted - ROUND_SHIFT;
+        let r = (x - k * LN2_HI) - k * LN2_LO;
+        let mut p = INV_FACTORIALS[13];
+        for &c in INV_FACTORIALS[..13].iter().rev() {
+            p = p * r + c;
+        }
+        let k = shifted.to_bits() as i64 - ROUND_SHIFT.to_bits() as i64;
+        let k_half = k >> 1;
+        p * pow2(k_half) * pow2(k - k_half)
+    }
+
+    /// Checks a lane function's scalar, pack and pair forms against
+    /// `reference` on every argument, bit for bit. A last partial group
+    /// is padded with zeros.
+    fn assert_lane_forms_equal(
+        args: impl IntoIterator<Item = f64>,
+        reference: impl Fn(f64) -> f64,
+        scalar: impl Fn(f64) -> f64,
+        pack: impl Fn(F64s) -> F64s,
+        pair: impl Fn(Pair) -> Pair,
+    ) {
+        let mut args = args.into_iter().peekable();
+        while args.peek().is_some() {
+            let mut group = [0.0; 2 * LANES];
+            for (slot, x) in group.iter_mut().zip(&mut args) {
+                *slot = x;
+            }
+            let halves = [F64s::from_slice(&group), F64s::from_slice(&group[LANES..])];
+            let Pair(paired) = pair(Pair(halves));
+            for (l, &x) in group.iter().enumerate() {
+                let want = reference(x).to_bits();
+                assert_eq!(scalar(x).to_bits(), want, "scalar at x = {x}");
+                let (half, lane) = (l / LANES, l % LANES);
+                assert_eq!(
+                    pack(halves[half]).to_array()[lane].to_bits(),
+                    want,
+                    "pack at x = {x}"
+                );
+                assert_eq!(
+                    paired[half].to_array()[lane].to_bits(),
+                    want,
+                    "pair at x = {x}"
+                );
+            }
+        }
+    }
+
+    /// A grid of `steps + 1` evenly spaced points over `[lo, hi]`.
+    fn grid(lo: f64, hi: f64, steps: u32) -> impl Iterator<Item = f64> {
+        (0..=steps).map(move |i| lo + (hi - lo) * f64::from(i) / f64::from(steps))
+    }
+
+    #[test]
+    fn lane_exp_below_the_clamp_equals_the_two_halves_form() {
+        // The clamp at −746, the last argument rounding to the smallest
+        // subnormal (−745.13), the non-finite arguments and ±0, then a
+        // 2^20 + 1 grid over [−760, −700] across the subnormal range.
+        let edges = [-746.0, -745.2, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
+        assert_lane_forms_equal(
+            edges.into_iter().chain(grid(-760.0, -700.0, 1 << 20)),
+            exp_two_halves,
+            exp,
+            F64s::exp,
+            exp_lanes,
+        );
+        assert_eq!(exp(-746.0).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[ignore = "14.8M arguments: run in release, as scripts/check.sh does"]
+    fn lane_exp_equals_the_two_halves_form_on_a_fine_grid() {
+        // A 1e-4 grid over [−760, 720]: underflow, the subnormal range,
+        // every normal result and overflow.
+        assert_lane_forms_equal(
+            grid(-760.0, 720.0, 14_800_000),
+            exp_two_halves,
+            exp,
+            F64s::exp,
+            exp_lanes,
+        );
+    }
+
+    #[test]
+    fn erf_exp_core_equals_exp_on_its_domain() {
+        // erf's `z = y²` for y ∈ [0, 6]: a 2^20 + 1 grid over [0, 36].
+        assert_lane_forms_equal(
+            grid(0.0, 36.0, 1 << 20),
+            |z| exp(-z),
+            exp_neg_square,
+            exp_neg_square,
+            exp_neg_square,
+        );
+    }
+
     #[test]
     fn map_and_clamp_match_scalar() {
         let a: [f64; LANES] = std::array::from_fn(|i| i as f64 - 3.5);
@@ -564,6 +840,16 @@ mod tests {
                 bits(F64s::select(x.le(0.25), y, x)),
                 want(&|x, y| if x <= 0.25 { y } else { x })
             );
+            let [erf_x, erf_y] = F64s::erf_pair([x, y]);
+            assert_eq!(
+                (bits(erf_x), bits(erf_y)),
+                (want(&|x, _| erf(x)), want(&|_, y| erf(y)))
+            );
+            let [exp_x, exp_y] = F64s::exp_pair([x, y]);
+            assert_eq!(
+                (bits(exp_x), bits(exp_y)),
+                (want(&|x, _| exp(x)), want(&|_, y| exp(y)))
+            );
         }
     }
 
@@ -590,20 +876,25 @@ mod tests {
         }
 
         proptest! {
-            /// The tail-twin contract: a pack computes, lane by lane,
-            /// exactly what the scalar lane function computes.
+            /// The tail-twin contract: a pack, and each half of a pair,
+            /// computes lane by lane exactly what the scalar lane
+            /// function computes.
             #[test]
             fn packs_equal_the_scalar_lane_functions(
-                erf_args in proptest::collection::vec(-8.0f64..8.0, LANES),
-                exp_args in proptest::collection::vec(-750.0f64..710.0, LANES),
+                erf_args in proptest::collection::vec(-8.0f64..8.0, 2 * LANES),
+                exp_args in proptest::collection::vec(-750.0f64..710.0, 2 * LANES),
             ) {
-                let (erfs, exps) = (
-                    F64s::from_slice(&erf_args).erf(),
-                    F64s::from_slice(&exp_args).exp(),
-                );
-                for l in 0..LANES {
-                    prop_assert_eq!(erfs.to_array()[l].to_bits(), erf(erf_args[l]).to_bits());
-                    prop_assert_eq!(exps.to_array()[l].to_bits(), exp(exp_args[l]).to_bits());
+                let halves = |args: &[f64]| [F64s::from_slice(args), F64s::from_slice(&args[LANES..])];
+                let (erf_halves, exp_halves) = (halves(&erf_args), halves(&exp_args));
+                let (erf_pair, exp_pair) =
+                    (F64s::erf_pair(erf_halves), F64s::exp_pair(exp_halves));
+                for l in 0..2 * LANES {
+                    let (half, lane) = (l / LANES, l % LANES);
+                    let (erf_want, exp_want) = (erf(erf_args[l]).to_bits(), exp(exp_args[l]).to_bits());
+                    prop_assert_eq!(erf_halves[half].erf().to_array()[lane].to_bits(), erf_want);
+                    prop_assert_eq!(erf_pair[half].to_array()[lane].to_bits(), erf_want);
+                    prop_assert_eq!(exp_halves[half].exp().to_array()[lane].to_bits(), exp_want);
+                    prop_assert_eq!(exp_pair[half].to_array()[lane].to_bits(), exp_want);
                 }
             }
         }

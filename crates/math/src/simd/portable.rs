@@ -130,4 +130,9 @@ impl Lane for F64s {
             Self(halves.map(|(_, hi)| hi)),
         )
     }
+
+    #[inline(always)]
+    fn exp2(shifted: Self) -> Self {
+        shifted.lanewise(<f64 as Lane>::exp2)
+    }
 }

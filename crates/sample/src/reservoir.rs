@@ -176,11 +176,6 @@ impl StreamSampler {
     pub fn sample(&self) -> &[f64] {
         &self.sample
     }
-
-    /// Consumes the sampler, returning the sample.
-    pub fn into_sample(self) -> Vec<f64> {
-        self.sample
-    }
 }
 
 #[cfg(test)]

@@ -101,14 +101,6 @@ impl Table {
         id
     }
 
-    /// Bulk insert of row-major data; returns the ids in order.
-    pub fn insert_many(&mut self, rows: &[f64]) -> Vec<RowId> {
-        assert_eq!(rows.len() % self.dims, 0, "ragged row data");
-        rows.chunks_exact(self.dims)
-            .map(|r| self.insert(r))
-            .collect()
-    }
-
     /// Deletes the row in `slot`. Returns `false` when the slot is already
     /// dead or out of range.
     pub fn delete(&mut self, slot: RowId) -> bool {

@@ -136,11 +136,6 @@ impl Span {
             histogram: None,
         }
     }
-
-    /// Elapsed seconds so far (`0.0` for a disabled span).
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.map_or(0.0, |s| s.elapsed().as_secs_f64())
-    }
 }
 
 impl Drop for Span {

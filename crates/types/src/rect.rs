@@ -210,12 +210,6 @@ impl Rect {
         Rect::new(lo, hi)
     }
 
-    /// Clips this rectangle to `bounds`, returning `None` when the clipped
-    /// region is empty.
-    pub fn clipped_to(&self, bounds: &Rect) -> Option<Rect> {
-        self.intersection(bounds)
-    }
-
     /// Grows (or shrinks, for negative `amount`) every face by `amount`,
     /// clamping inverted intervals to their midpoint.
     pub fn inflated(&self, amount: f64) -> Rect {

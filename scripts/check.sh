@@ -16,9 +16,11 @@ run cargo test -q --offline --workspace
 # code and real contention, so it is #[ignore]d in the default pass and
 # run explicitly in release mode here.
 run cargo test -q --offline --release -p kdesel-serve -- --ignored
-# The lane erf's monotonicity pin walks a 1e-7 grid over [-6, 6]: 120M
-# evaluations, about a minute unoptimized and a few seconds in release,
-# so it is #[ignore]d by default and run here.
+# The lane erf's monotonicity pin walks a 1e-7 grid over [-6, 6] (120M
+# evaluations) and the lane exp's pin against its two-halves form a 1e-4
+# grid over [-760, 720] (14.8M arguments, scalar, pack and pair): minutes
+# unoptimized and seconds in release, so they are #[ignore]d by default
+# and run here.
 run cargo test -q --offline --release -p kdesel-math -- --ignored
 # The lane pack `kdesel_math::simd::F64s` has an AVX-512 arm, which the
 # workspace's target-cpu=native picks on an AVX-512 host, and a portable

@@ -3,7 +3,8 @@
 //! 100 UV queries on a synthetic 8D table; Heuristic and Adaptive on the
 //! simulated GPU (GTX-460 cost profile) and the multicore CPU (Xeon E5620
 //! OpenCL profile), plus STHoles (measured wall-clock, estimation only)
-//! and the exact scan over a table of each size (capped at `--rows`).
+//! and the exact scan over a table of each size (capped at `--rows`; its
+//! `model_size` is the rows scanned).
 //! "modeled_ms" is the cost-model time the reproduction compares against
 //! the paper; "measured_ms" is this machine's actual wall time.
 
