@@ -1,13 +1,12 @@
 //! Criterion benchmarks for the optimization stack: L-BFGS and multistart
-//! on standard test functions, the batch bandwidth objective, and the CV
-//! selectors — the compute behind model (re)builds.
+//! on standard test functions, the batch bandwidth objective, and the SCV
+//! selector — the compute behind model (re)builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kdesel_data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel_device::{Backend, Device};
 use kdesel_kde::{
-    lscv_bandwidth, optimize_bandwidth, scv_bandwidth, BatchConfig, CvConfig, KdeEstimator,
-    KernelFn,
+    optimize_bandwidth, scv_bandwidth, BatchConfig, CvConfig, KdeEstimator, KernelFn,
 };
 use kdesel_solver::{lbfgs, multistart, Bounds, LbfgsConfig, MultistartConfig};
 use kdesel_storage::sampling;
@@ -66,7 +65,7 @@ fn bench_batch_optimize(c: &mut Criterion) {
     });
 }
 
-fn bench_cv_selectors(c: &mut Criterion) {
+fn bench_scv_selector(c: &mut Criterion) {
     let table = Dataset::Protein.generate_projected(3, 5_000, 4);
     let mut rng = StdRng::seed_from_u64(5);
     let sample = sampling::sample_rows(&table, 256, &mut rng);
@@ -74,12 +73,6 @@ fn bench_cv_selectors(c: &mut Criterion) {
         max_points: 256,
         ..Default::default()
     };
-    c.bench_function("cv/lscv_3d_256pts", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(6);
-            black_box(lscv_bandwidth(&sample, 3, &cfg, &mut rng))
-        })
-    });
     c.bench_function("cv/scv_3d_256pts", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(7);
@@ -111,6 +104,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_lbfgs, bench_multistart, bench_batch_optimize,
-              bench_cv_selectors, bench_workload_generation
+              bench_scv_selector, bench_workload_generation
 }
 criterion_main!(benches);

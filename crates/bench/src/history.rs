@@ -17,6 +17,7 @@
 //! failure report.
 
 use kdesel_telemetry::Json;
+use kdesel_types::stats::nearest_rank;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -260,7 +261,7 @@ pub fn check_trend(
         let tail_start = prior.len().saturating_sub(ROLLING_WINDOW);
         prior = prior.split_off(tail_start);
         prior.sort_by(f64::total_cmp);
-        let baseline = prior[prior.len() / 2];
+        let baseline = nearest_rank(&prior, 0.5);
         let Some(measured) = current.metric(&spec.metric) else {
             continue;
         };

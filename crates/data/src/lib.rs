@@ -26,10 +26,8 @@
 
 #![deny(unsafe_code)]
 
-pub mod csv;
 pub mod datasets;
 pub mod workload;
 
-pub use csv::{load_csv_file, parse_csv, CsvOptions};
 pub use datasets::{synthetic, Dataset};
 pub use workload::{generate_workload, WorkloadKind, WorkloadSpec};

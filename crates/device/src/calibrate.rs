@@ -35,6 +35,7 @@ use crate::cost::CostProfile;
 use crate::device::{Backend, Device};
 use kdesel_solver::{lbfgs, Bounds, FnObjective, LbfgsConfig, OptOutcome};
 use kdesel_telemetry::Json;
+use kdesel_types::stats::nearest_rank;
 use std::time::Instant;
 
 /// Schema version of the [`MeasuredProfile`] JSON.
@@ -226,7 +227,7 @@ fn busy(x: f64, links: usize) -> f64 {
 
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    nearest_rank(&samples, 0.5)
 }
 
 fn fastest(samples: Vec<f64>) -> f64 {

@@ -19,6 +19,7 @@
 //! per-kind latency distributions show up in `--metrics` tables and the
 //! `prometheus_text` exposition without any extra plumbing.
 
+use kdesel_types::stats::nearest_rank;
 use std::sync::Arc;
 
 /// Number of distinct launch kinds (the length of [`LaunchKind::ALL`]).
@@ -184,8 +185,7 @@ impl Window {
         }
         let mut sorted = self.samples[..self.len].to_vec();
         sorted.sort_by(f64::total_cmp);
-        let idx = ((self.len as f64 - 1.0) * q).round() as usize;
-        sorted[idx.min(self.len - 1)]
+        nearest_rank(&sorted, q)
     }
 }
 

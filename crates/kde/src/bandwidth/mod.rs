@@ -8,8 +8,8 @@
 //!   MLSL-style global phase + projected L-BFGS refinement in log-space,
 //! * [`adaptive`] — the online RMSprop tuner (§4.1, Listing 1) with
 //!   logarithmic updates (Appendix D),
-//! * [`cv`] — data-driven cross-validation selectors (LSCV and diagonal
-//!   SCV), standing in for the R `ks::Hscv.diag` baseline.
+//! * [`cv`] — the data-driven diagonal smoothed-cross-validation (SCV)
+//!   selector, standing in for the R `ks::Hscv.diag` baseline.
 
 pub mod adaptive;
 pub mod batch;

@@ -40,7 +40,7 @@ pub(crate) mod sweep;
 
 pub use bandwidth::adaptive::{AdaptiveConfig, AdaptiveTuner};
 pub use bandwidth::batch::{optimize_bandwidth, BatchConfig, WorkloadObjective};
-pub use bandwidth::cv::{lscv_bandwidth, scv_bandwidth, CvConfig};
+pub use bandwidth::cv::{scv_bandwidth, CvConfig};
 pub use bandwidth::scott::scott_bandwidth;
 pub use estimator::{KdeEstimator, MIN_BANDWIDTH};
 pub use estimators::{AdaptiveKde, BatchKde, HeuristicKde, ScvKde};

@@ -7,13 +7,9 @@
 //! made independently by the host and only points that will end up in the
 //! sample are transferred to the graphics card."
 //!
-//! * [`ReservoirSampler`] — the per-insert decision procedure (Vitter's
-//!   Algorithm R), returning *which slot to overwrite* so the caller can
-//!   schedule a single transfer,
-//! * [`SkipSampler`] — Vitter's Algorithm Z, which draws the number of
-//!   stream records to skip between replacements in O(1) expected time,
-//! * [`StreamSampler`] — an owning convenience wrapper that materializes a
-//!   uniform sample from any stream (used by tests and dataset tooling).
+//! [`ReservoirSampler`] is the per-insert decision procedure (Vitter's
+//! Algorithm R), returning *which slot to overwrite* so the caller can
+//! schedule a single transfer.
 
 #![deny(unsafe_code)]
 
@@ -21,4 +17,4 @@ pub mod estimator;
 pub mod reservoir;
 
 pub use estimator::SampleEstimator;
-pub use reservoir::{ReservoirDecision, ReservoirSampler, SkipSampler, StreamSampler};
+pub use reservoir::{ReservoirDecision, ReservoirSampler};

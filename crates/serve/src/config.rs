@@ -19,9 +19,6 @@ pub struct ServeConfig {
     /// Longest time the scheduler holds an admitted request while waiting
     /// for companions. Zero means "batch only what is already queued".
     pub max_wait: Duration,
-    /// Upper bound on feedback items applied per maintenance slice between
-    /// batches, so a deep backlog cannot starve incoming estimates.
-    pub maintenance_chunk: usize,
     /// Warm-restart checkpointing; `None` disables persistence.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Workload capture: when set, every registered model and every served
@@ -32,17 +29,6 @@ pub struct ServeConfig {
     /// is written here at shutdown (requires telemetry to be enabled for
     /// the metrics to carry values).
     pub metrics_dump: Option<PathBuf>,
-    /// Adaptive straggler deadline. `None` keeps the fixed policy: the
-    /// scheduler holds the whole `max_wait` window whenever fewer than
-    /// `max_batch` requests show up — which is exactly the large-batch
-    /// throughput cliff (a big `max_batch` that concurrency can't fill
-    /// turns every batch into a full-window stall). When set, the
-    /// scheduler instead waits per *gap*: each straggler may take at most
-    /// a fraction of the measured per-batch launch cost (rolling p50 of
-    /// this worker's own fused launches), so waiting is only bought where
-    /// launch amortization can pay for it. `max_wait` stays the hard
-    /// upper bound on total hold time.
-    pub adaptive_wait: Option<AdaptiveWaitConfig>,
 }
 
 impl Default for ServeConfig {
@@ -50,11 +36,9 @@ impl Default for ServeConfig {
         Self {
             max_batch: 32,
             max_wait: Duration::from_micros(200),
-            maintenance_chunk: 16,
             checkpoint: None,
             capture: None,
             metrics_dump: None,
-            adaptive_wait: None,
         }
     }
 }
@@ -64,68 +48,6 @@ impl ServeConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.max_batch == 0 {
             return Err("max_batch must be at least 1".to_string());
-        }
-        if self.maintenance_chunk == 0 {
-            return Err("maintenance_chunk must be at least 1".to_string());
-        }
-        if let Some(adaptive) = &self.adaptive_wait {
-            adaptive.validate()?;
-        }
-        Ok(())
-    }
-}
-
-/// Knobs of the measured-cost batching deadline (`ServeConfig::adaptive_wait`).
-///
-/// The gather deadline becomes `clamp(fraction × launch_p50, min_wait,
-/// remaining max_wait)` per straggler gap, where `launch_p50` is the
-/// rolling median of this worker's measured fused-launch wall times.
-/// Until the first launch has been measured, `seed_launch_seconds`
-/// stands in — typically the modeled batch cost from a calibrated
-/// [`CostProfile`](kdesel_device::CostProfile) (see `kdesel-calibrate`).
-#[derive(Debug, Clone)]
-pub struct AdaptiveWaitConfig {
-    /// Fraction of the p50 launch cost one straggler gap may spend.
-    /// 1.0 means "wait as long as the launch itself takes"; the default
-    /// 0.5 splits the amortization gain with the waiting request.
-    pub fraction: f64,
-    /// Floor of one straggler gap, so a sub-microsecond launch estimate
-    /// cannot disable coalescing entirely.
-    pub min_wait: Duration,
-    /// Estimated per-batch launch seconds used before any launch has
-    /// been measured; `None` falls back to `min_wait` for the first
-    /// batch.
-    pub seed_launch_seconds: Option<f64>,
-}
-
-impl Default for AdaptiveWaitConfig {
-    fn default() -> Self {
-        Self {
-            fraction: 0.5,
-            min_wait: Duration::from_micros(20),
-            seed_launch_seconds: None,
-        }
-    }
-}
-
-impl AdaptiveWaitConfig {
-    /// An adaptive policy seeded with a modeled per-batch launch cost
-    /// (seconds), e.g. from a measured cost profile.
-    pub fn seeded(launch_seconds: f64) -> Self {
-        Self {
-            seed_launch_seconds: Some(launch_seconds),
-            ..Self::default()
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        if !(self.fraction.is_finite() && self.fraction > 0.0) {
-            return Err("adaptive_wait.fraction must be positive and finite".to_string());
-        }
-        if let Some(seed) = self.seed_launch_seconds {
-            if !(seed.is_finite() && seed >= 0.0) {
-                return Err("adaptive_wait.seed_launch_seconds must be non-negative".to_string());
-            }
         }
         Ok(())
     }
@@ -179,45 +101,6 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(config.validate().is_err());
-    }
-
-    #[test]
-    fn zero_maintenance_chunk_rejected() {
-        let config = ServeConfig {
-            maintenance_chunk: 0,
-            ..ServeConfig::default()
-        };
-        assert!(config.validate().is_err());
-    }
-
-    #[test]
-    fn adaptive_wait_validates() {
-        let ok = ServeConfig {
-            adaptive_wait: Some(AdaptiveWaitConfig::seeded(35e-6)),
-            ..ServeConfig::default()
-        };
-        assert!(ok.validate().is_ok());
-        assert_eq!(ok.adaptive_wait.unwrap().seed_launch_seconds, Some(35e-6));
-        for bad in [
-            AdaptiveWaitConfig {
-                fraction: 0.0,
-                ..AdaptiveWaitConfig::default()
-            },
-            AdaptiveWaitConfig {
-                fraction: f64::NAN,
-                ..AdaptiveWaitConfig::default()
-            },
-            AdaptiveWaitConfig {
-                seed_launch_seconds: Some(-1.0),
-                ..AdaptiveWaitConfig::default()
-            },
-        ] {
-            let config = ServeConfig {
-                adaptive_wait: Some(bad),
-                ..ServeConfig::default()
-            };
-            assert!(config.validate().is_err());
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod service;
 pub mod snapshot;
 mod worker;
 
-pub use config::{AdaptiveWaitConfig, CheckpointPolicy, ServeConfig};
+pub use config::{CheckpointPolicy, ServeConfig};
 pub use model::{ModelKey, RefreshFn, ServedModel};
 pub use replay::{Capture, ReplayOutcome, ReplaySpeed};
 pub use service::{PendingEstimate, ServeError, ServeHandle, Service, ServiceBuilder};

@@ -22,6 +22,7 @@
 //! Prometheus-style exposition snapshot.
 
 use crate::model::ModelKey;
+use kdesel_types::stats::nearest_rank;
 use kdesel_types::{QueryFeedback, QERROR_SMOOTHING};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -78,13 +79,9 @@ impl Observatory {
         self.window.push_back(q);
         let mut sorted: Vec<f64> = self.window.iter().copied().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));
-        let rank = |p: f64| {
-            let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-            sorted[idx]
-        };
-        self.p50.set(rank(0.5));
-        self.p95.set(rank(0.95));
-        self.p99.set(rank(0.99));
+        self.p50.set(nearest_rank(&sorted, 0.5));
+        self.p95.set(nearest_rank(&sorted, 0.95));
+        self.p99.set(nearest_rank(&sorted, 0.99));
         self.bandwidth_l2
             .set(bandwidth.iter().map(|h| h * h).sum::<f64>().sqrt());
         self.feedback_total.inc();

@@ -9,7 +9,7 @@
 //!    scheduler drains companions (up to `max_batch`, waiting at most
 //!    `max_wait` for stragglers) and issues ONE fused `estimate_batch`
 //!    launch for the group, replying through per-request oneshots.
-//! 2. **Maintain**: between batches, apply at most `maintenance_chunk`
+//! 2. **Maintain**: between batches, apply at most [`MAINTENANCE_CHUNK`]
 //!    queued feedback items (Karma + RMSprop + tuple refresh), so tuning
 //!    cost never lands on a caller's critical path.
 //! 3. **Checkpoint**: on the periodic deadline, on demand, and on
@@ -32,11 +32,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Measured fused-launch wall times kept for the adaptive batching
-/// deadline — enough history to smooth scheduler jitter, short enough to
-/// track a model whose per-launch cost drifts (sample growth, backend
-/// warm-up).
-const LAUNCH_WINDOW: usize = 32;
+/// Most feedback items applied in one maintenance slice between
+/// batches, so a deep backlog cannot starve incoming estimates.
+const MAINTENANCE_CHUNK: usize = 16;
 
 /// One selectivity probe in flight, tagged with the trace ID minted at
 /// the front door.
@@ -129,9 +127,6 @@ pub(crate) struct Worker {
     config: ServeConfig,
     rx: Receiver<Msg>,
     backlog: VecDeque<(QueryFeedback, u64)>,
-    /// Rolling window of measured fused-launch wall times, feeding the
-    /// adaptive straggler deadline (`ServeConfig::adaptive_wait`).
-    launch_window: VecDeque<f64>,
     pending_flushes: Vec<oneshot::Sender<()>>,
     meters: Meters,
     observatory: Observatory,
@@ -163,7 +158,6 @@ impl Worker {
             config,
             rx,
             backlog: VecDeque::new(),
-            launch_window: VecDeque::new(),
             capture,
             pending_flushes: Vec::new(),
             meters: Meters::resolve(),
@@ -189,7 +183,7 @@ impl Worker {
                 Some(other) => self.dispatch(other),
                 None => {}
             }
-            self.run_maintenance(self.config.maintenance_chunk);
+            self.run_maintenance(MAINTENANCE_CHUNK);
             self.settle_flushes();
             self.maybe_periodic_checkpoint();
             if self.drained {
@@ -253,37 +247,9 @@ impl Worker {
         }
     }
 
-    /// Rolling median of this worker's measured fused-launch wall times;
-    /// the adaptive policy's estimate of "what one more launch costs".
-    fn launch_p50(&self) -> Option<f64> {
-        if self.launch_window.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.launch_window.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        Some(sorted[sorted.len() / 2])
-    }
-
-    /// How long the gatherer may wait for ONE more straggler:
-    /// `clamp(fraction × launch_p50, min_wait, remaining)` under the
-    /// adaptive policy, the whole remaining window under the fixed one.
-    fn straggler_gap(&self, remaining: Duration) -> Duration {
-        let Some(adaptive) = &self.config.adaptive_wait else {
-            return remaining;
-        };
-        let launch = self
-            .launch_p50()
-            .or(adaptive.seed_launch_seconds)
-            .unwrap_or(0.0);
-        Duration::from_secs_f64(adaptive.fraction * launch)
-            .max(adaptive.min_wait)
-            .min(remaining)
-    }
-
-    /// Opens a batch with `first`, gathers companions under the
-    /// max-batch/max-wait policy (per-straggler deadline when
-    /// `adaptive_wait` is set), and serves the group with one fused
-    /// launch.
+    /// Opens a batch with `first`, gathers companions until `max_batch`
+    /// requests are in or `max_wait` has passed, and serves the group
+    /// with one fused launch.
     fn serve_batch(&mut self, first: EstimateRequest) {
         let mut batch = vec![first];
         let deadline = Instant::now() + self.config.max_wait;
@@ -303,7 +269,7 @@ impl Worker {
                     if now >= deadline {
                         break;
                     }
-                    match self.rx.recv_timeout(self.straggler_gap(deadline - now)) {
+                    match self.rx.recv_timeout(deadline - now) {
                         Ok(Msg::Estimate(req)) => batch.push(req),
                         Ok(other) => self.dispatch_non_estimate(other),
                         Err(RecvTimeoutError::Timeout) => break,
@@ -322,10 +288,6 @@ impl Worker {
         let started = Instant::now();
         let estimates = self.model.estimate_batch(&regions);
         let launch_seconds = started.elapsed().as_secs_f64();
-        self.launch_window.push_back(launch_seconds);
-        if self.launch_window.len() > LAUNCH_WINDOW {
-            self.launch_window.pop_front();
-        }
         self.batches += 1;
         self.requests += batch.len() as u64;
         self.max_batch_seen = self.max_batch_seen.max(batch.len());

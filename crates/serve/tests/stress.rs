@@ -28,7 +28,6 @@ fn mixed_traffic_stress_drains_cleanly() {
     let service = Service::builder(ServeConfig {
         max_batch: 32,
         max_wait: Duration::from_micros(100),
-        maintenance_chunk: 8,
         checkpoint: Some(CheckpointPolicy::in_dir(&dir).every(Duration::from_millis(20))),
         ..ServeConfig::default()
     })

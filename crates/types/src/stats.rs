@@ -4,6 +4,10 @@
 //! repetitions (Figures 4 and 5). [`Summary`] accumulates samples and
 //! produces the five-number summary those plots are built from, plus the
 //! mean values used in Figures 6 and 8.
+//!
+//! [`nearest_rank`] is the one quantile rule for measured figures
+//! (latencies, timing medians, q-error percentiles): it always reports an
+//! observed value.
 
 /// Minimum, lower quartile, median, upper quartile, maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,6 +157,22 @@ impl std::fmt::Display for Summary {
     }
 }
 
+/// Nearest-rank quantile of an ascending slice: the element at rank
+/// `⌈q·n⌉`, clamped to `[1, n]`, so `q = 0` reads the minimum and `q = 1`
+/// the maximum. On an odd count the median is the middle element; on an
+/// even count it is the lower of the two middle ones.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!(
+        !sorted.is_empty(),
+        "nearest-rank quantile of an empty slice"
+    );
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +238,41 @@ mod tests {
     #[should_panic(expected = "quantile of empty")]
     fn empty_quantile_panics() {
         Summary::new().quantile(0.5);
+    }
+
+    #[test]
+    fn nearest_rank_on_odd_counts_picks_the_middle() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(nearest_rank(&sorted, 0.5), 3.0);
+        assert_eq!(nearest_rank(&sorted, 0.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 5.0);
+        assert_eq!(nearest_rank(&sorted, 0.2), 1.0);
+        assert_eq!(nearest_rank(&sorted, 0.21), 2.0);
+        // `sorted[n / 2]` on every odd count, such as calibration's 11 or
+        // 23 points and bench repetitions of 7, 15, 25 or 41.
+        for n in [1usize, 7, 11, 15, 23, 25, 41] {
+            let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            assert_eq!(nearest_rank(&values, 0.5), values[n / 2], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn nearest_rank_on_even_counts_picks_the_lower_middle() {
+        let sorted = [10.0, 20.0, 30.0, 40.0];
+        assert_eq!(nearest_rank(&sorted, 0.5), 20.0);
+        assert_eq!(nearest_rank(&sorted, 0.0), 10.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 40.0);
+        assert_eq!(nearest_rank(&sorted, 0.75), 30.0);
+        assert_eq!(nearest_rank(&sorted, 0.76), 40.0);
+        let window: Vec<f64> = (0..64).map(|i| i as f64).collect();
+        assert_eq!(nearest_rank(&window, 0.5), 31.0);
+        assert_eq!(nearest_rank(&window, 0.95), 60.0);
+        assert_eq!(nearest_rank(&window, 0.99), 63.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty slice")]
+    fn nearest_rank_of_nothing_panics() {
+        nearest_rank(&[], 0.5);
     }
 }

@@ -70,9 +70,8 @@ run cargo run --release --offline --bin kdesel-calibrate -- \
 # Optional perf gate: PERF_SMOKE=1 scripts/check.sh additionally runs the
 # fusion, serving and SIMD microbenches and fails on a >2x modeled-cost
 # regression of the estimate hot path, <2x modeled coalescing at batch
-# 16, a reappearance of the max_batch=16 throughput cliff in the
-# adaptive window sweep, or a <2x wall-clock SoA estimate sweep speedup
-# (Epanechnikov or Gaussian) (see scripts/perf_smoke.sh). Add
+# 16, or a <2x wall-clock SoA estimate sweep speedup (Epanechnikov or
+# Gaussian) (see scripts/perf_smoke.sh). Add
 # BENCH_TREND=1 to also gate each bench's metrics against the rolling
 # median of results/BENCH_history.jsonl.
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then

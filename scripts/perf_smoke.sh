@@ -5,10 +5,7 @@
 #   path regresses by more than 2x against the checked-in baseline
 #   (BENCH_fusion.json).
 # * bench_serve fails when coalesced serving is less than 2x faster
-#   (modeled) than one-request-per-launch serving at batch 16, or — run
-#   with PERF_SMOKE=1 — when the calibrated adaptive-wait window sweep
-#   shows the max_batch=16 throughput cliff again (wall clock, adaptive
-#   throughput at 16 must stay within 35% of the best small window).
+#   (modeled) than one-request-per-launch serving at batch 16.
 # * bench_simd (run with PERF_SMOKE=1) fails when the vectorized SoA
 #   Epanechnikov or Gaussian estimate sweep, or the Gaussian one on a
 #   Power sample whose dictionary-coded columns read per-query factor
@@ -23,8 +20,8 @@
 # bench_fusion modeled seconds and the bench_serve coalescing speedup
 # come from the deterministic device cost model, so those gates are
 # immune to machine noise — they only trip when the launch / flop
-# structure of a hot path actually changes. The serve cliff gate and the
-# SIMD gate measure wall clock and are machine-sensitive.
+# structure of a hot path actually changes. The SIMD gate measures wall
+# clock and is machine-sensitive.
 #
 # Every bench run also appends a git-rev-stamped metrics line to the
 # perf-trend history (results/BENCH_history.jsonl by default; this
@@ -60,6 +57,6 @@ fi
 export BENCH_HISTORY_OUT="$hist_out"
 BENCH_FUSION_BASELINE=BENCH_fusion.json BENCH_FUSION_OUT="$out" \
     ./target/release/bench_fusion
-PERF_SMOKE=1 BENCH_SERVE_OUT="$serve_out" ./target/release/bench_serve
+BENCH_SERVE_OUT="$serve_out" ./target/release/bench_serve
 PERF_SMOKE=1 BENCH_SIMD_OUT="$simd_out" ./target/release/bench_simd
 echo "=== perf smoke passed ==="

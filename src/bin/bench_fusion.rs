@@ -18,7 +18,7 @@
 //! regressed by more than 2x — the perf-smoke gate.
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
-use kdesel_bench::{emit, Cli};
+use kdesel_bench::{emit, wall_median, Cli};
 use kdesel_device::{Backend, Device, DeviceStats};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn, LossFunction, WorkloadObjective};
@@ -28,7 +28,6 @@ use kdesel_types::{LabelledQuery, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One measured code path.
 struct PathReport {
@@ -37,19 +36,6 @@ struct PathReport {
     modeled_seconds: f64,
     kernels: u64,
     transfers: u64,
-}
-
-/// Median wall time of `reps` runs of `f`.
-fn wall_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 /// Modeled-time + stats snapshot; subtract two to get a delta.

@@ -10,24 +10,19 @@
 //!   models sit in the paper's latency-bound flat region (Figure 7), so
 //!   fusing B launches into one removes (B-1) launch+transfer latencies.
 //! * **window sweep** — wall-clock throughput and end-to-end latency
-//!   quantiles (p50/p99) for producer threads hammering one model while
-//!   the batching window (`max_batch`) grows: the latency-vs-throughput
-//!   trade the `ServeConfig` knobs control. The sweep runs twice, under
-//!   the fixed `max_wait` policy and under the measured-cost adaptive
-//!   policy (seeded from a `kdesel-calibrate`-style fitted profile);
-//!   with `PERF_SMOKE=1` the run fails unless the adaptive sweep removes
-//!   the large-batch throughput cliff the fixed policy shows when
-//!   producers cannot fill the window.
+//!   quantiles (nearest-rank p50/p99) for producer threads hammering one
+//!   model while the batching window (`max_batch`) grows: the
+//!   latency-vs-throughput trade the `ServeConfig` knobs control.
 //!
 //! Results go to `BENCH_serve.json` (override with `BENCH_SERVE_OUT`).
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
-use kdesel_device::calibrate::{calibrate, CalibrationConfig};
-use kdesel_device::{Backend, CostModel, Device};
+use kdesel_device::{Backend, Device};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn};
-use kdesel_serve::{AdaptiveWaitConfig, ModelKey, ServeConfig, ServedModel, Service};
+use kdesel_serve::{ModelKey, ServeConfig, ServedModel, Service};
+use kdesel_types::stats::nearest_rank;
 use kdesel_types::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,17 +51,10 @@ fn make_regions(count: usize, dims: usize, rng: &mut StdRng) -> Vec<Rect> {
         .collect()
 }
 
-fn build_service(
-    backend: Backend,
-    sample: &[f64],
-    dims: usize,
-    max_batch: usize,
-    adaptive: Option<AdaptiveWaitConfig>,
-) -> Service {
+fn build_service(backend: Backend, sample: &[f64], dims: usize, max_batch: usize) -> Service {
     Service::builder(ServeConfig {
         max_batch,
         max_wait: Duration::from_micros(200),
-        adaptive_wait: adaptive,
         ..ServeConfig::default()
     })
     .register(
@@ -80,11 +68,6 @@ fn build_service(
     )
     .build()
     .expect("service build")
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -109,7 +92,7 @@ fn main() {
 
     // --- Coalescing gate (deterministic, SimGpu modeled time). ---
     // Coalesced: B async submissions, one fused launch.
-    let service = build_service(Backend::SimGpu, &sample, dims, gate_batch, None);
+    let service = build_service(Backend::SimGpu, &sample, dims, gate_batch);
     let handle = service.handle();
     let before = handle.report(&key).unwrap();
     let pending: Vec<_> = gate_regions
@@ -126,7 +109,7 @@ fn main() {
     service.shutdown().unwrap();
 
     // One-request-per-launch: the same B requests, max_batch = 1.
-    let service = build_service(Backend::SimGpu, &sample, dims, 1, None);
+    let service = build_service(Backend::SimGpu, &sample, dims, 1);
     let handle = service.handle();
     let before = handle.report(&key).unwrap();
     for q in &gate_regions {
@@ -144,85 +127,56 @@ fn main() {
          ({single_kernels} launches) → {modeled_speedup:.1}x"
     );
 
-    // --- Measured-cost seed for the adaptive policy: fit a CostProfile
-    // on the sweep backend (the kdesel-calibrate pipeline) and price one
-    // single-request fused launch with it.
-    let calib_config = CalibrationConfig {
-        reps: if cli.full { 3 } else { 2 },
-        quick: true,
-    };
-    let (measured, fit_report) = calibrate(Backend::CpuPar, &calib_config);
-    let seed_launch = CostModel::new(measured.profile)
-        .kernel_vectorized(points, KernelFn::Gaussian.flops_per_factor() * dims as f64);
-    eprintln!(
-        "# calibration: {} median residual {:.1}%, adaptive seed launch {:.3e}s",
-        if fit_report.converged {
-            "converged,"
-        } else {
-            "DIVERGED,"
-        },
-        measured.median_residual * 100.0,
-        seed_launch
-    );
-
-    // --- Window sweep (wall clock, multicore CPU backend), under the
-    // fixed max_wait policy and under the adaptive measured-cost policy.
+    // --- Window sweep (wall clock, multicore CPU backend).
     let windows: &[usize] = if cli.full {
         &[1, 2, 4, 8, 16, 32, 64]
     } else {
         &[1, 4, 16, 64]
     };
-    let run_sweep = |adaptive: Option<AdaptiveWaitConfig>| -> Vec<SweepPoint> {
-        let mut sweep = Vec::new();
-        for &max_batch in windows {
-            let service =
-                build_service(Backend::CpuPar, &sample, dims, max_batch, adaptive.clone());
-            let handle = service.handle();
-            let started = Instant::now();
-            let mut latencies: Vec<f64> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..producers)
-                    .map(|p| {
-                        let handle = handle.clone();
-                        let key = &key;
-                        let regions = &sweep_regions;
-                        scope.spawn(move || {
-                            let mut lat = Vec::with_capacity(per_producer);
-                            for i in 0..per_producer {
-                                let q = &regions[(p + i * producers) % regions.len()];
-                                let t = Instant::now();
-                                handle.estimate(key, q).unwrap();
-                                lat.push(t.elapsed().as_secs_f64());
-                            }
-                            lat
-                        })
+    let mut sweep = Vec::new();
+    for &max_batch in windows {
+        let service = build_service(Backend::CpuPar, &sample, dims, max_batch);
+        let handle = service.handle();
+        let started = Instant::now();
+        let mut latencies: Vec<f64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..producers)
+                .map(|p| {
+                    let handle = handle.clone();
+                    let key = &key;
+                    let regions = &sweep_regions;
+                    scope.spawn(move || {
+                        let mut lat = Vec::with_capacity(per_producer);
+                        for i in 0..per_producer {
+                            let q = &regions[(p + i * producers) % regions.len()];
+                            let t = Instant::now();
+                            handle.estimate(key, q).unwrap();
+                            lat.push(t.elapsed().as_secs_f64());
+                        }
+                        lat
                     })
-                    .collect();
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().unwrap())
-                    .collect()
-            });
-            let wall = started.elapsed().as_secs_f64();
-            let report = handle.report(&key).unwrap();
-            service.shutdown().unwrap();
-            latencies.sort_by(f64::total_cmp);
-            sweep.push(SweepPoint {
-                max_batch,
-                throughput_rps: latencies.len() as f64 / wall,
-                p50_latency_seconds: quantile(&latencies, 0.50),
-                p99_latency_seconds: quantile(&latencies, 0.99),
-                coalescing_ratio: report.coalescing_ratio(),
-                batches: report.batches,
-            });
-        }
-        sweep
-    };
-    let sweep = run_sweep(None);
-    let sweep_adaptive = run_sweep(Some(AdaptiveWaitConfig::seeded(seed_launch)));
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let wall = started.elapsed().as_secs_f64();
+        let report = handle.report(&key).unwrap();
+        service.shutdown().unwrap();
+        latencies.sort_by(f64::total_cmp);
+        sweep.push(SweepPoint {
+            max_batch,
+            throughput_rps: latencies.len() as f64 / wall,
+            p50_latency_seconds: nearest_rank(&latencies, 0.50),
+            p99_latency_seconds: nearest_rank(&latencies, 0.99),
+            coalescing_ratio: report.coalescing_ratio(),
+            batches: report.batches,
+        });
+    }
 
     // --- Report. ---
     let mut table = TextTable::new([
-        "policy",
         "max_batch",
         "throughput_rps",
         "p50_ms",
@@ -230,45 +184,35 @@ fn main() {
         "coalesce_ratio",
         "batches",
     ]);
-    for (policy, points) in [("fixed", &sweep), ("adaptive", &sweep_adaptive)] {
-        for s in points {
-            table.row([
-                policy.to_string(),
-                s.max_batch.to_string(),
-                fmt(s.throughput_rps),
-                fmt(s.p50_latency_seconds * 1e3),
-                fmt(s.p99_latency_seconds * 1e3),
-                fmt(s.coalescing_ratio),
-                s.batches.to_string(),
-            ]);
-        }
+    for s in &sweep {
+        table.row([
+            s.max_batch.to_string(),
+            fmt(s.throughput_rps),
+            fmt(s.p50_latency_seconds * 1e3),
+            fmt(s.p99_latency_seconds * 1e3),
+            fmt(s.coalescing_ratio),
+            s.batches.to_string(),
+        ]);
     }
     emit(&cli, &table);
 
-    let sweep_json = |points: &[SweepPoint]| -> String {
-        points
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"max_batch\": {}, \"throughput_rps\": {:.1}, \"p50_latency_seconds\": {:e}, \"p99_latency_seconds\": {:e}, \"coalescing_ratio\": {:.3}, \"batches\": {}}}",
-                    s.max_batch,
-                    s.throughput_rps,
-                    s.p50_latency_seconds,
-                    s.p99_latency_seconds,
-                    s.coalescing_ratio,
-                    s.batches
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
+    let sweep_json = sweep
+        .iter()
+        .map(|s| {
+            format!(
+                "    {{\"max_batch\": {}, \"throughput_rps\": {:.1}, \"p50_latency_seconds\": {:e}, \"p99_latency_seconds\": {:e}, \"coalescing_ratio\": {:.3}, \"batches\": {}}}",
+                s.max_batch,
+                s.throughput_rps,
+                s.p50_latency_seconds,
+                s.p99_latency_seconds,
+                s.coalescing_ratio,
+                s.batches
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
-        "{{\n  \"config\": {{\"points\": {points}, \"dims\": {dims}, \"producers\": {producers}, \"per_producer\": {per_producer}, \"seed\": {seed}}},\n  \"coalescing_gate\": {{\n    \"batch\": {gate_batch},\n    \"coalesced\": {{\"modeled_seconds\": {coalesced_modeled:e}, \"kernels\": {coalesced_kernels}}},\n    \"single\": {{\"modeled_seconds\": {single_modeled:e}, \"kernels\": {single_kernels}}},\n    \"modeled_speedup\": {modeled_speedup:.3}\n  }},\n  \"calibration\": {{\"backend\": \"{}\", \"converged\": {}, \"median_residual\": {:.4}, \"seed_launch_seconds\": {seed_launch:e}}},\n  \"window_sweep\": [\n{}\n  ],\n  \"window_sweep_adaptive\": [\n{}\n  ]\n}}\n",
-        measured.backend,
-        fit_report.converged,
-        measured.median_residual,
-        sweep_json(&sweep),
-        sweep_json(&sweep_adaptive)
+        "{{\n  \"config\": {{\"points\": {points}, \"dims\": {dims}, \"producers\": {producers}, \"per_producer\": {per_producer}, \"seed\": {seed}}},\n  \"coalescing_gate\": {{\n    \"batch\": {gate_batch},\n    \"coalesced\": {{\"modeled_seconds\": {coalesced_modeled:e}, \"kernels\": {coalesced_kernels}}},\n    \"single\": {{\"modeled_seconds\": {single_modeled:e}, \"kernels\": {single_kernels}}},\n    \"modeled_speedup\": {modeled_speedup:.3}\n  }},\n  \"window_sweep\": [\n{sweep_json}\n  ]\n}}\n"
     );
     let out = std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
     if let Err(e) = std::fs::write(&out, &json) {
@@ -288,62 +232,25 @@ fn main() {
     }
     eprintln!("# perf gate ok: coalescing speedup {modeled_speedup:.1}x >= 2x");
 
-    // --- Cliff gate (wall clock, so opt-in like bench_simd's): with the
-    // adaptive deadline, a window producers can't fill must not stall
-    // the scheduler — throughput at max_batch=16 has to stay within 35%
-    // of the best small-window throughput.
-    if std::env::var("PERF_SMOKE").is_ok() {
-        let best_small = sweep_adaptive
-            .iter()
-            .filter(|s| s.max_batch <= 4)
-            .map(|s| s.throughput_rps)
-            .fold(0.0, f64::max);
-        let at_16 = sweep_adaptive
-            .iter()
-            .find(|s| s.max_batch == 16)
-            .map(|s| s.throughput_rps)
-            .unwrap_or(0.0);
-        let threshold = 0.65 * best_small;
-        if at_16 < threshold {
-            eprintln!(
-                "PERF REGRESSION: adaptive window sweep throughput at max_batch=16 is \
-                 {at_16:.0} rps < threshold {threshold:.0} rps (0.65 x best small-window \
-                 {best_small:.0} rps) — the large-batch cliff is back"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "# perf gate ok: adaptive max_batch=16 throughput {at_16:.0} rps >= {threshold:.0} rps \
-             (0.65 x best small-window {best_small:.0} rps)"
-        );
-    }
-
     // --- Perf-trend history: stamp this run; gate when BENCH_TREND=1.
-    let rps_at = |points: &[SweepPoint]| {
-        points
-            .iter()
-            .find(|s| s.max_batch == 16)
-            .map(|s| s.throughput_rps)
-            .unwrap_or(0.0)
-    };
+    let rps_fixed_16 = sweep
+        .iter()
+        .find(|s| s.max_batch == 16)
+        .map(|s| s.throughput_rps)
+        .unwrap_or(0.0);
     record_and_gate(
         HistoryEntry::stamped(
             "serve",
             vec![
                 ("modeled_speedup".to_string(), modeled_speedup),
-                ("rps_fixed_16".to_string(), rps_at(&sweep)),
-                ("rps_adaptive_16".to_string(), rps_at(&sweep_adaptive)),
-                (
-                    "calibration_median_residual".to_string(),
-                    measured.median_residual,
-                ),
+                ("rps_fixed_16".to_string(), rps_fixed_16),
             ],
         ),
         &[
             // Modeled speedup is deterministic — any drift is structural.
             TrendSpec::new("modeled_speedup", Direction::HigherIsBetter, 0.25),
             // Wall-clock throughput gets wide machine-noise headroom.
-            TrendSpec::new("rps_adaptive_16", Direction::HigherIsBetter, 0.4),
+            TrendSpec::new("rps_fixed_16", Direction::HigherIsBetter, 0.4),
         ],
     );
 }

@@ -36,7 +36,7 @@
 //! gate.
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
-use kdesel_bench::{emit, Cli};
+use kdesel_bench::{emit, wall_median, Cli};
 use kdesel_data::Dataset;
 use kdesel_device::{Backend, Device, DeviceBuffer};
 use kdesel_engine::report::{fmt, TextTable};
@@ -46,7 +46,6 @@ use kdesel_types::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One scalar-vs-vector comparison.
 struct PathReport {
@@ -91,19 +90,6 @@ fn check_agreement(what: &str, scalar: &[f64], simd: &[f64]) {
             std::process::exit(1);
         }
     }
-}
-
-/// Median wall time of `reps` runs of `f`.
-fn wall_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn json_path(r: &PathReport) -> String {
