@@ -9,9 +9,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kdesel_device::{Backend, Device, SWEEP_BLOCK_ROWS};
 use kdesel_hist::{SthConfig, SthHoles};
-use kdesel_kde::{KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn, LossFunction};
+use kdesel_kde::{
+    KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn, LossFunction, ReservoirSampler,
+};
 use kdesel_math::simd::{F64s, LANES};
-use kdesel_sample::ReservoirSampler;
 use kdesel_storage::Table;
 use kdesel_types::{QueryFeedback, Rect};
 use rand::rngs::StdRng;
@@ -178,7 +179,7 @@ fn bench_reservoir(c: &mut Criterion) {
             let mut r = ReservoirSampler::new(1024, 1_000_000);
             let mut hits = 0u32;
             for _ in 0..10_000 {
-                if let kdesel_sample::ReservoirDecision::Replace(_) = r.observe(&mut rng) {
+                if r.observe(&mut |n| rng.gen_range(0..n)).is_some() {
                     hits += 1;
                 }
             }

@@ -330,22 +330,6 @@ pub fn emit(cli: &Cli, table: &kdesel_engine::report::TextTable) {
     }
 }
 
-/// Median wall-clock seconds of `reps` runs of `f` (nearest rank).
-///
-/// # Panics
-/// Panics when `reps` is zero.
-pub fn wall_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    kdesel_types::stats::nearest_rank(&times, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

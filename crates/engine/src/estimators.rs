@@ -1,15 +1,15 @@
-//! Unified estimator construction and feedback plumbing.
+//! Estimator construction: every kind of the evaluation, built once and
+//! used through [`SelectivityEstimator`] afterwards.
 
 use kdesel_device::{Backend, Device};
 use kdesel_estimators::ExactScanEstimator;
-use kdesel_hist::{AviEstimator, SthConfig, SthHoles};
+use kdesel_hist::{AviEstimator, SampleEstimator, SthConfig, SthHoles};
 use kdesel_kde::{
-    AdaptiveConfig, AdaptiveKde, BatchConfig, BatchKde, CvConfig, HeuristicKde, KarmaConfig,
-    KernelFn, ScvKde,
+    scv_bandwidth, AdaptiveConfig, AdaptiveKde, BatchConfig, BatchKde, CvConfig, KarmaConfig,
+    KdeEstimator, KernelFn,
 };
-use kdesel_sample::{ReservoirDecision, ReservoirSampler, SampleEstimator};
-use kdesel_storage::{sampling, Table};
-use kdesel_types::{LabelledQuery, MemoryBudget, Precision, QueryFeedback, Rect};
+use kdesel_storage::Table;
+use kdesel_types::{LabelledQuery, MemoryBudget, Precision, Rect, SelectivityEstimator};
 use rand::Rng;
 
 /// The five estimators of the paper's evaluation (§6.1.1).
@@ -87,6 +87,84 @@ impl EstimatorKind {
     pub fn from_name(name: &str) -> Option<Self> {
         EstimatorKind::FULL.into_iter().find(|k| k.name() == name)
     }
+
+    /// Builds an estimator of this kind over `table`, using `sample`
+    /// (row-major, as produced by ANALYZE) for the sample-based kinds and
+    /// `training` for the workload-driven ones.
+    pub fn build<R: Rng + ?Sized>(
+        self,
+        table: &Table,
+        sample: &[f64],
+        training: &[LabelledQuery],
+        config: &BuildConfig,
+        rng: &mut R,
+    ) -> Box<dyn SelectivityEstimator> {
+        let dims = table.dims();
+        let device = || Device::new(config.backend);
+        match self {
+            EstimatorKind::Heuristic => {
+                Box::new(KdeEstimator::new(device(), sample, dims, config.kernel))
+            }
+            EstimatorKind::Scv => {
+                let mut kde = KdeEstimator::new(device(), sample, dims, config.kernel);
+                kde.set_bandwidth(scv_bandwidth(sample, dims, &config.cv, rng));
+                Box::new(kde)
+            }
+            EstimatorKind::Batch => Box::new(
+                BatchKde::new(
+                    device(),
+                    sample,
+                    dims,
+                    config.kernel,
+                    training,
+                    &config.batch,
+                    rng,
+                )
+                .into_model(),
+            ),
+            EstimatorKind::Adaptive => Box::new(
+                AdaptiveKde::new(
+                    device(),
+                    sample,
+                    dims,
+                    config.kernel,
+                    config.adaptive.clone(),
+                    config.karma.clone(),
+                )
+                .with_rows_seen(table.row_count() as u64),
+            ),
+            EstimatorKind::SthHoles => {
+                let domain = table
+                    .bounding_box()
+                    .unwrap_or_else(|| Rect::cube(dims, 0.0, 1.0));
+                let mut hist = SthHoles::new(
+                    domain,
+                    table.row_count() as u64,
+                    SthConfig {
+                        max_buckets: config.stholes_buckets(dims),
+                    },
+                );
+                // STHoles trains from feedback: replay the training workload
+                // so the comparison to Batch (which consumes the same
+                // queries) is fair, as in §6.2.
+                for q in training {
+                    hist.refine(&q.region, |r| table.count_in(r));
+                }
+                Box::new(hist)
+            }
+            EstimatorKind::Avi => {
+                // Fair budget: the same scalar count the KDE sample uses,
+                // spent on histogram boundaries instead.
+                let scalars = config.budget.bytes() / config.precision.bytes();
+                let buckets = (scalars / dims).saturating_sub(1).max(8);
+                Box::new(AviEstimator::build(sample, dims, buckets))
+            }
+            EstimatorKind::Sampling => Box::new(SampleEstimator::new(sample, dims)),
+            EstimatorKind::Exact => {
+                Box::new(ExactScanEstimator::new(device(), &flat_rows(table), dims))
+            }
+        }
+    }
 }
 
 /// Construction parameters shared by the experiments.
@@ -151,210 +229,6 @@ impl BuildConfig {
     }
 }
 
-/// One estimator of any kind, with the feedback plumbing it needs.
-// Variant sizes differ by design: the enum is built a handful of times
-// per experiment, so boxing the large variants buys nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyEstimator {
-    /// Scott's-rule KDE.
-    Heuristic(HeuristicKde),
-    /// SCV-bandwidth KDE.
-    Scv(ScvKde),
-    /// Workload-optimized KDE.
-    Batch(BatchKde),
-    /// Self-tuning KDE plus its host-side reservoir state.
-    Adaptive {
-        /// The estimator.
-        kde: AdaptiveKde,
-        /// Host-side reservoir decision procedure for inserts.
-        reservoir: ReservoirSampler,
-    },
-    /// STHoles histogram.
-    SthHoles(SthHoles),
-    /// Independence-assumption baseline.
-    Avi(AviEstimator),
-    /// Sample-counting baseline.
-    Sampling(SampleEstimator),
-    /// Exact scan over a staged snapshot of the full table.
-    Exact(ExactScanEstimator),
-}
-
-impl AnyEstimator {
-    /// Builds an estimator of `kind` over `table`, using `sample`
-    /// (row-major, as produced by ANALYZE) for the KDE variants and
-    /// `training` for the workload-driven ones.
-    pub fn build<R: Rng + ?Sized>(
-        kind: EstimatorKind,
-        table: &Table,
-        sample: &[f64],
-        training: &[LabelledQuery],
-        config: &BuildConfig,
-        rng: &mut R,
-    ) -> Self {
-        let dims = table.dims();
-        let device = || Device::new(config.backend);
-        match kind {
-            EstimatorKind::Heuristic => {
-                AnyEstimator::Heuristic(HeuristicKde::new(device(), sample, dims, config.kernel))
-            }
-            EstimatorKind::Scv => AnyEstimator::Scv(ScvKde::new(
-                device(),
-                sample,
-                dims,
-                config.kernel,
-                &config.cv,
-                rng,
-            )),
-            EstimatorKind::Batch => AnyEstimator::Batch(BatchKde::new(
-                device(),
-                sample,
-                dims,
-                config.kernel,
-                training,
-                &config.batch,
-                rng,
-            )),
-            EstimatorKind::Adaptive => {
-                let kde = AdaptiveKde::new(
-                    device(),
-                    sample,
-                    dims,
-                    config.kernel,
-                    config.adaptive.clone(),
-                    config.karma.clone(),
-                );
-                let capacity = kde.model().sample_size();
-                let seen = (table.row_count() as u64).max(capacity as u64);
-                AnyEstimator::Adaptive {
-                    kde,
-                    reservoir: ReservoirSampler::new(capacity, seen),
-                }
-            }
-            EstimatorKind::SthHoles => {
-                let domain = table
-                    .bounding_box()
-                    .unwrap_or_else(|| Rect::cube(dims, 0.0, 1.0));
-                let mut hist = SthHoles::new(
-                    domain,
-                    table.row_count() as u64,
-                    SthConfig {
-                        max_buckets: config.stholes_buckets(dims),
-                    },
-                );
-                // STHoles trains from feedback: replay the training workload
-                // so the comparison to Batch (which consumes the same
-                // queries) is fair, as in §6.2.
-                for q in training {
-                    hist.refine(&q.region, |r| table.count_in(r));
-                }
-                AnyEstimator::SthHoles(hist)
-            }
-            EstimatorKind::Avi => {
-                // Fair budget: the same scalar count the KDE sample uses,
-                // spent on histogram boundaries instead.
-                let scalars = config.budget.bytes() / config.precision.bytes();
-                let buckets = (scalars / dims).saturating_sub(1).max(8);
-                AnyEstimator::Avi(AviEstimator::build(sample, dims, buckets))
-            }
-            EstimatorKind::Sampling => AnyEstimator::Sampling(SampleEstimator::new(sample, dims)),
-            EstimatorKind::Exact => {
-                AnyEstimator::Exact(ExactScanEstimator::new(device(), &flat_rows(table), dims))
-            }
-        }
-    }
-
-    /// Which kind this estimator is.
-    pub fn kind(&self) -> EstimatorKind {
-        match self {
-            AnyEstimator::Heuristic(_) => EstimatorKind::Heuristic,
-            AnyEstimator::Scv(_) => EstimatorKind::Scv,
-            AnyEstimator::Batch(_) => EstimatorKind::Batch,
-            AnyEstimator::Adaptive { .. } => EstimatorKind::Adaptive,
-            AnyEstimator::SthHoles(_) => EstimatorKind::SthHoles,
-            AnyEstimator::Avi(_) => EstimatorKind::Avi,
-            AnyEstimator::Sampling(_) => EstimatorKind::Sampling,
-            AnyEstimator::Exact(_) => EstimatorKind::Exact,
-        }
-    }
-
-    /// Report name.
-    pub fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Estimates the selectivity of `region`.
-    pub fn estimate(&mut self, region: &Rect) -> f64 {
-        match self {
-            AnyEstimator::Heuristic(e) => kdesel_types::SelectivityEstimator::estimate(e, region),
-            AnyEstimator::Scv(e) => kdesel_types::SelectivityEstimator::estimate(e, region),
-            AnyEstimator::Batch(e) => kdesel_types::SelectivityEstimator::estimate(e, region),
-            AnyEstimator::Adaptive { kde, .. } => {
-                kdesel_types::SelectivityEstimator::estimate(kde, region)
-            }
-            AnyEstimator::SthHoles(h) => h.estimate_selectivity(region),
-            AnyEstimator::Avi(a) => a.estimate(region),
-            AnyEstimator::Sampling(s) => s.estimate(region),
-            AnyEstimator::Exact(e) => e.estimate(region),
-        }
-    }
-
-    /// Delivers post-execution feedback, performing any maintenance the
-    /// estimator requires against the live table (Karma replacements for
-    /// Adaptive, per-bucket counts for STHoles).
-    pub fn handle_feedback<R: Rng + ?Sized>(
-        &mut self,
-        table: &Table,
-        feedback: &QueryFeedback,
-        rng: &mut R,
-    ) {
-        match self {
-            AnyEstimator::Heuristic(_)
-            | AnyEstimator::Scv(_)
-            | AnyEstimator::Batch(_)
-            | AnyEstimator::Avi(_)
-            | AnyEstimator::Sampling(_)
-            | AnyEstimator::Exact(_) => {}
-            AnyEstimator::Adaptive { kde, .. } => {
-                kdesel_types::SelectivityEstimator::observe(kde, feedback);
-                for index in kde.take_pending_replacements() {
-                    if let Some(row) = sampling::sample_one(table, rng) {
-                        kde.replace_point(index, &row);
-                    }
-                }
-            }
-            AnyEstimator::SthHoles(h) => {
-                h.refine(&feedback.region, |r| table.count_in(r));
-            }
-        }
-    }
-
-    /// Notifies the estimator of an inserted tuple (§4.2 reservoir path).
-    /// Only the adaptive estimator reacts.
-    pub fn handle_insert<R: Rng + ?Sized>(&mut self, row: &[f64], rng: &mut R) {
-        if let AnyEstimator::Adaptive { kde, reservoir } = self {
-            if let ReservoirDecision::Replace(slot) = reservoir.observe(rng) {
-                kde.reservoir_replace(slot, row);
-            }
-        }
-    }
-
-    /// Model memory footprint in bytes (f64 storage).
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            AnyEstimator::Heuristic(e) => kdesel_types::SelectivityEstimator::memory_bytes(e),
-            AnyEstimator::Scv(e) => kdesel_types::SelectivityEstimator::memory_bytes(e),
-            AnyEstimator::Batch(e) => kdesel_types::SelectivityEstimator::memory_bytes(e),
-            AnyEstimator::Adaptive { kde, .. } => {
-                kdesel_types::SelectivityEstimator::memory_bytes(kde)
-            }
-            AnyEstimator::SthHoles(h) => h.memory_bytes(),
-            AnyEstimator::Avi(a) => a.memory_bytes(),
-            AnyEstimator::Sampling(s) => kdesel_types::SelectivityEstimator::memory_bytes(s),
-            AnyEstimator::Exact(e) => e.memory_bytes(),
-        }
-    }
-}
-
 /// Flattens the table's live rows into one row-major buffer for the
 /// exact-scan snapshot.
 fn flat_rows(table: &Table) -> Vec<f64> {
@@ -369,6 +243,7 @@ fn flat_rows(table: &Table) -> Vec<f64> {
 mod tests {
     use super::*;
     use kdesel_data::{generate_workload, WorkloadKind, WorkloadSpec};
+    use kdesel_storage::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -390,8 +265,7 @@ mod tests {
         let config = BuildConfig::paper_default(2);
         let region = table.bounding_box().unwrap();
         for kind in EstimatorKind::ALL {
-            let mut e = AnyEstimator::build(kind, &table, &sample, &training, &config, &mut rng);
-            assert_eq!(e.kind(), kind);
+            let mut e = kind.build(&table, &sample, &training, &config, &mut rng);
             let v = e.estimate(&region);
             assert!(
                 (0.9..=1.0).contains(&v),
@@ -408,26 +282,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sample = sampling::sample_rows(&table, 64, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Adaptive,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Adaptive.build(&table, &sample, &[], &config, &mut rng);
         // A far-away empty region containing no data: estimate, then feed
         // back zero. No sample point is there, so nothing to replace — must
         // not panic and must keep estimating.
         let region = Rect::cube(2, 1e6, 1e6 + 1.0);
-        let est = e.estimate(&region);
-        let fb = QueryFeedback {
-            region,
-            estimate: est,
-            actual: 0.0,
-            cardinality: 0,
-        };
-        e.handle_feedback(&table, &fb, &mut rng);
+        crate::run_query(&table, e.as_mut(), &region, &mut rng);
         assert!(e.estimate(&Rect::cube(2, 0.0, 100.0)) > 0.0);
     }
 
@@ -437,14 +297,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let sample = sampling::sample_rows(&table, 32, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Adaptive,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Adaptive.build(&table, &sample, &[], &config, &mut rng);
         // Insert many copies of a far-away tuple; the reservoir must
         // eventually pull some into the sample, shifting estimates there.
         // The probe box spans several Scott bandwidths (h ≈ 17 for this
@@ -452,7 +305,7 @@ mod tests {
         let probe = Rect::cube(2, 900.0, 1100.0);
         let before = e.estimate(&probe);
         for _ in 0..2000 {
-            e.handle_insert(&[1000.0, 1000.0], &mut rng);
+            e.insert(&[1000.0, 1000.0], &mut |n| rng.gen_range(0..n));
         }
         let after = e.estimate(&probe);
         assert!(
@@ -473,25 +326,12 @@ mod tests {
             &mut rng,
         );
         let config = BuildConfig::paper_default(2);
-        let mut trained = AnyEstimator::build(
-            EstimatorKind::SthHoles,
-            &table,
-            &sample,
-            &training,
-            &config,
-            &mut rng,
-        );
-        let mut untrained = AnyEstimator::build(
-            EstimatorKind::SthHoles,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut trained =
+            EstimatorKind::SthHoles.build(&table, &sample, &training, &config, &mut rng);
+        let mut untrained = EstimatorKind::SthHoles.build(&table, &sample, &[], &config, &mut rng);
         // Error over the training queries themselves must be lower for the
         // trained histogram.
-        let err = |e: &mut AnyEstimator| {
+        let err = |e: &mut dyn SelectivityEstimator| {
             training
                 .iter()
                 .map(|q| (e.estimate(&q.region) - q.selectivity).abs())
@@ -524,9 +364,7 @@ mod tests {
         let config = BuildConfig::paper_default(2);
         let region = table.bounding_box().unwrap();
         let kind = EstimatorKind::Exact;
-        let mut e = AnyEstimator::build(kind, &table, &sample, &[], &config, &mut rng);
-        assert_eq!(e.kind(), kind);
-        assert_eq!(EstimatorKind::from_name(e.name()), Some(kind));
+        let mut e = kind.build(&table, &sample, &[], &config, &mut rng);
         let v = e.estimate(&region);
         assert!(
             (0.8..=1.0).contains(&v),
@@ -542,14 +380,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let sample = sampling::sample_rows(&table, 16, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Exact,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Exact.build(&table, &sample, &[], &config, &mut rng);
         // Truth on an arbitrary box, not just the sample's view of it.
         let region = Rect::cube(2, 10.0, 60.0);
         assert_eq!(e.estimate(&region), table.selectivity(&region));

@@ -8,7 +8,7 @@
 //!   (footnote 3 suggests 4), and the replacement threshold (unspecified in
 //!   the paper; −2 is this repository's default).
 
-use crate::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use crate::estimators::{BuildConfig, EstimatorKind};
 use crate::session::run_query;
 use kdesel_data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel_storage::sampling;
@@ -92,18 +92,11 @@ fn adaptive_error(
         config.queries,
         &mut rng,
     );
-    let mut estimator = AnyEstimator::build(
-        EstimatorKind::Adaptive,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut estimator = EstimatorKind::Adaptive.build(&table, &sample, &[], &build, &mut rng);
     let half = queries.len() / 2;
     let mut total = 0.0;
     for (i, q) in queries.iter().enumerate() {
-        let out = run_query(&table, &mut estimator, &q.region, &mut rng);
+        let out = run_query(&table, estimator.as_mut(), &q.region, &mut rng);
         if i >= half {
             total += out.absolute_error();
         }

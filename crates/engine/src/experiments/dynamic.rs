@@ -11,7 +11,7 @@
 //! identically for every estimator, so all estimators see the exact same
 //! evolving database.
 
-use crate::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use crate::estimators::{BuildConfig, EstimatorKind};
 use crate::session::run_query;
 use kdesel_storage::{sampling, Table};
 use kdesel_types::Rect;
@@ -253,7 +253,7 @@ pub fn run_dynamic(config: &DynamicConfig) -> DynamicResult {
             }
             let build = BuildConfig::paper_default(config.dims);
             let sample = sampling::sample_rows(&table, build.sample_points(config.dims), &mut rng);
-            let mut estimator = AnyEstimator::build(kind, &table, &sample, &[], &build, &mut rng);
+            let mut estimator = kind.build(&table, &sample, &[], &build, &mut rng);
 
             let mut errors = Vec::new();
             let mut query_sizes = Vec::new();
@@ -265,7 +265,7 @@ pub fn run_dynamic(config: &DynamicConfig) -> DynamicResult {
                             cluster_rows.resize(c + 1, Vec::new());
                         }
                         cluster_rows[*c].push(id);
-                        estimator.handle_insert(row, &mut rng);
+                        estimator.insert(row, &mut |n| rng.gen_range(0..n));
                     }
                     Event::DeleteCluster(c) => {
                         for &row in &cluster_rows[*c] {
@@ -274,7 +274,7 @@ pub fn run_dynamic(config: &DynamicConfig) -> DynamicResult {
                         cluster_rows[*c].clear();
                     }
                     Event::Query(region) => {
-                        let out = run_query(&table, &mut estimator, region, &mut rng);
+                        let out = run_query(&table, estimator.as_mut(), region, &mut rng);
                         errors.push(out.absolute_error());
                         query_sizes.push(table.row_count());
                     }

@@ -4,9 +4,12 @@
 //! a synthetic 8D table with three million rows" for Heuristic and
 //! Adaptive on both CPU and GPU, plus STHoles. KDE overheads are *modeled*
 //! by the device cost profiles (calibrated to the paper's GTX-460 / Xeon
-//! E5620, see `kdesel-device`); measured wall time is reported alongside.
-//! STHoles estimation is measured wall-clock over the fully-built
-//! histogram, excluding maintenance, exactly as in the paper.
+//! E5620, see `kdesel-device`); measured wall time is reported alongside,
+//! as the median of 5 timed passes over the queries after one discarded
+//! warm-up pass (the modeled seconds come from the warm-up pass:
+//! they do not depend on the host). STHoles estimation is measured
+//! wall-clock over the fully-built histogram, excluding maintenance,
+//! exactly as in the paper.
 //!
 //! Beyond the paper, the exact scan (*Exact Selectivity Computation*,
 //! PAPERS.md) runs the same queries over a table of `size` rows (capped
@@ -29,10 +32,13 @@ use kdesel_estimators::ExactScanEstimator;
 use kdesel_hist::{SthConfig, SthHoles};
 use kdesel_kde::{KarmaConfig, KarmaMaintenance, KdeEstimator, KernelFn};
 use kdesel_storage::{sampling, Table};
+use kdesel_types::stats::wall_median;
 use kdesel_types::{QueryFeedback, Rect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+
+/// Timed passes per measured cell, after one discarded warm-up pass.
+const TIMED_PASSES: usize = 5;
 
 /// Performance-experiment configuration.
 #[derive(Debug, Clone)]
@@ -178,44 +184,49 @@ fn measure_kde(
         cost.transfer(2 * dims * 8) + cost.kernel(size, estimate_flops) + cost.transfer(8)
     };
     estimator.device().reset_timing();
-    let wall = Instant::now();
-    let mut modeled = 0.0;
-    for (region, &actual) in regions.iter().zip(actuals) {
-        if adaptive {
-            // Gradient and Karma maintenance run concurrently with query
-            // execution (§5.5): "the only measurable performance impact of
-            // Adaptive [is] the latency penalties incurred by the
-            // additional kernel calls and data transfers." The fused sweep
-            // itself bills as a plain estimate; every launch/transfer
-            // beyond the estimate's own (1 kernel, 2 transfers) adds its
-            // latency only.
-            let s0 = estimator.device().stats();
-            let (estimate, _grad) = estimator.estimate_with_gradient(region);
-            let feedback = QueryFeedback {
-                region: region.clone(),
-                estimate,
-                actual,
-                cardinality: 0,
-            };
-            let _flagged = karma.update(&estimator, &feedback);
-            let s1 = estimator.device().stats();
-            let launches = (s1.kernels - s0.kernels).saturating_sub(1) as f64;
-            let transfers =
-                (s1.uploads - s0.uploads + s1.downloads - s0.downloads).saturating_sub(2) as f64;
-            modeled += estimate_equivalent
-                + launches * profile.kernel_launch_latency
-                + transfers * profile.transfer_latency;
-        } else {
-            let t0 = estimator.device().modeled_seconds();
-            let _estimate = estimator.estimate(region);
-            let t1 = estimator.device().modeled_seconds();
-            modeled += t1 - t0;
+    let mut pass = || {
+        let mut modeled = 0.0;
+        for (region, &actual) in regions.iter().zip(actuals) {
+            if adaptive {
+                // Gradient and Karma maintenance run concurrently with query
+                // execution (§5.5): "the only measurable performance impact
+                // of Adaptive [is] the latency penalties incurred by the
+                // additional kernel calls and data transfers." The fused
+                // sweep itself bills as a plain estimate; every
+                // launch/transfer beyond the estimate's own (1 kernel, 2
+                // transfers) adds its latency only.
+                let s0 = estimator.device().stats();
+                let (estimate, _grad) = estimator.estimate_with_gradient(region);
+                let feedback = QueryFeedback {
+                    region: region.clone(),
+                    estimate,
+                    actual,
+                    cardinality: 0,
+                };
+                let _flagged = karma.update(&estimator, &feedback);
+                let s1 = estimator.device().stats();
+                let launches = (s1.kernels - s0.kernels).saturating_sub(1) as f64;
+                let transfers = (s1.uploads - s0.uploads + s1.downloads - s0.downloads)
+                    .saturating_sub(2) as f64;
+                modeled += estimate_equivalent
+                    + launches * profile.kernel_launch_latency
+                    + transfers * profile.transfer_latency;
+            } else {
+                let t0 = estimator.device().modeled_seconds();
+                let _estimate = estimator.estimate(region);
+                let t1 = estimator.device().modeled_seconds();
+                modeled += t1 - t0;
+            }
         }
-    }
+        modeled
+    };
+    let modeled = pass();
     PerfPoint {
         model_size: size,
         modeled_seconds: Some(modeled),
-        measured_seconds: wall.elapsed().as_secs_f64(),
+        measured_seconds: wall_median(TIMED_PASSES, || {
+            pass();
+        }),
     }
 }
 
@@ -250,17 +261,16 @@ fn measure_exact(
     let mut rng = StdRng::seed_from_u64(seed ^ size as u64 ^ 0xe4ac);
     let rows = sampling::sample_rows(table, scanned, &mut rng);
     let est = ExactScanEstimator::new(Device::new(backend), &rows, table.dims());
+    let pass = || {
+        let sink: f64 = regions.iter().map(|region| est.estimate(region)).sum();
+        std::hint::black_box(sink);
+    };
     let t0 = est.device().modeled_seconds();
-    let wall = Instant::now();
-    let mut sink = 0.0;
-    for region in regions {
-        sink += est.estimate(region);
-    }
-    std::hint::black_box(sink);
+    pass();
     PerfPoint {
         model_size: scanned,
         modeled_seconds: Some(est.device().modeled_seconds() - t0),
-        measured_seconds: wall.elapsed().as_secs_f64(),
+        measured_seconds: wall_median(TIMED_PASSES, pass),
     }
 }
 
@@ -310,16 +320,18 @@ fn measure_stholes(table: &Table, regions: &[Rect], size: usize, seed: u64) -> P
             (count_table.count_in(r) as f64 * scale) as u64
         });
     }
-    let wall = Instant::now();
-    let mut sink = 0.0;
-    for region in regions {
-        sink += hist.estimate_selectivity(region);
-    }
-    std::hint::black_box(sink);
+    let pass = || {
+        let sink: f64 = regions
+            .iter()
+            .map(|region| hist.estimate_selectivity(region))
+            .sum();
+        std::hint::black_box(sink);
+    };
+    pass();
     PerfPoint {
         model_size: size,
         modeled_seconds: None,
-        measured_seconds: wall.elapsed().as_secs_f64(),
+        measured_seconds: wall_median(TIMED_PASSES, pass),
     }
 }
 

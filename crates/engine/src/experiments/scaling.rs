@@ -8,7 +8,7 @@
 //! 1024 … 32768; errors fall roughly as a power law in `s`, and optimized
 //! estimators stay ≈2× more accurate than the heuristic at every size.
 
-use crate::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use crate::estimators::{BuildConfig, EstimatorKind};
 use crate::session::run_query;
 use kdesel_data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel_storage::sampling;
@@ -108,17 +108,16 @@ pub fn run_scaling(config: &ScalingConfig) -> ScalingResult {
             for (ei, &kind) in config.estimators.iter().enumerate() {
                 let mut est_rng =
                     StdRng::seed_from_u64(config.seed ^ (rep as u64) ^ (ei as u64) << 16);
-                let mut estimator =
-                    AnyEstimator::build(kind, &table, &sample, &train, &build, &mut est_rng);
+                let mut estimator = kind.build(&table, &sample, &train, &build, &mut est_rng);
                 if kind == EstimatorKind::Adaptive {
                     for q in &train {
-                        run_query(&table, &mut estimator, &q.region, &mut est_rng);
+                        run_query(&table, estimator.as_mut(), &q.region, &mut est_rng);
                     }
                 }
                 let mut total = 0.0;
                 for q in &test {
-                    total +=
-                        run_query(&table, &mut estimator, &q.region, &mut est_rng).absolute_error();
+                    total += run_query(&table, estimator.as_mut(), &q.region, &mut est_rng)
+                        .absolute_error();
                 }
                 series[ei].1[si].add(total / test.len() as f64);
             }

@@ -10,7 +10,7 @@
 //! random sample... we restricted all estimators to use the same amount of
 //! memory (d · 4 kB)."
 
-use crate::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use crate::estimators::{BuildConfig, EstimatorKind};
 use crate::session::run_query;
 use kdesel_data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel_storage::{sampling, Table};
@@ -114,20 +114,19 @@ fn run_repetition(table: &Table, cell: &StaticCell, config: &StaticConfig, rep: 
         .map(|(ei, &kind)| {
             let mut est_rng =
                 StdRng::seed_from_u64(config.seed ^ (rep as u64) << 8 ^ (ei as u64 + 1) << 32);
-            let mut estimator =
-                AnyEstimator::build(kind, table, &sample, &train, &build, &mut est_rng);
+            let mut estimator = kind.build(table, &sample, &train, &build, &mut est_rng);
             // The adaptive estimator "trains" by consuming the training
             // stream as feedback.
             if kind == EstimatorKind::Adaptive {
                 for q in &train {
-                    run_query(table, &mut estimator, &q.region, &mut est_rng);
+                    run_query(table, estimator.as_mut(), &q.region, &mut est_rng);
                 }
             }
             // Measure on the test stream. Self-tuning estimators continue
             // to receive feedback — that is their defining property.
             let mut total = 0.0;
             for q in &test {
-                let out = run_query(table, &mut estimator, &q.region, &mut est_rng);
+                let out = run_query(table, estimator.as_mut(), &q.region, &mut est_rng);
                 total += out.absolute_error();
             }
             total / test.len() as f64

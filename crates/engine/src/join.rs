@@ -8,12 +8,11 @@
 //! For a PK-FK equi-join `R ⋈ S` every `R` tuple joins with at most one `S`
 //! tuple, so a uniform sample of `R` joined against the `S` index *is* a
 //! uniform sample of the join result — the CMN insight this module uses.
-//! A KDE model over the concatenated attribute space then answers range
-//! predicates spanning both relations, capturing cross-table correlations
-//! that the textbook independence assumption destroys.
+//! A [`KdeEstimator`](kdesel_kde::KdeEstimator) over [`sample_join`]'s
+//! rows (the concatenated attribute space) then answers range predicates
+//! spanning both relations, capturing cross-table correlations that the
+//! textbook independence assumption destroys.
 
-use kdesel_device::Device;
-use kdesel_kde::{KdeEstimator, KernelFn};
 use kdesel_storage::Table;
 use kdesel_types::Rect;
 use rand::seq::SliceRandom;
@@ -89,50 +88,11 @@ pub fn join_truth(r: &Table, fk_col: usize, s: &Table, pk_col: usize, region: &R
     (total, matching)
 }
 
-/// A KDE selectivity estimator over a PK-FK join result.
-#[derive(Debug)]
-pub struct JoinKde {
-    inner: KdeEstimator,
-}
-
-impl JoinKde {
-    /// Builds the model from a join-result sample of `sample_size` rows.
-    ///
-    /// # Panics
-    /// Panics when the join sample comes out empty (no matching tuples).
-    pub fn new<R: Rng + ?Sized>(
-        device: Device,
-        r: &Table,
-        fk_col: usize,
-        s: &Table,
-        pk_col: usize,
-        sample_size: usize,
-        kernel: KernelFn,
-        rng: &mut R,
-    ) -> Self {
-        let sample = sample_join(r, fk_col, s, pk_col, sample_size, rng);
-        assert!(!sample.is_empty(), "empty join result");
-        let width = r.dims() + s.dims();
-        Self {
-            inner: KdeEstimator::new(device, &sample, width, kernel),
-        }
-    }
-
-    /// Estimated selectivity of `region` over the join result.
-    pub fn estimate(&mut self, region: &Rect) -> f64 {
-        self.inner.estimate(region)
-    }
-
-    /// The underlying model (bandwidth tuning etc.).
-    pub fn model_mut(&mut self) -> &mut KdeEstimator {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdesel_device::Backend;
+    use kdesel_device::{Backend, Device};
+    use kdesel_kde::{KdeEstimator, KernelFn};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -177,16 +137,9 @@ mod tests {
     fn join_kde_captures_cross_table_correlation() {
         let (r, s) = make_tables(3);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut est = JoinKde::new(
-            Device::new(Backend::CpuPar),
-            &r,
-            1,
-            &s,
-            0,
-            512,
-            KernelFn::Gaussian,
-            &mut rng,
-        );
+        let sample = sample_join(&r, 1, &s, 0, 512, &mut rng);
+        let mut est =
+            KdeEstimator::new(Device::new(Backend::CpuPar), &sample, 5, KernelFn::Gaussian);
         // Scott's rule badly oversmooths the near-discrete tier and the
         // tier-banded amount (the paper's core observation) — tune the
         // bandwidth over a small training workload of join predicates,
@@ -209,12 +162,12 @@ mod tests {
             ));
         }
         let result = kdesel_kde::optimize_bandwidth(
-            est.model_mut(),
+            &est,
             &train,
             &kdesel_kde::BatchConfig::default(),
             &mut rng,
         );
-        est.model_mut().set_bandwidth(result.bandwidth);
+        est.set_bandwidth(result.bandwidth);
 
         // Predicate: tier = 3 (within [2.5, 3.5]) AND amount in [300, 350]
         // — perfectly correlated: every tier-3 order qualifies (~25%).

@@ -1,8 +1,8 @@
 //! The query lifecycle (paper Figure 3 / Listing 1 lines 5-9).
 
-use crate::estimators::AnyEstimator;
-use kdesel_storage::Table;
-use kdesel_types::{QueryFeedback, Rect};
+use kdesel_storage::{sampling, Table};
+use kdesel_telemetry::Event;
+use kdesel_types::{QueryFeedback, Rect, Relation, SelectivityEstimator};
 use rand::Rng;
 
 /// Outcome of one estimated-then-executed query.
@@ -23,12 +23,30 @@ impl QueryOutcome {
     }
 }
 
+/// The live table as an estimator's maintenance sees it: exact counts,
+/// and uniform draws of fresh tuples from the session's rng.
+struct LiveTable<'a, R: ?Sized> {
+    table: &'a Table,
+    rng: &'a mut R,
+}
+
+impl<R: Rng + ?Sized> Relation for LiveTable<'_, R> {
+    fn count_in(&mut self, region: &Rect) -> u64 {
+        self.table.count_in(region)
+    }
+
+    fn sample_row(&mut self) -> Option<Vec<f64>> {
+        sampling::sample_one(self.table, self.rng)
+    }
+}
+
 /// Runs one query through the full lifecycle: estimate, execute (full
 /// scan), feed back. Self-tuning estimators update themselves inside
-/// [`AnyEstimator::handle_feedback`].
+/// [`SelectivityEstimator::maintain`], against `table` and with fresh
+/// tuples drawn by `rng`.
 pub fn run_query<R: Rng + ?Sized>(
     table: &Table,
-    estimator: &mut AnyEstimator,
+    estimator: &mut dyn SelectivityEstimator,
     region: &Rect,
     rng: &mut R,
 ) -> QueryOutcome {
@@ -46,14 +64,17 @@ pub fn run_query<R: Rng + ?Sized>(
         actual,
         cardinality,
     };
-    estimator.handle_feedback(table, &feedback, rng);
+    estimator.maintain(&feedback, &mut LiveTable { table, rng });
     drop(span);
-    kdesel_telemetry::event("query")
-        .f64("estimate", estimate)
-        .f64("actual", actual)
-        .f64("abs_error", (estimate - actual).abs())
-        .u64("cardinality", cardinality)
-        .emit();
+    if kdesel_telemetry::tracing() {
+        kdesel_telemetry::emit_event(
+            Event::new("query")
+                .f64("estimate", estimate)
+                .f64("actual", actual)
+                .f64("abs_error", (estimate - actual).abs())
+                .u64("cardinality", cardinality),
+        );
+    }
     QueryOutcome {
         estimate,
         actual,
@@ -99,14 +120,17 @@ pub fn run_query_via(
     )?;
     serve.flush(key)?;
     drop(span);
-    kdesel_telemetry::event("query")
-        .f64("estimate", estimate)
-        .f64("actual", actual)
-        .f64("abs_error", (estimate - actual).abs())
-        .u64("cardinality", cardinality)
-        .u64("trace", trace)
-        .str("via", "serve")
-        .emit();
+    if kdesel_telemetry::tracing() {
+        kdesel_telemetry::emit_event(
+            Event::new("query")
+                .f64("estimate", estimate)
+                .f64("actual", actual)
+                .f64("abs_error", (estimate - actual).abs())
+                .u64("cardinality", cardinality)
+                .u64("trace", trace)
+                .str("via", "serve"),
+        );
+    }
     Ok(QueryOutcome {
         estimate,
         actual,
@@ -118,7 +142,7 @@ pub fn run_query_via(
 mod tests {
     use super::*;
     use crate::estimators::{BuildConfig, EstimatorKind};
-    use kdesel_storage::sampling;
+    use kdesel_kde::AdaptiveKde;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -128,14 +152,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sample = sampling::sample_rows(&table, 64, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Heuristic,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Heuristic.build(&table, &sample, &[], &config, &mut rng);
         // Inflate the region by a few bandwidths so kernel mass leaking
         // past the data's bounding box stays inside the query.
         let region = table.bounding_box().unwrap().inflated(60.0);
@@ -151,14 +168,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sample = sampling::sample_rows(&table, 32, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Heuristic,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Heuristic.build(&table, &sample, &[], &config, &mut rng);
         let ring = std::sync::Arc::new(kdesel_telemetry::RingSink::with_capacity(16));
         kdesel_telemetry::set_sink(Some(ring.clone()));
         kdesel_telemetry::set_enabled(true);
@@ -186,21 +196,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let sample = sampling::sample_rows(&table, 64, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut sync = AnyEstimator::build(
-            EstimatorKind::Heuristic,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
-        let served = kdesel_kde::HeuristicKde::new(
+        let mut sync = EstimatorKind::Heuristic.build(&table, &sample, &[], &config, &mut rng);
+        let served = kdesel_kde::KdeEstimator::new(
             kdesel_device::Device::new(config.backend),
             &sample,
             2,
             config.kernel,
-        )
-        .into_model();
+        );
         let key = kdesel_serve::ModelKey::new("synthetic", &["x", "y"]);
         let service = kdesel_serve::Service::builder(kdesel_serve::ServeConfig::default())
             .register(key.clone(), kdesel_serve::ServedModel::fixed(served))
@@ -236,22 +238,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let sample = sampling::sample_rows(&table, 64, &mut rng);
         let config = BuildConfig::paper_default(2);
-        let mut sync = AnyEstimator::build(
-            EstimatorKind::Adaptive,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
-        let kde = kdesel_kde::AdaptiveKde::new(
-            kdesel_device::Device::new(config.backend),
-            &sample,
-            2,
-            config.kernel,
-            config.adaptive.clone(),
-            config.karma.clone(),
-        );
+        let new_kde = || {
+            AdaptiveKde::new(
+                kdesel_device::Device::new(config.backend),
+                &sample,
+                2,
+                config.kernel,
+                config.adaptive.clone(),
+                config.karma.clone(),
+            )
+        };
+        let mut sync = new_kde();
+        let kde = new_kde();
         // Both loops draw replacement tuples from identically-seeded rngs,
         // so Karma replacements install identical rows.
         let replacement_seed = 77;
@@ -284,12 +282,9 @@ mod tests {
             );
         }
         let report = handle.report(&key).unwrap();
-        let AnyEstimator::Adaptive { kde: sync_kde, .. } = &sync else {
-            unreachable!()
-        };
         assert_eq!(
             report.bandwidth,
-            sync_kde.model().bandwidth(),
+            sync.model().bandwidth(),
             "bandwidth trajectories must match bitwise"
         );
         assert_eq!(report.maintenance_applied, queries.len() as u64);
@@ -304,14 +299,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sample = sampling::sample_rows(&table, 256, &mut rng);
         let config = BuildConfig::paper_default(3);
-        let mut e = AnyEstimator::build(
-            EstimatorKind::Adaptive,
-            &table,
-            &sample,
-            &[],
-            &config,
-            &mut rng,
-        );
+        let mut e = EstimatorKind::Adaptive.build(&table, &sample, &[], &config, &mut rng);
         let queries = kdesel_data::generate_workload(
             &table,
             kdesel_data::WorkloadSpec::paper(kdesel_data::WorkloadKind::DataTarget),

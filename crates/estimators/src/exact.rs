@@ -117,17 +117,8 @@ impl SelectivityEstimator for ExactScanEstimator {
         ExactScanEstimator::estimate(self, region)
     }
 
-    fn observe(&mut self, _feedback: &kdesel_types::QueryFeedback) {
-        // The snapshot is already exact for the data it saw; feedback
-        // carries no information it could use.
-    }
-
     fn memory_bytes(&self) -> usize {
         ExactScanEstimator::memory_bytes(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "exact"
     }
 }
 

@@ -10,7 +10,7 @@
 //! strawman every multidimensional technique is measured against — built
 //! from per-attribute equi-depth histograms [Piatetsky-Shapiro & Connell].
 
-use kdesel_types::{QueryFeedback, Rect, SelectivityEstimator};
+use kdesel_types::{Rect, SelectivityEstimator};
 
 /// A one-dimensional equi-depth (equi-height) histogram.
 ///
@@ -133,12 +133,8 @@ impl SelectivityEstimator for AviEstimator {
     fn estimate(&mut self, region: &Rect) -> f64 {
         AviEstimator::estimate(self, region)
     }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
     fn memory_bytes(&self) -> usize {
         AviEstimator::memory_bytes(self)
-    }
-    fn name(&self) -> &str {
-        "avi"
     }
 }
 
@@ -220,7 +216,6 @@ mod tests {
         let mut avi = AviEstimator::build(&sample, 2, 4);
         let v = SelectivityEstimator::estimate(&mut avi, &Rect::cube(2, -1.0, 3.0));
         assert!((v - 1.0).abs() < 1e-9);
-        assert_eq!(SelectivityEstimator::name(&avi), "avi");
         assert!(SelectivityEstimator::memory_bytes(&avi) > 0);
     }
 }

@@ -10,7 +10,7 @@
 //! sampled tuples. (The KDE-vs-sampling comparison itself lives in the
 //! workspace integration tests and the `baselines_extra` bench.)
 
-use kdesel_types::{QueryFeedback, Rect, SelectivityEstimator};
+use kdesel_types::{Rect, SelectivityEstimator};
 
 /// Sample-counting estimator.
 #[derive(Debug, Clone)]
@@ -49,26 +49,14 @@ impl SampleEstimator {
             .count();
         hits as f64 / self.sample_size() as f64
     }
-
-    /// Replaces one sample point (so the estimator can share the reservoir
-    /// maintenance path).
-    pub fn replace_point(&mut self, index: usize, row: &[f64]) {
-        assert!(index < self.sample_size());
-        assert_eq!(row.len(), self.dims);
-        self.sample[index * self.dims..(index + 1) * self.dims].copy_from_slice(row);
-    }
 }
 
 impl SelectivityEstimator for SampleEstimator {
     fn estimate(&mut self, region: &Rect) -> f64 {
         SampleEstimator::estimate(self, region)
     }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
     fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.sample.as_slice())
-    }
-    fn name(&self) -> &str {
-        "sampling"
     }
 }
 
@@ -98,19 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn replace_point_updates_counts() {
-        let sample = vec![0.0, 10.0, 20.0, 30.0];
-        let mut est = SampleEstimator::new(&sample, 1);
-        let q = Rect::from_intervals(&[(100.0, 200.0)]);
-        assert_eq!(est.estimate(&q), 0.0);
-        est.replace_point(2, &[150.0]);
-        assert_eq!(SampleEstimator::estimate(&est, &q), 0.25);
-    }
-
-    #[test]
     fn trait_surface() {
         let mut est = SampleEstimator::new(&[1.0, 2.0], 1);
-        assert_eq!(SelectivityEstimator::name(&est), "sampling");
         assert_eq!(SelectivityEstimator::memory_bytes(&est), 16);
         let v = SelectivityEstimator::estimate(&mut est, &Rect::from_intervals(&[(0.0, 1.5)]));
         assert_eq!(v, 0.5);

@@ -1,6 +1,6 @@
 //! The STHoles bucket tree.
 
-use kdesel_types::Rect;
+use kdesel_types::{QueryFeedback, Rect, Relation, SelectivityEstimator};
 
 /// STHoles configuration.
 #[derive(Debug, Clone, Copy)]
@@ -507,6 +507,22 @@ impl SthHoles {
             }
         }
         Ok(())
+    }
+}
+
+impl SelectivityEstimator for SthHoles {
+    fn estimate(&mut self, region: &Rect) -> f64 {
+        self.estimate_selectivity(region)
+    }
+
+    /// Drills the executed query into the histogram, with exact counts
+    /// from the relation it ran against.
+    fn maintain(&mut self, feedback: &QueryFeedback, relation: &mut dyn Relation) {
+        self.refine(&feedback.region, |r| relation.count_in(r));
+    }
+
+    fn memory_bytes(&self) -> usize {
+        SthHoles::memory_bytes(self)
     }
 }
 

@@ -155,14 +155,15 @@ impl AdaptiveTuner {
         self.updates_applied += 1;
         // One structured event per RMSprop step: the bandwidth trajectory
         // (paper Figure 8) and the driving gradient, reconstructable from
-        // a trace alone. Field computation is gated on a live builder.
-        let ev = kdesel_telemetry::event("bandwidth.step");
-        if ev.live() {
+        // a trace alone. Field computation is gated on tracing.
+        if kdesel_telemetry::tracing() {
             let grad_norm = avg.iter().map(|g| g * g).sum::<f64>().sqrt();
-            ev.u64("step", self.updates_applied)
-                .f64("grad_norm", grad_norm)
-                .f64_slice("h", estimator.bandwidth())
-                .emit();
+            kdesel_telemetry::emit_event(
+                kdesel_telemetry::Event::new("bandwidth.step")
+                    .u64("step", self.updates_applied)
+                    .f64("grad_norm", grad_norm)
+                    .f64_slice("h", estimator.bandwidth()),
+            );
         }
         true
     }

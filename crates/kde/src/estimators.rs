@@ -1,112 +1,42 @@
-//! The four KDE estimator variants compared in the paper's evaluation
-//! (§6.1.1), as [`SelectivityEstimator`] implementations.
+//! The workload-tuned KDE variants of the paper's evaluation (§6.1.1).
 //!
-//! * [`HeuristicKde`] — Scott's-rule bandwidth, static ("KDE heuristic"),
-//! * [`ScvKde`] — smoothed-cross-validation bandwidth, static ("KDE SCV"),
-//! * [`BatchKde`] — bandwidth numerically optimized over a training
-//!   workload at construction ("KDE batch", §3.4),
+//! The static variants are a [`KdeEstimator`] whose bandwidth is picked at
+//! construction: Scott's rule ([`KdeEstimator::new`], "KDE heuristic"),
+//! smoothed cross-validation ([`scv_bandwidth`](crate::scv_bandwidth),
+//! "KDE SCV"), or the training-workload optimum of §3.4 ([`BatchKde`],
+//! "KDE batch"). This module holds the two that carry more than a model:
+//!
+//! * [`BatchKde`] — the optimized model together with its training loss,
 //! * [`AdaptiveKde`] — Scott initialization plus continuous RMSprop
-//!   bandwidth tuning and Karma-based sample maintenance ("KDE adaptive",
-//!   §4). Sample replacement is mediated by the engine: `observe` flags
-//!   outdated points, [`AdaptiveKde::take_pending_replacements`] hands them
-//!   to the caller, and [`AdaptiveKde::replace_point`] installs the fresh
-//!   tuples the caller sampled from the database.
+//!   bandwidth tuning, Karma-based sample maintenance and the §4.2
+//!   reservoir ("KDE adaptive", §4). Through
+//!   [`SelectivityEstimator::maintain`] it refills the slots Karma flags
+//!   with fresh tuples from the live [`Relation`]; through
+//!   [`SelectivityEstimator::insert`] its reservoir decides which inserted
+//!   tuples enter the sample. Callers that own the relation elsewhere
+//!   (the serving layer) drive the same steps with
+//!   [`observe`](AdaptiveKde::observe),
+//!   [`take_pending_replacements`](AdaptiveKde::take_pending_replacements)
+//!   and [`replace_point`](AdaptiveKde::replace_point).
 
 use crate::bandwidth::adaptive::{AdaptiveConfig, AdaptiveTuner};
 use crate::bandwidth::batch::{optimize_bandwidth, BatchConfig};
-use crate::bandwidth::cv::{scv_bandwidth, CvConfig};
 use crate::estimator::KdeEstimator;
 use crate::karma::{KarmaConfig, KarmaMaintenance};
 use crate::kernel::KernelFn;
+use crate::reservoir::ReservoirSampler;
 use kdesel_device::Device;
-use kdesel_types::{LabelledQuery, QueryFeedback, Rect, SelectivityEstimator};
+use kdesel_types::{LabelledQuery, QueryFeedback, Rect, Relation, SelectivityEstimator};
 use rand::Rng;
 
-/// "KDE heuristic": Scott's rule, no tuning (the paper's baseline for
-/// existing KDE estimators).
-#[derive(Debug)]
-pub struct HeuristicKde {
-    inner: KdeEstimator,
-}
-
-impl HeuristicKde {
-    /// Builds the model from a row-major sample.
-    pub fn new(device: Device, sample: &[f64], dims: usize, kernel: KernelFn) -> Self {
-        Self {
-            inner: KdeEstimator::new(device, sample, dims, kernel),
-        }
-    }
-
-    /// Access to the underlying model.
-    pub fn model(&self) -> &KdeEstimator {
-        &self.inner
-    }
-
-    /// Unwraps the underlying model (e.g. to register it with
-    /// `kdesel-serve`).
-    pub fn into_model(self) -> KdeEstimator {
-        self.inner
-    }
-}
-
-impl SelectivityEstimator for HeuristicKde {
+/// "KDE heuristic", "KDE SCV" and "KDE batch" are all this model; only
+/// the bandwidth they were built with differs.
+impl SelectivityEstimator for KdeEstimator {
     fn estimate(&mut self, region: &Rect) -> f64 {
-        self.inner.estimate(region)
+        KdeEstimator::estimate(self, region)
     }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
     fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-    fn name(&self) -> &str {
-        "kde-heuristic"
-    }
-}
-
-/// "KDE SCV": bandwidth selected by smoothed cross-validation at
-/// construction, static afterwards.
-#[derive(Debug)]
-pub struct ScvKde {
-    inner: KdeEstimator,
-}
-
-impl ScvKde {
-    /// Builds the model and runs the SCV selector.
-    pub fn new<R: Rng + ?Sized>(
-        device: Device,
-        sample: &[f64],
-        dims: usize,
-        kernel: KernelFn,
-        config: &CvConfig,
-        rng: &mut R,
-    ) -> Self {
-        let mut inner = KdeEstimator::new(device, sample, dims, kernel);
-        let bw = scv_bandwidth(sample, dims, config, rng);
-        inner.set_bandwidth(bw);
-        Self { inner }
-    }
-
-    /// Access to the underlying model.
-    pub fn model(&self) -> &KdeEstimator {
-        &self.inner
-    }
-
-    /// Unwraps the underlying model (e.g. to register it with
-    /// `kdesel-serve`).
-    pub fn into_model(self) -> KdeEstimator {
-        self.inner
-    }
-}
-
-impl SelectivityEstimator for ScvKde {
-    fn estimate(&mut self, region: &Rect) -> f64 {
-        self.inner.estimate(region)
-    }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-    fn name(&self) -> &str {
-        "kde-scv"
+        KdeEstimator::memory_bytes(self)
     }
 }
 
@@ -148,33 +78,21 @@ impl BatchKde {
         &self.inner
     }
 
-    /// Unwraps the underlying model (e.g. to register it with
-    /// `kdesel-serve`).
+    /// Unwraps the optimized model, the estimator itself (e.g. to register
+    /// it with `kdesel-serve`).
     pub fn into_model(self) -> KdeEstimator {
         self.inner
     }
 }
 
-impl SelectivityEstimator for BatchKde {
-    fn estimate(&mut self, region: &Rect) -> f64 {
-        self.inner.estimate(region)
-    }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-    fn name(&self) -> &str {
-        "kde-batch"
-    }
-}
-
 /// "KDE adaptive": the self-tuning estimator of §4 — online bandwidth
-/// learning plus Karma-based sample maintenance.
+/// learning, Karma-based sample maintenance and reservoir inserts.
 #[derive(Debug)]
 pub struct AdaptiveKde {
     inner: KdeEstimator,
     tuner: AdaptiveTuner,
     karma: KarmaMaintenance,
+    reservoir: ReservoirSampler,
     pending: Vec<usize>,
 }
 
@@ -195,19 +113,30 @@ impl AdaptiveKde {
     /// Wraps an existing model (e.g. one restored from a
     /// [`ModelSnapshot`](crate::ModelSnapshot)) with fresh tuning state —
     /// the tuned bandwidth carries over, the RMSprop accumulator and Karma
-    /// counts restart.
+    /// counts restart, and the reservoir counts only the sample itself
+    /// until [`with_rows_seen`](Self::with_rows_seen) says otherwise.
     pub fn from_estimator(
         inner: KdeEstimator,
         adaptive: AdaptiveConfig,
         karma: KarmaConfig,
     ) -> Self {
         let karma = KarmaMaintenance::new(&inner, karma);
+        let size = inner.sample_size();
         Self {
             tuner: AdaptiveTuner::new(inner.dims(), adaptive),
+            reservoir: ReservoirSampler::new(size, size as u64),
             inner,
             karma,
             pending: Vec::new(),
         }
+    }
+
+    /// Sets the relation size the sample was drawn from, the reservoir's
+    /// `|R|` (at least the sample size).
+    pub fn with_rows_seen(mut self, rows: u64) -> Self {
+        let size = self.inner.sample_size();
+        self.reservoir = ReservoirSampler::new(size, rows.max(size as u64));
+        self
     }
 
     /// The tuner configuration this model was built with.
@@ -220,9 +149,22 @@ impl AdaptiveKde {
         self.karma.config()
     }
 
-    /// Sample points flagged as outdated and awaiting replacement. The
-    /// caller (engine) samples fresh tuples from the database and installs
-    /// them via [`replace_point`](Self::replace_point).
+    /// Processes feedback for the most recent estimate: Karma first (it
+    /// consumes the contribution buffer retained by the estimate for
+    /// exactly this query, before any bandwidth change), then the
+    /// bandwidth update (Listing 1). Slots Karma flags wait in
+    /// [`take_pending_replacements`](Self::take_pending_replacements).
+    pub fn observe(&mut self, feedback: &QueryFeedback) {
+        let mut flagged = self.karma.update(&self.inner, feedback);
+        self.pending.append(&mut flagged);
+        self.pending.sort_unstable();
+        self.pending.dedup();
+        self.tuner.observe(&mut self.inner, feedback);
+    }
+
+    /// Sample points flagged as outdated and awaiting replacement, in
+    /// ascending slot order. The caller samples fresh tuples from the
+    /// database and installs them via [`replace_point`](Self::replace_point).
     pub fn take_pending_replacements(&mut self) -> Vec<usize> {
         std::mem::take(&mut self.pending)
     }
@@ -232,12 +174,6 @@ impl AdaptiveKde {
     pub fn replace_point(&mut self, index: usize, row: &[f64]) {
         self.inner.replace_point(index, row);
         self.karma.reset_point(&self.inner, index);
-    }
-
-    /// Reservoir-sampling hook for inserts (§4.2): replaces the slot chosen
-    /// by the host-side reservoir decision with the newly inserted tuple.
-    pub fn reservoir_replace(&mut self, slot: usize, row: &[f64]) {
-        self.replace_point(slot, row);
     }
 
     /// Access to the underlying model.
@@ -260,23 +196,23 @@ impl SelectivityEstimator for AdaptiveKde {
         self.inner.estimate_with_gradient(region).0
     }
 
-    fn observe(&mut self, feedback: &QueryFeedback) {
-        // Karma first: it consumes the contribution buffer retained by the
-        // estimate for exactly this query, before any bandwidth change.
-        let mut flagged = self.karma.update(&self.inner, feedback);
-        self.pending.append(&mut flagged);
-        self.pending.sort_unstable();
-        self.pending.dedup();
-        // Then the bandwidth update (Listing 1).
-        self.tuner.observe(&mut self.inner, feedback);
+    fn maintain(&mut self, feedback: &QueryFeedback, relation: &mut dyn Relation) {
+        self.observe(feedback);
+        for index in self.take_pending_replacements() {
+            if let Some(row) = relation.sample_row() {
+                self.replace_point(index, &row);
+            }
+        }
+    }
+
+    fn insert(&mut self, row: &[f64], draw: &mut dyn FnMut(u64) -> u64) {
+        if let Some(slot) = self.reservoir.observe(draw) {
+            self.replace_point(slot, row);
+        }
     }
 
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes() + self.karma.memory_bytes()
-    }
-
-    fn name(&self) -> &str {
-        "kde-adaptive"
     }
 }
 
@@ -315,30 +251,34 @@ mod tests {
         let sample = uniform_sample(64, 1);
         let queries = labelled_queries(&sample, 20, 2);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut scv =
+            KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
+        scv.set_bandwidth(crate::scv_bandwidth(
+            &sample,
+            2,
+            &Default::default(),
+            &mut rng,
+        ));
         let mut estimators: Vec<Box<dyn SelectivityEstimator>> = vec![
-            Box::new(HeuristicKde::new(
+            Box::new(KdeEstimator::new(
                 Device::new(Backend::CpuSeq),
                 &sample,
                 2,
                 KernelFn::Gaussian,
             )),
-            Box::new(ScvKde::new(
-                Device::new(Backend::CpuSeq),
-                &sample,
-                2,
-                KernelFn::Gaussian,
-                &CvConfig::default(),
-                &mut rng,
-            )),
-            Box::new(BatchKde::new(
-                Device::new(Backend::CpuSeq),
-                &sample,
-                2,
-                KernelFn::Gaussian,
-                &queries,
-                &BatchConfig::default(),
-                &mut rng,
-            )),
+            Box::new(scv),
+            Box::new(
+                BatchKde::new(
+                    Device::new(Backend::CpuSeq),
+                    &sample,
+                    2,
+                    KernelFn::Gaussian,
+                    &queries,
+                    &BatchConfig::default(),
+                    &mut rng,
+                )
+                .into_model(),
+            ),
             Box::new(AdaptiveKde::new(
                 Device::new(Backend::CpuSeq),
                 &sample,
@@ -349,16 +289,11 @@ mod tests {
             )),
         ];
         let region = Rect::from_intervals(&[(0.2, 0.6), (0.3, 0.8)]);
-        for e in &mut estimators {
+        for (i, e) in estimators.iter_mut().enumerate() {
             let v = e.estimate(&region);
-            assert!((0.0..=1.0).contains(&v), "{}: {v}", e.name());
+            assert!((0.0..=1.0).contains(&v), "variant {i}: {v}");
             assert!(e.memory_bytes() > 0);
         }
-        let names: Vec<_> = estimators.iter().map(|e| e.name().to_string()).collect();
-        assert_eq!(
-            names,
-            ["kde-heuristic", "kde-scv", "kde-batch", "kde-adaptive"]
-        );
     }
 
     #[test]
@@ -369,7 +304,7 @@ mod tests {
         let test = labelled_queries(&sample, 50, 6);
         let mut rng = StdRng::seed_from_u64(7);
         let mut heuristic =
-            HeuristicKde::new(Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
+            KdeEstimator::new(Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
         let mut batch = BatchKde::new(
             Device::new(Backend::CpuSeq),
             &sample,
@@ -378,7 +313,8 @@ mod tests {
             &train,
             &BatchConfig::default(),
             &mut rng,
-        );
+        )
+        .into_model();
         let err = |e: &mut dyn SelectivityEstimator| {
             test.iter()
                 .map(|q| (e.estimate(&q.region) - q.selectivity).abs())
@@ -468,6 +404,96 @@ mod tests {
             cardinality: 0,
         });
         assert!(adaptive.take_pending_replacements().is_empty());
+    }
+
+    /// Hands out numbered rows and counts how many it handed out.
+    struct Rows(u64);
+
+    impl Relation for Rows {
+        fn count_in(&mut self, _region: &Rect) -> u64 {
+            unreachable!("the adaptive model asks for no counts")
+        }
+        fn sample_row(&mut self) -> Option<Vec<f64>> {
+            self.0 += 1;
+            Some(vec![0.5, 0.01 * self.0 as f64])
+        }
+    }
+
+    #[test]
+    fn maintain_refills_flagged_slots_in_order_from_the_relation() {
+        // Three stray points in an emptied box: the empty-region shortcut
+        // flags all three, and each refill takes the relation's next row.
+        let mut sample = uniform_sample(29, 11);
+        for _ in 0..3 {
+            sample.extend_from_slice(&[50.0, 50.0]);
+        }
+        let mut adaptive = AdaptiveKde::new(
+            Device::new(Backend::CpuSeq),
+            &sample,
+            2,
+            KernelFn::Gaussian,
+            AdaptiveConfig::default(),
+            KarmaConfig::default(),
+        );
+        let region = Rect::from_intervals(&[(49.0, 51.0), (49.0, 51.0)]);
+        let estimate = adaptive.estimate(&region);
+        let mut rows = Rows(0);
+        adaptive.maintain(
+            &QueryFeedback {
+                region: region.clone(),
+                estimate,
+                actual: 0.0,
+                cardinality: 0,
+            },
+            &mut rows,
+        );
+        assert_eq!(rows.0, 3);
+        for (slot, k) in [(29, 1.0), (30, 2.0), (31, 3.0)] {
+            assert_eq!(adaptive.model().sample_point(slot), [0.5, 0.01 * k]);
+        }
+        assert!(adaptive.take_pending_replacements().is_empty());
+    }
+
+    #[test]
+    fn inserts_enter_through_the_reservoir() {
+        let sample = uniform_sample(4, 12);
+        let mut adaptive = AdaptiveKde::new(
+            Device::new(Backend::CpuSeq),
+            &sample,
+            2,
+            KernelFn::Gaussian,
+            AdaptiveConfig::default(),
+            KarmaConfig::default(),
+        )
+        .with_rows_seen(10);
+        // |R| goes 10 -> 11: a draw of 3 hits slot 3, a draw of 4 misses.
+        let mut asked = Vec::new();
+        adaptive.insert(&[7.0, 7.0], &mut |n| {
+            asked.push(n);
+            3
+        });
+        adaptive.insert(&[8.0, 8.0], &mut |n| {
+            asked.push(n);
+            4
+        });
+        assert_eq!(asked, [11, 12]);
+        assert_eq!(adaptive.model().sample_point(3), [7.0, 7.0]);
+        assert!(adaptive.model().host_sample()[..6].iter().all(|&v| v < 1.0));
+        // The reservoir never counts fewer rows than its sample.
+        let mut small = AdaptiveKde::new(
+            Device::new(Backend::CpuSeq),
+            &sample,
+            2,
+            KernelFn::Gaussian,
+            AdaptiveConfig::default(),
+            KarmaConfig::default(),
+        )
+        .with_rows_seen(1);
+        small.insert(&[9.0, 9.0], &mut |n| {
+            assert_eq!(n, 5);
+            0
+        });
+        assert_eq!(small.model().sample_point(0), [9.0, 9.0]);
     }
 
     #[test]

@@ -19,8 +19,12 @@
 //!   baseline,
 //! * [`karma`] — Karma-based sample maintenance (eqs. 6-8) with the
 //!   empty-region shortcut (Appendix E, eq. 20),
-//! * [`estimators`] — the `SelectivityEstimator` wrappers evaluated in §6:
-//!   Heuristic, SCV, Batch, and Adaptive KDE,
+//! * [`reservoir`] — the §4.2 reservoir that decides which inserted
+//!   tuples enter the sample,
+//! * [`estimators`] — the variants evaluated in §6 behind
+//!   `SelectivityEstimator`: the model itself for Heuristic, SCV and
+//!   Batch (only the bandwidth they are built with differs), and the
+//!   self-tuning Adaptive KDE,
 //! * [`persist`] — model snapshots for checkpoint and warm restart.
 //!
 //! Of the §8 outlook, discrete attributes need no separate model: the
@@ -36,6 +40,7 @@ pub mod karma;
 pub mod kernel;
 pub mod loss;
 pub mod persist;
+pub mod reservoir;
 pub(crate) mod sweep;
 
 pub use bandwidth::adaptive::{AdaptiveConfig, AdaptiveTuner};
@@ -43,9 +48,10 @@ pub use bandwidth::batch::{optimize_bandwidth, BatchConfig, WorkloadObjective};
 pub use bandwidth::cv::{scv_bandwidth, CvConfig};
 pub use bandwidth::scott::scott_bandwidth;
 pub use estimator::{KdeEstimator, MIN_BANDWIDTH};
-pub use estimators::{AdaptiveKde, BatchKde, HeuristicKde, ScvKde};
+pub use estimators::{AdaptiveKde, BatchKde};
 pub use karma::{KarmaConfig, KarmaMaintenance};
 pub use kdesel_solver::online::RmsPropConfig;
 pub use kernel::KernelFn;
 pub use loss::LossFunction;
 pub use persist::ModelSnapshot;
+pub use reservoir::ReservoirSampler;

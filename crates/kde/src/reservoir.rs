@@ -1,22 +1,16 @@
-//! Reservoir sampling [Vitter, *Random sampling with a reservoir*, TOMS 1985].
+//! Reservoir sampling for insert streams (§4.2) [Vitter, *Random sampling
+//! with a reservoir*, TOMS 1985].
 //!
-//! [`ReservoirSampler`] is Algorithm R: one uniform draw per stream record,
-//! the textbook method the paper describes in §4.2. It returns *slot
-//! replacement decisions* rather than owning the sample: in the paper the
-//! sample lives on the GPU, and "only points that will end up in the sample
-//! are transferred", so the host-side decision and the device-side write
-//! are deliberately separated.
-
-use rand::Rng;
-
-/// Decision for one newly inserted tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReservoirDecision {
-    /// The tuple does not enter the sample.
-    Skip,
-    /// The tuple replaces the sample point in this slot.
-    Replace(usize),
-}
+//! "Reservoir sampling adds newly inserted data to the sample with
+//! probability |S|/|R|, replacing a random point in the process. It is
+//! optimal with regard to transfers, as all decisions are made
+//! independently by the host and only points that will end up in the
+//! sample are transferred to the graphics card."
+//!
+//! [`ReservoirSampler`] is Algorithm R: one uniform draw per stream record.
+//! It returns *which slot to overwrite* rather than owning the sample, so
+//! the host-side decision and the device-side write stay separate;
+//! [`AdaptiveKde`](crate::AdaptiveKde) owns one and installs each hit.
 
 /// Algorithm R decision procedure for a full reservoir of `capacity` points.
 ///
@@ -46,26 +40,13 @@ impl ReservoirSampler {
         Self { capacity, seen }
     }
 
-    /// Reservoir capacity `|S|`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Stream records observed so far (`|R|` for an insert-only relation).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Decides the fate of the next inserted tuple: include it with
-    /// probability `|S|/|R|`, replacing a uniformly chosen slot.
-    pub fn observe<R: Rng + ?Sized>(&mut self, rng: &mut R) -> ReservoirDecision {
+    /// probability `|S|/|R|`, replacing a uniformly chosen slot. `draw(n)`
+    /// must return a uniform draw from `0..n`; it is called once.
+    pub fn observe(&mut self, draw: &mut dyn FnMut(u64) -> u64) -> Option<usize> {
         self.seen += 1;
-        let j = rng.gen_range(0..self.seen);
-        if j < self.capacity as u64 {
-            ReservoirDecision::Replace(j as usize)
-        } else {
-            ReservoirDecision::Skip
-        }
+        let j = draw(self.seen);
+        (j < self.capacity as u64).then_some(j as usize)
     }
 }
 
@@ -73,7 +54,7 @@ impl ReservoirSampler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn acceptance_probability_is_s_over_r() {
@@ -83,7 +64,7 @@ mod tests {
         let mut accepted = 0;
         for _ in 0..trials {
             let mut r = ReservoirSampler::new(10, 99);
-            if matches!(r.observe(&mut rng), ReservoirDecision::Replace(_)) {
+            if r.observe(&mut |n| rng.gen_range(0..n)).is_some() {
                 accepted += 1;
             }
         }
@@ -100,7 +81,7 @@ mod tests {
         let mut n = 0;
         while n < 50_000 {
             let mut r = ReservoirSampler::new(5, 5);
-            if let ReservoirDecision::Replace(slot) = r.observe(&mut rng) {
+            if let Some(slot) = r.observe(&mut |n| rng.gen_range(0..n)) {
                 counts[slot] += 1;
                 n += 1;
             }
@@ -124,7 +105,7 @@ mod tests {
             let mut sample: Vec<u64> = (0..n as u64).collect();
             let mut r = ReservoirSampler::new(n, n as u64);
             for rec in n as u64..stream_len {
-                if let ReservoirDecision::Replace(slot) = r.observe(&mut rng) {
+                if let Some(slot) = r.observe(&mut |n| rng.gen_range(0..n)) {
                     sample[slot] = rec;
                 }
             }

@@ -25,10 +25,6 @@ pub struct ServeConfig {
     /// request/feedback (with its trace-span tree) is appended to this
     /// versioned JSONL file, replayable with `kdesel-replay`.
     pub capture: Option<PathBuf>,
-    /// When set, a Prometheus-style text snapshot of the metrics registry
-    /// is written here at shutdown (requires telemetry to be enabled for
-    /// the metrics to carry values).
-    pub metrics_dump: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -38,7 +34,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_micros(200),
             checkpoint: None,
             capture: None,
-            metrics_dump: None,
         }
     }
 }

@@ -548,7 +548,7 @@ fn parse_replacements(record: &Json, dims: usize) -> Result<Vec<(usize, Vec<f64>
 }
 
 /// Decodes a space-separated float-slice field (see
-/// `kdesel_telemetry::EventBuilder::f64_slice`). Elements were written
+/// `kdesel_telemetry::Event::f64_slice`). Elements were written
 /// with round-trip (`{:?}`) formatting and Rust's float parser is
 /// correctly rounded, so each decodes bit-identically.
 fn f64_slice(record: &Json, key: &str) -> Result<Vec<f64>, String> {

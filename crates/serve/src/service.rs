@@ -331,7 +331,6 @@ impl ServiceBuilder {
             },
             workers,
             recorder,
-            metrics_dump: self.config.metrics_dump,
         })
     }
 }
@@ -343,7 +342,6 @@ pub struct Service {
     handle: ServeHandle,
     workers: Vec<(ModelKey, JoinHandle<Result<(), String>>)>,
     recorder: Option<Arc<Recorder>>,
-    metrics_dump: Option<std::path::PathBuf>,
 }
 
 impl Service {
@@ -382,14 +380,6 @@ impl Service {
         // All workers have exited: the capture is complete, seal it.
         if let Some(recorder) = self.recorder.take() {
             recorder.finish();
-        }
-        if let Some(path) = self.metrics_dump.take() {
-            let text = kdesel_telemetry::prometheus_text(kdesel_telemetry::registry());
-            let written = std::fs::write(&path, text)
-                .map_err(|e| ServeError::Capture(format!("writing {}: {e}", path.display())));
-            if let (None, Err(e)) = (&first_err, written) {
-                first_err = Some(e);
-            }
         }
         match first_err {
             Some(e) => Err(e),

@@ -13,9 +13,11 @@
 //!   Postgres' `ANALYZE` row sampling).
 //!
 //! The table keeps no change log: its caller observes the update stream.
-//! `kdesel_engine::Database::insert` hands each inserted row to the
-//! estimator's reservoir path in the same call, and deletions reach the
-//! model through query feedback (Karma, §4.2).
+//! Whoever inserts a row hands it to the estimator's reservoir path
+//! (`SelectivityEstimator::insert`, as the Figure 8 experiment does), and
+//! deletions reach the model through query feedback (Karma, §4.2), with
+//! the engine's live table as the `kdesel_types::Relation` refills are
+//! drawn from.
 
 #![deny(unsafe_code)]
 

@@ -1,4 +1,4 @@
-//! Structured events and their builder.
+//! Structured events.
 
 use crate::json::{write_str, Json};
 
@@ -27,8 +27,7 @@ pub struct Event {
 
 /// Renders a float slice as one space-separated string (`"0.5 1.25"`)
 /// using round-trip (`{:?}`) formatting, so each element parses back
-/// bit-exactly. The encoding shared by [`EventBuilder::f64_slice`] and
-/// direct [`Event`] construction.
+/// bit-exactly. The encoding of [`Event::f64_slice`].
 pub(crate) fn join_f64s(values: &[f64]) -> String {
     let mut joined = String::with_capacity(values.len() * 12);
     for (i, v) in values.iter().enumerate() {
@@ -41,12 +40,14 @@ pub(crate) fn join_f64s(values: &[f64]) -> String {
 }
 
 impl Event {
-    /// Starts an empty event stamped with the current telemetry time.
+    /// Starts an empty event stamped with the current telemetry time, to
+    /// be populated with the chainable field methods below.
     ///
-    /// Unlike [`crate::event`], this constructor is not gated on
-    /// [`crate::tracing`] — use it for records that must exist even when
-    /// the global sink is absent (e.g. workload capture files), and the
-    /// chainable field methods below to populate it.
+    /// Construction is not gated: records that must exist without a
+    /// global sink (e.g. workload capture files) build one directly.
+    /// Instrumentation that only feeds the global sink checks
+    /// [`crate::tracing`] first, so nothing is built or allocated while
+    /// tracing is off, and hands the event to [`crate::emit_event`].
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
@@ -74,8 +75,10 @@ impl Event {
         self
     }
 
-    /// Adds a float-slice field in the space-separated round-trip
-    /// encoding (see [`EventBuilder::f64_slice`]).
+    /// Adds a float-slice field rendered as one space-separated string
+    /// (`"0.5 1.25"`) in round-trip formatting — used for bandwidth-vector
+    /// snapshots, where the dimensionality varies per model and keys must
+    /// stay `'static`.
     pub fn f64_slice(mut self, key: &'static str, values: &[f64]) -> Self {
         self.fields.push((key, Value::Str(join_f64s(values))));
         self
@@ -139,90 +142,9 @@ impl Event {
     }
 }
 
-/// Builder returned by [`crate::event`]. While tracing is off the
-/// builder is inert — field calls are no-ops and nothing allocates.
-#[derive(Debug)]
-pub struct EventBuilder {
-    event: Option<Event>,
-}
-
-impl EventBuilder {
-    pub(crate) fn new(name: &'static str, live: bool) -> Self {
-        Self {
-            event: live.then(|| Event {
-                name,
-                at_seconds: crate::now_seconds(),
-                fields: Vec::new(),
-            }),
-        }
-    }
-
-    /// Whether fields will actually be recorded — gate any expensive
-    /// field computation on this.
-    pub fn live(&self) -> bool {
-        self.event.is_some()
-    }
-
-    /// Adds a float field.
-    pub fn f64(mut self, key: &'static str, value: f64) -> Self {
-        if let Some(e) = self.event.as_mut() {
-            e.fields.push((key, Value::F64(value)));
-        }
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn u64(mut self, key: &'static str, value: u64) -> Self {
-        if let Some(e) = self.event.as_mut() {
-            e.fields.push((key, Value::U64(value)));
-        }
-        self
-    }
-
-    /// Adds a string field. Prefer `&'static str` labels; owned strings
-    /// only materialize when the builder is live.
-    pub fn str(mut self, key: &'static str, value: impl AsRef<str>) -> Self {
-        if let Some(e) = self.event.as_mut() {
-            e.fields.push((key, Value::Str(value.as_ref().to_string())));
-        }
-        self
-    }
-
-    /// Adds a float-slice field rendered as one space-separated string
-    /// (`"0.5 1.25"`) — used for bandwidth-vector snapshots, where the
-    /// dimensionality varies per model and keys must stay `'static`.
-    pub fn f64_slice(mut self, key: &'static str, values: &[f64]) -> Self {
-        if let Some(e) = self.event.as_mut() {
-            e.fields.push((key, Value::Str(join_f64s(values))));
-        }
-        self
-    }
-
-    /// Adds the `trace`/`span`/`parent` identity fields of `ctx`.
-    pub fn ctx(self, ctx: &crate::SpanContext) -> Self {
-        self.u64("trace", ctx.trace)
-            .u64("span", ctx.span)
-            .u64("parent", ctx.parent)
-    }
-
-    /// Sends the event to the installed sink (no-op when inert).
-    pub fn emit(self) {
-        if let Some(event) = self.event {
-            crate::dispatch(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inert_builder_allocates_nothing_and_emits_nothing() {
-        let b = EventBuilder::new("x", false).f64("a", 1.0).str("s", "y");
-        assert!(!b.live());
-        b.emit(); // must not reach dispatch/panic
-    }
 
     #[test]
     fn json_rendering_includes_all_fields_in_order() {
@@ -262,11 +184,7 @@ mod tests {
 
     #[test]
     fn slice_field_round_trips_as_string() {
-        let e = {
-            let mut b = EventBuilder::new("bw", true);
-            b = b.f64_slice("h", &[0.5, 1.25]);
-            b.event.unwrap()
-        };
+        let e = Event::new("bw").f64_slice("h", &[0.5, 1.25]);
         assert_eq!(e.get_str("h"), Some("0.5 1.25"));
     }
 }

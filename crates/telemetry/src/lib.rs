@@ -15,8 +15,8 @@
 //!   into a [`Json`] tree and the compact writer that the event encoder,
 //!   model snapshots, cost profiles and the bench history all use;
 //! * a global enable flag: with telemetry disabled (the default) spans
-//!   skip the clock entirely and events are dropped before any field is
-//!   materialized, so the estimate hot path is unchanged.
+//!   skip the clock entirely, and instrumentation checks [`tracing`]
+//!   before it builds an [`Event`], so the estimate hot path is unchanged.
 //!
 //! Everything is `std`-only and lock-light: counters and histogram
 //! buckets are atomics; the registry map itself is only locked on handle
@@ -31,7 +31,7 @@ mod metrics;
 mod sink;
 mod trace;
 
-pub use event::{Event, EventBuilder, Value};
+pub use event::{Event, Value};
 pub use expo::{escape_label_value, prometheus_name, prometheus_text};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricKind, MetricLine, Registry};
@@ -162,12 +162,6 @@ pub fn tracing() -> bool {
     enabled() && HAS_SINK.load(Ordering::Relaxed)
 }
 
-/// Starts a structured event. While [`tracing`] is false the builder is
-/// inert: fields are dropped without allocation.
-pub fn event(name: &'static str) -> EventBuilder {
-    EventBuilder::new(name, tracing())
-}
-
 /// Flushes the installed sink, if any. Call before process exit when a
 /// buffered sink (e.g. [`JsonlSink`]) is installed globally — a global
 /// sink is never dropped, so buffered lines would otherwise be lost.
@@ -178,11 +172,9 @@ pub fn flush_sink() {
     }
 }
 
-/// Sends a pre-built [`Event`] to the installed sink. Dropped while
-/// [`tracing`] is false, mirroring [`event`]'s gating. This is the path
-/// for instrumentation that constructs events directly (e.g. span
-/// records fanned out to both a global sink and a capture file) instead
-/// of through the builder.
+/// Sends an [`Event`] to the installed sink; dropped while [`tracing`] is
+/// false. Check [`tracing`] before building the event, so nothing is
+/// allocated when no one listens.
 pub fn emit_event(event: Event) {
     if tracing() {
         dispatch(event);
@@ -238,11 +230,12 @@ mod tests {
         let ring = Arc::new(RingSink::with_capacity(8));
         set_sink(Some(ring.clone()));
         set_enabled(true);
-        event("unit")
-            .f64("x", 1.5)
-            .u64("n", 7)
-            .str("who", "tester")
-            .emit();
+        emit_event(
+            Event::new("unit")
+                .f64("x", 1.5)
+                .u64("n", 7)
+                .str("who", "tester"),
+        );
         set_enabled(false);
         set_sink(None);
         let events = ring.drain();
@@ -258,7 +251,7 @@ mod tests {
         set_sink(None);
         set_enabled(true);
         assert!(!tracing());
-        event("nobody-listens").f64("x", 1.0).emit();
+        emit_event(Event::new("nobody-listens").f64("x", 1.0));
         set_enabled(false);
     }
 }

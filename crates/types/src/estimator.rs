@@ -1,6 +1,6 @@
-//! The common estimator interface implemented by every technique compared in
-//! the paper's evaluation (§6.1.1): the heuristic/SCV/batch/adaptive KDE
-//! variants and the STHoles histogram.
+//! The one estimator interface the engine dispatches through, implemented
+//! by every technique compared in the paper's evaluation (§6.1.1): the
+//! static and self-tuning KDE models, STHoles, and the §2 baselines.
 
 use crate::feedback::QueryFeedback;
 use crate::rect::Rect;
@@ -11,26 +11,46 @@ use crate::rect::Rect;
 ///
 /// 1. the optimizer calls [`estimate`](Self::estimate) before execution,
 /// 2. the executor runs the query and produces the true selectivity,
-/// 3. the engine calls [`observe`](Self::observe) with the resulting
-///    [`QueryFeedback`], which self-tuning estimators use to refine their
-///    model (STHoles drills holes, the adaptive KDE updates its bandwidth
-///    and Karma scores). Static estimators ignore it.
+/// 3. the engine calls [`maintain`](Self::maintain) with the resulting
+///    [`QueryFeedback`] and the live [`Relation`], which self-tuning
+///    estimators use to refine their model (STHoles drills holes with
+///    exact counts, the adaptive KDE updates its bandwidth and Karma
+///    scores and refills flagged slots with fresh tuples). Static
+///    estimators ignore it.
+///
+/// Inserted tuples reach the model through [`insert`](Self::insert), the
+/// §4.2 reservoir path; only the adaptive KDE reacts.
 pub trait SelectivityEstimator {
     /// Estimates the fraction of tuples falling into `region`, in `[0, 1]`.
     fn estimate(&mut self, region: &Rect) -> f64;
 
-    /// Delivers post-execution feedback for a query previously estimated.
+    /// Delivers post-execution feedback for a query previously estimated,
+    /// with the relation it ran against.
     ///
     /// Implementations must tolerate feedback for queries they never saw
     /// (e.g. after a model rebuild).
-    fn observe(&mut self, feedback: &QueryFeedback);
+    fn maintain(&mut self, _feedback: &QueryFeedback, _relation: &mut dyn Relation) {}
+
+    /// Notifies the model of a tuple inserted into the relation.
+    /// `draw(n)` returns a uniform draw from `0..n`, the reservoir's one
+    /// random decision per insert.
+    fn insert(&mut self, _row: &[f64], _draw: &mut dyn FnMut(u64) -> u64) {}
 
     /// Approximate model size in bytes, used to enforce the evaluation's
     /// `d · 4 KiB` fairness budget (§6.2).
     fn memory_bytes(&self) -> usize;
+}
 
-    /// Short human-readable name used in experiment reports.
-    fn name(&self) -> &str;
+/// The host relation an estimator maintains itself against: the two roles
+/// the paper takes from Postgres during maintenance.
+pub trait Relation {
+    /// Exact number of live tuples inside `region` (STHoles' per-hole
+    /// counts, taken from the executed query's tuple stream).
+    fn count_in(&mut self, region: &Rect) -> u64;
+
+    /// One uniformly drawn live tuple, or `None` when the relation is
+    /// empty (Karma's replacement tuples, §4.2).
+    fn sample_row(&mut self) -> Option<Vec<f64>>;
 }
 
 /// Blanket impl so `Box<dyn SelectivityEstimator>` composes transparently.
@@ -38,48 +58,14 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
     fn estimate(&mut self, region: &Rect) -> f64 {
         (**self).estimate(region)
     }
-    fn observe(&mut self, feedback: &QueryFeedback) {
-        (**self).observe(feedback)
+    fn maintain(&mut self, feedback: &QueryFeedback, relation: &mut dyn Relation) {
+        (**self).maintain(feedback, relation)
+    }
+    fn insert(&mut self, row: &[f64], draw: &mut dyn FnMut(u64) -> u64) {
+        (**self).insert(row, draw)
     }
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-/// Trivial estimator that always predicts a constant selectivity.
-///
-/// Useful as a control in tests and as the "no statistics" fallback a real
-/// optimizer would use (Postgres defaults to a fixed fraction for range
-/// predicates without statistics).
-#[derive(Debug, Clone)]
-pub struct ConstantEstimator {
-    value: f64,
-    name: String,
-}
-
-impl ConstantEstimator {
-    /// Creates a constant estimator clamped to `[0, 1]`.
-    pub fn new(value: f64) -> Self {
-        Self {
-            value: value.clamp(0.0, 1.0),
-            name: format!("constant({value})"),
-        }
-    }
-}
-
-impl SelectivityEstimator for ConstantEstimator {
-    fn estimate(&mut self, _region: &Rect) -> f64 {
-        self.value
-    }
-    fn observe(&mut self, _feedback: &QueryFeedback) {}
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<f64>()
-    }
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -87,25 +73,72 @@ impl SelectivityEstimator for ConstantEstimator {
 mod tests {
     use super::*;
 
-    #[test]
-    fn constant_estimator_is_constant_and_clamped() {
-        let mut e = ConstantEstimator::new(2.0);
-        assert_eq!(e.estimate(&Rect::cube(3, 0.0, 1.0)), 1.0);
-        let mut e = ConstantEstimator::new(0.005);
-        assert_eq!(e.estimate(&Rect::cube(1, -5.0, 5.0)), 0.005);
+    /// Estimates the sum of what its maintenance calls handed it.
+    struct Counting(u64);
+
+    impl SelectivityEstimator for Counting {
+        fn estimate(&mut self, _region: &Rect) -> f64 {
+            self.0 as f64
+        }
+        fn maintain(&mut self, feedback: &QueryFeedback, relation: &mut dyn Relation) {
+            self.0 += relation.count_in(&feedback.region);
+        }
+        fn insert(&mut self, _row: &[f64], draw: &mut dyn FnMut(u64) -> u64) {
+            self.0 += draw(10);
+        }
+        fn memory_bytes(&self) -> usize {
+            8
+        }
     }
 
-    #[test]
-    fn boxed_estimator_dispatches() {
-        let mut e: Box<dyn SelectivityEstimator> = Box::new(ConstantEstimator::new(0.5));
-        assert_eq!(e.estimate(&Rect::cube(2, 0.0, 1.0)), 0.5);
-        assert_eq!(e.memory_bytes(), 8);
-        e.observe(&QueryFeedback {
+    struct Fixed;
+
+    impl Relation for Fixed {
+        fn count_in(&mut self, _region: &Rect) -> u64 {
+            3
+        }
+        fn sample_row(&mut self) -> Option<Vec<f64>> {
+            None
+        }
+    }
+
+    fn feedback() -> QueryFeedback {
+        QueryFeedback {
             region: Rect::cube(2, 0.0, 1.0),
             estimate: 0.5,
             actual: 0.5,
             cardinality: 1,
-        });
-        assert!(e.name().starts_with("constant"));
+        }
+    }
+
+    #[test]
+    fn boxed_estimator_dispatches() {
+        let region = Rect::cube(2, 0.0, 1.0);
+        let mut e: Box<dyn SelectivityEstimator> = Box::new(Counting(0));
+        assert_eq!(e.memory_bytes(), 8);
+        e.maintain(&feedback(), &mut Fixed);
+        e.insert(&[1.0, 2.0], &mut |n| n - 1);
+        assert_eq!(e.estimate(&region), 12.0);
+        // A box of a box forwards through both.
+        let mut outer = Box::new(e);
+        outer.maintain(&feedback(), &mut Fixed);
+        assert_eq!(outer.estimate(&region), 15.0);
+    }
+
+    #[test]
+    fn static_estimators_ignore_maintenance() {
+        struct Static;
+        impl SelectivityEstimator for Static {
+            fn estimate(&mut self, _region: &Rect) -> f64 {
+                0.25
+            }
+            fn memory_bytes(&self) -> usize {
+                0
+            }
+        }
+        let mut e = Static;
+        e.maintain(&feedback(), &mut Fixed);
+        e.insert(&[0.0], &mut |_| panic!("a static model draws nothing"));
+        assert_eq!(e.estimate(&Rect::cube(1, 0.0, 1.0)), 0.25);
     }
 }

@@ -9,8 +9,9 @@
 //!   (§2.1 of the paper),
 //! * [`QueryFeedback`] — the (region, estimate, true selectivity) triple that
 //!   drives both bandwidth learning (§4.1) and sample maintenance (§4.2),
-//! * [`SelectivityEstimator`] — the common trait implemented by every
-//!   estimator in the evaluation (§6.1.1),
+//! * [`SelectivityEstimator`] — the one estimator interface, implemented by
+//!   every estimator in the evaluation (§6.1.1), and [`Relation`], the live
+//!   table it maintains itself against,
 //! * error metrics and summary statistics used by the experiments (§6.2).
 
 #![deny(unsafe_code)]
@@ -24,7 +25,7 @@ pub mod stats;
 
 pub use budget::{MemoryBudget, Precision};
 pub use error_metrics::{ErrorMetric, QERROR_SMOOTHING};
-pub use estimator::{ConstantEstimator, SelectivityEstimator};
+pub use estimator::{Relation, SelectivityEstimator};
 pub use feedback::{LabelledQuery, QueryFeedback};
 pub use rect::Rect;
 pub use stats::{FiveNumberSummary, Summary};

@@ -7,7 +7,7 @@
 //!
 //! [`nearest_rank`] is the one quantile rule for measured figures
 //! (latencies, timing medians, q-error percentiles): it always reports an
-//! observed value.
+//! observed value. [`wall_median`] times a closure with it.
 
 /// Minimum, lower quartile, median, upper quartile, maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,6 +171,22 @@ pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     );
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Median wall-clock seconds of `reps` runs of `f` (nearest rank).
+///
+/// # Panics
+/// Panics when `reps` is zero.
+pub fn wall_median(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    nearest_rank(&times, 0.5)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example adaptive_workload`.
 
-use kdesel::engine::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use kdesel::engine::estimators::{BuildConfig, EstimatorKind};
 use kdesel::engine::run_query;
 use kdesel::storage::{sampling, Table};
 use kdesel::Rect;
@@ -37,22 +37,8 @@ fn main() {
 
     let build = BuildConfig::paper_default(2);
     let sample = sampling::sample_rows(&table, build.sample_points(2), &mut rng);
-    let mut heuristic = AnyEstimator::build(
-        EstimatorKind::Heuristic,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
-    let mut adaptive = AnyEstimator::build(
-        EstimatorKind::Adaptive,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut heuristic = EstimatorKind::Heuristic.build(&table, &sample, &[], &build, &mut rng);
+    let mut adaptive = EstimatorKind::Adaptive.build(&table, &sample, &[], &build, &mut rng);
 
     println!("cycle  tuples  heuristic_err  adaptive_err");
     for cycle in 0..8 {
@@ -62,8 +48,8 @@ fn main() {
             .map(|_| {
                 let t = cluster_tuple(&center, &mut rng);
                 let id = table.insert(&t);
-                heuristic.handle_insert(&t, &mut rng);
-                adaptive.handle_insert(&t, &mut rng);
+                heuristic.insert(&t, &mut |n| rng.gen_range(0..n));
+                adaptive.insert(&t, &mut |n| rng.gen_range(0..n));
                 id
             })
             .collect();

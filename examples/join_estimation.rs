@@ -8,8 +8,8 @@
 //! Run with `cargo run --release --example join_estimation`.
 
 use kdesel::device::{Backend, Device};
-use kdesel::engine::join::{join_truth, JoinKde};
-use kdesel::kde::KernelFn;
+use kdesel::engine::join::{join_truth, sample_join};
+use kdesel::kde::{KdeEstimator, KernelFn};
 use kdesel::storage::Table;
 use kdesel::Rect;
 use rand::rngs::StdRng;
@@ -33,17 +33,14 @@ fn main() {
         orders.insert(&[o as f64, c as f64, amount]);
     }
 
-    // KDE over the join result (orders ⋈ customers on customer id).
-    let mut joint = JoinKde::new(
-        Device::new(Backend::CpuPar),
-        &orders,
-        1, // fk column in orders
-        &customers,
-        0, // pk column in customers
-        1024,
-        KernelFn::Gaussian,
-        &mut rng,
+    // KDE over a sample of the join result (orders ⋈ customers on
+    // customer id): 1024 joined rows of 3 + 2 attributes.
+    let joined = sample_join(
+        &orders, 1, // fk column in orders
+        &customers, 0, // pk column in customers
+        1024, &mut rng,
     );
+    let mut joint = KdeEstimator::new(Device::new(Backend::CpuPar), &joined, 5, KernelFn::Gaussian);
 
     // Predicate over the join: premium customers (tier ≥ 2.5) with large
     // orders (amount ≥ 300) — nearly the same rows, so the joint

@@ -5,9 +5,9 @@
 
 use kdesel::data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel::device::{Backend, Device};
-use kdesel::kde::{BatchConfig, BatchKde, HeuristicKde, KernelFn};
+use kdesel::kde::{BatchConfig, BatchKde, KdeEstimator, KernelFn};
 use kdesel::storage::sampling;
-use kdesel::SelectivityEstimator;
+use kdesel::{LabelledQuery, SelectivityEstimator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,10 +34,11 @@ fn main() {
         &mut rng,
     );
 
-    // 4. Two estimators over the *same* sample.
+    // 4. Two models over the *same* sample: Scott's rule, and the
+    //    bandwidth optimized over the training workload.
     let mut heuristic =
-        HeuristicKde::new(Device::new(Backend::CpuPar), &sample, 3, KernelFn::Gaussian);
-    let mut batch = BatchKde::new(
+        KdeEstimator::new(Device::new(Backend::CpuPar), &sample, 3, KernelFn::Gaussian);
+    let batch = BatchKde::new(
         Device::new(Backend::CpuPar),
         &sample,
         3,
@@ -46,12 +47,13 @@ fn main() {
         &BatchConfig::default(),
         &mut rng,
     );
-    println!("scott bandwidth:     {:?}", heuristic.model().bandwidth());
+    println!("scott bandwidth:     {:?}", heuristic.bandwidth());
     println!(
         "optimized bandwidth: {:?}  (training loss {:.2e})",
         batch.model().bandwidth(),
         batch.training_loss()
     );
+    let mut batch = batch.into_model();
 
     // 5. Compare on fresh test queries.
     let test = generate_workload(
@@ -60,14 +62,8 @@ fn main() {
         200,
         &mut rng,
     );
-    let mut err_h = 0.0;
-    let mut err_b = 0.0;
-    for q in &test {
-        err_h += (heuristic.estimate(&q.region) - q.selectivity).abs();
-        err_b += (batch.estimate(&q.region) - q.selectivity).abs();
-    }
-    err_h /= test.len() as f64;
-    err_b /= test.len() as f64;
+    let err_h = mean_error(&mut heuristic, &test);
+    let err_b = mean_error(&mut batch, &test);
     println!("\nmean |error| over {} test queries:", test.len());
     println!("  kde-heuristic: {err_h:.5}");
     println!(
@@ -76,4 +72,14 @@ fn main() {
     );
 
     assert!(err_b < err_h, "optimization should beat the heuristic");
+}
+
+/// Mean absolute selectivity error over `queries`, through the estimator
+/// interface every family implements.
+fn mean_error(estimator: &mut dyn SelectivityEstimator, queries: &[LabelledQuery]) -> f64 {
+    queries
+        .iter()
+        .map(|q| (estimator.estimate(&q.region) - q.selectivity).abs())
+        .sum::<f64>()
+        / queries.len() as f64
 }

@@ -60,6 +60,17 @@ run cargo run --release --offline --bin kdesel-replay -- \
 run cargo run --release --offline --bin kdesel-replay -- \
     run --capture "$replay_dir/capture.jsonl" --speed max
 
+# Figure 8 drives the estimator interface's maintenance through one
+# dyn SelectivityEstimator per family: reservoir inserts, the adaptive
+# tuner's feedback and STHoles drilling against the live table (its
+# queries never empty a region, so Karma refills are pinned by
+# tests/lifecycle_pins.rs instead). The release quick run must reproduce
+# the recorded results/fig8_dynamic.txt byte for byte.
+run cargo build --release --offline --bin fig8_dynamic
+echo "=== fig8_dynamic | diff results/fig8_dynamic.txt ==="
+./target/release/fig8_dynamic > "$replay_dir/fig8_dynamic.txt"
+diff -u results/fig8_dynamic.txt "$replay_dir/fig8_dynamic.txt"
+
 # Cost-model calibration smoke: a quick sequential-CPU microbenchmark
 # sweep must converge and model its own measurements to within 20%
 # median residual — the same acceptance bound tests/cost_calibration.rs

@@ -18,12 +18,13 @@
 //! regressed by more than 2x — the perf-smoke gate.
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
-use kdesel_bench::{emit, wall_median, Cli};
+use kdesel_bench::{emit, Cli};
 use kdesel_device::{Backend, Device, DeviceStats};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn, LossFunction, WorkloadObjective};
 use kdesel_solver::Objective;
 use kdesel_telemetry::Json;
+use kdesel_types::stats::wall_median;
 use kdesel_types::{LabelledQuery, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -36,12 +36,13 @@
 //! gate.
 
 use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
-use kdesel_bench::{emit, wall_median, Cli};
+use kdesel_bench::{emit, Cli};
 use kdesel_data::Dataset;
 use kdesel_device::{Backend, Device, DeviceBuffer};
 use kdesel_engine::report::{fmt, TextTable};
 use kdesel_kde::{KdeEstimator, KernelFn};
 use kdesel_storage::sampling;
+use kdesel_types::stats::wall_median;
 use kdesel_types::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -6,7 +6,8 @@
 //! and the exact scan over a table of each size (capped at `--rows`; its
 //! `model_size` is the rows scanned).
 //! "modeled_ms" is the cost-model time the reproduction compares against
-//! the paper; "measured_ms" is this machine's actual wall time.
+//! the paper; "measured_ms" is this machine's actual wall time, the median
+//! of 5 timed passes over the queries after one discarded warm-up pass.
 
 use kdesel_bench::{emit, Cli};
 use kdesel_engine::experiments::perf::{run_perf, PerfConfig};

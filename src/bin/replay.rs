@@ -148,7 +148,6 @@ fn record(args: &[String]) {
         .fold(
             Service::builder(ServeConfig {
                 capture: Some(out.clone()),
-                metrics_dump: prom.clone(),
                 ..ServeConfig::default()
             }),
             |builder, (key, model)| builder.register(key, model),
@@ -193,6 +192,14 @@ fn record(args: &[String]) {
         eprintln!("shutdown: {e}");
         std::process::exit(2);
     });
+    // Every executor has exited, so the registry holds the final values.
+    if let Some(path) = &prom {
+        let text = kdesel_telemetry::prometheus_text(kdesel_telemetry::registry());
+        std::fs::write(path, text).unwrap_or_else(|e| {
+            eprintln!("shutdown: writing {}: {e}", path.display());
+            std::process::exit(2);
+        });
+    }
     eprintln!(
         "# recorded {requests} requests ({feedback_sent} with feedback) across {} models -> {}",
         keys.len(),

@@ -10,13 +10,14 @@
 //!
 //! ```
 //! use kdesel::device::{Backend, Device};
-//! use kdesel::kde::{HeuristicKde, KernelFn};
+//! use kdesel::kde::{KdeEstimator, KernelFn};
 //! use kdesel::{Rect, SelectivityEstimator};
 //!
-//! // A 2-D sample (row-major) and a Scott's-rule KDE model over it.
+//! // A 2-D sample (row-major) and a Scott's-rule KDE model over it, used
+//! // through the one estimator interface every family implements.
 //! let sample = vec![0.1, 0.2, 0.4, 0.4, 0.6, 0.5, 0.9, 0.8];
-//! let mut model = HeuristicKde::new(
-//!     Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian);
+//! let mut model: Box<dyn SelectivityEstimator> = Box::new(KdeEstimator::new(
+//!     Device::new(Backend::CpuSeq), &sample, 2, KernelFn::Gaussian));
 //!
 //! let everything = model.estimate(&Rect::cube(2, -10.0, 10.0));
 //! assert!((everything - 1.0).abs() < 1e-6);
@@ -33,7 +34,6 @@ pub use kdesel_estimators as estimators;
 pub use kdesel_hist as hist;
 pub use kdesel_kde as kde;
 pub use kdesel_math as math;
-pub use kdesel_sample as sample;
 pub use kdesel_serve as serve;
 pub use kdesel_solver as solver;
 pub use kdesel_storage as storage;

@@ -5,7 +5,6 @@ use kdesel::data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
 use kdesel::device::{Backend, Device};
 use kdesel::kde::{BatchConfig, BatchKde, KdeEstimator, KernelFn};
 use kdesel::storage::sampling;
-use kdesel::SelectivityEstimator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,7 +31,8 @@ fn full_pipeline_is_deterministic() {
             &train,
             &BatchConfig::default(),
             &mut rng,
-        );
+        )
+        .into_model();
         let test = generate_workload(
             &table,
             WorkloadSpec::paper(WorkloadKind::DataTarget),

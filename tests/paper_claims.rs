@@ -3,7 +3,7 @@
 //! the full-scale versions live in the `kdesel-bench` binaries.
 
 use kdesel::data::{generate_workload, Dataset, WorkloadKind, WorkloadSpec};
-use kdesel::engine::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use kdesel::engine::estimators::{BuildConfig, EstimatorKind};
 use kdesel::engine::run_query;
 use kdesel::storage::sampling;
 use rand::rngs::StdRng;
@@ -34,7 +34,7 @@ fn mean_errors(
         .iter()
         .map(|&kind| {
             let mut est_rng = StdRng::seed_from_u64(seed ^ kind.name().len() as u64);
-            let mut est = AnyEstimator::build(kind, &table, &sample, &train, &build, &mut est_rng);
+            let mut est = kind.build(&table, &sample, &train, &build, &mut est_rng);
             if kind == EstimatorKind::Adaptive {
                 for q in &train {
                     run_query(&table, &mut est, &q.region, &mut est_rng);
@@ -204,7 +204,7 @@ fn estimators_respect_logical_memory_budget() {
     );
     let logical_budget = build.budget.bytes();
     for kind in EstimatorKind::ALL {
-        let est = AnyEstimator::build(kind, &table, &sample, &train, &build, &mut rng);
+        let est = kind.build(&table, &sample, &train, &build, &mut rng);
         // f64 storage uses 2× the logical f32 bytes; allow a small slack for
         // auxiliary state (bandwidth vector, karma scores).
         let max = 2 * logical_budget + 4096 * 8;

@@ -2,7 +2,7 @@
 //! reservoir sampling + Karma maintenance + adaptive bandwidth, driven
 //! through the engine against a live, mutating table.
 
-use kdesel::engine::estimators::{AnyEstimator, BuildConfig, EstimatorKind};
+use kdesel::engine::estimators::{BuildConfig, EstimatorKind};
 use kdesel::engine::run_query;
 use kdesel::storage::{sampling, Table};
 use kdesel::Rect;
@@ -39,14 +39,7 @@ fn karma_recovers_after_bulk_delete() {
     let mut rng = StdRng::seed_from_u64(2);
     let build = BuildConfig::paper_default(2);
     let sample = sampling::sample_rows(&table, build.sample_points(2), &mut rng);
-    let mut adaptive = AnyEstimator::build(
-        EstimatorKind::Adaptive,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut adaptive = EstimatorKind::Adaptive.build(&table, &sample, &[], &build, &mut rng);
 
     // Delete the first cluster entirely.
     for &row in &cluster_rows[0] {
@@ -82,14 +75,7 @@ fn heuristic_stays_stale_after_bulk_delete() {
     let mut rng = StdRng::seed_from_u64(4);
     let build = BuildConfig::paper_default(2);
     let sample = sampling::sample_rows(&table, build.sample_points(2), &mut rng);
-    let mut heuristic = AnyEstimator::build(
-        EstimatorKind::Heuristic,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut heuristic = EstimatorKind::Heuristic.build(&table, &sample, &[], &build, &mut rng);
     for &row in &cluster_rows[0] {
         table.delete(row);
     }
@@ -112,14 +98,7 @@ fn reservoir_tracks_insert_only_growth() {
     let mut rng = StdRng::seed_from_u64(6);
     let build = BuildConfig::paper_default(2);
     let sample = sampling::sample_rows(&table, build.sample_points(2), &mut rng);
-    let mut adaptive = AnyEstimator::build(
-        EstimatorKind::Adaptive,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut adaptive = EstimatorKind::Adaptive.build(&table, &sample, &[], &build, &mut rng);
 
     // Insert a new, equally sized cluster far away.
     for _ in 0..1000 {
@@ -128,7 +107,7 @@ fn reservoir_tracks_insert_only_growth() {
             70.0 + rng.gen_range(-2.0..2.0),
         ];
         table.insert(&t);
-        adaptive.handle_insert(&t, &mut rng);
+        adaptive.insert(&t, &mut |n| rng.gen_range(0..n));
     }
     let new_region = Rect::centered(&[70.0, 70.0], &[4.0, 4.0]);
     let out = run_query(&table, &mut adaptive, &new_region, &mut rng);
@@ -147,14 +126,7 @@ fn stholes_adapts_through_feedback() {
     let mut rng = StdRng::seed_from_u64(8);
     let build = BuildConfig::paper_default(2);
     let sample = sampling::sample_rows(&table, 64, &mut rng);
-    let mut sth = AnyEstimator::build(
-        EstimatorKind::SthHoles,
-        &table,
-        &sample,
-        &[],
-        &build,
-        &mut rng,
-    );
+    let mut sth = EstimatorKind::SthHoles.build(&table, &sample, &[], &build, &mut rng);
     for &row in &cluster_rows[0] {
         table.delete(row);
     }
