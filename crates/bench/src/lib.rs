@@ -16,9 +16,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod fig8;
-pub mod history;
-
 use std::path::PathBuf;
 use std::sync::Arc;
 

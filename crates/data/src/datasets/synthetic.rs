@@ -1,6 +1,6 @@
-//! The paper's synthetic dataset (§6.1.2, after Gunopulos et al. [14]).
+//! The paper's synthetic dataset (§6.1.2, after Gunopulos et al. \[14\]).
 //!
-//! "Synthetic dataset from [14], consisting of one million points. It is
+//! "Synthetic dataset from \[14\], consisting of one million points. It is
 //! generated by randomly placing hyper-rectangular clusters with a uniform
 //! interior distribution, and then adding uniformly distributed noise."
 

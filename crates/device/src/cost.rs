@@ -114,7 +114,7 @@ impl CostModel {
 
     /// Modeled seconds for a parallel binary-reduction of `items` values:
     /// two launch rounds (tree reduction then final pass, following the
-    /// paper's reduction scheme [19]) plus ~4 FLOP per element.
+    /// paper's reduction scheme \[19\]) plus ~4 FLOP per element.
     pub fn reduction(&self, items: usize) -> f64 {
         2.0 * self.profile.kernel_launch_latency
             + items as f64 * 4.0 / self.profile.compute_throughput

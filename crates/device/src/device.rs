@@ -546,9 +546,8 @@ impl Device {
 
     /// Measured launch profile: per-kind lifetime totals and rolling
     /// p50/p95 wall times for every hot path this device has run (see
-    /// [`crate::profile`]). The serve scheduler reads this to size its
-    /// adaptive batching window; `kdesel-calibrate` reads it to fit a
-    /// measured [`CostProfile`].
+    /// [`crate::profile`]). The serving layer reads it to stamp the
+    /// rolling kernel p50/p95 ceilings on each traced `serve.launch` span.
     pub fn profile(&self) -> DeviceProfile {
         self.timing.lock().unwrap().profile.snapshot()
     }

@@ -43,7 +43,7 @@
 //! The serving layer (`kdesel-serve`) moves estimators — and therefore
 //! their devices and buffers — onto dedicated executor threads. The types
 //! in this crate uphold the following contract, pinned by
-//! [`thread_contract`] below so a regression fails to compile:
+//! `thread_contract` below so a regression fails to compile:
 //!
 //! * [`Device`] is `Send + Sync`. All of its methods take `&self`; the
 //!   timing ledger sits behind a `Mutex` and the telemetry meters are

@@ -11,8 +11,8 @@
 //!   modeled seconds), and
 //! * a rolling window of the most recent per-launch wall times, from
 //!   which [`KindProfile::measured_p50`]/[`KindProfile::measured_p95`]
-//!   are computed — the live signal the serve scheduler's adaptive
-//!   batching window and the calibration fit consume.
+//!   are computed; the serving layer stamps their ceilings on every
+//!   traced `serve.launch` span.
 //!
 //! When telemetry is enabled each launch also lands in a
 //! `device.kernel.<kind>` histogram in the global registry, so the

@@ -20,7 +20,7 @@
 //!
 //! For Adaptive, §5.5 hides the gradient/Karma computation behind the
 //! query's own execution: "the only measurable performance impact of
-//! Adaptive [is] the latency penalties incurred by the additional kernel
+//! Adaptive \[is\] the latency penalties incurred by the additional kernel
 //! calls and data transfers." The bandwidth gradient rides the fused
 //! estimate sweep (`estimate_with_gradient`), so the modeled Adaptive
 //! overhead is the plain estimate's cost plus only the *latency* portion

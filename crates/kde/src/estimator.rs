@@ -25,7 +25,7 @@ pub const MIN_BANDWIDTH: f64 = f64::from_bits(512 << 52);
 ///
 /// The device-resident sample uses the columnar (SoA) layout — one
 /// contiguous stripe per dimension — so the estimate/gradient sweeps in
-/// [`crate::sweep`] stream unit-stride memory and vectorize; results are
+/// `crate::sweep` stream unit-stride memory and vectorize; results are
 /// bit-identical to the row-major scalar path.
 #[derive(Debug)]
 pub struct KdeEstimator {

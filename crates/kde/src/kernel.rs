@@ -276,7 +276,8 @@ mod tests {
     fn gaussian_matches_normal_interval() {
         // range_factor(t, lo, hi, h) = Φ((hi−t)/h) − Φ((lo−t)/h).
         let v = KernelFn::Gaussian.range_factor(1.0, 0.0, 2.0, 0.5);
-        let want = kdesel_math::normal_cdf(2.0) - kdesel_math::normal_cdf(-2.0);
+        let phi = |x: f64| 0.5 * kdesel_math::erfc(-x / SQRT_2);
+        let want = phi(2.0) - phi(-2.0);
         assert!((v - want).abs() < 1e-14, "{v} vs {want}");
     }
 

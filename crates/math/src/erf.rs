@@ -9,10 +9,10 @@
 //! be accurate to the last ulp.
 //!
 //! These are the reference functions: the scalar reference kernels, the
-//! host estimate, [`crate::normal`] and Karma's error bound call them. The
-//! vectorized sweeps run the branch-free lane function [`crate::simd::erf`]
-//! instead, which reuses the first two coefficient tables below and is
-//! pinned to within 2 ulp of [`erf`].
+//! host estimate and Karma's error bound call them. The vectorized sweeps
+//! run the branch-free lane function [`crate::simd::erf`] instead, which
+//! reuses the first two coefficient tables below and is pinned to within
+//! 2 ulp of [`erf`].
 
 /// Split point between the primary interval and the erfc expansions.
 pub(crate) const THRESH: f64 = 0.46875;

@@ -4,11 +4,10 @@
 //! scratch so the workspace has no foreign-function or heavyweight numeric
 //! dependencies:
 //!
-//! * [`erf`]/[`erfc`] — double-precision error function (Cody's rational
+//! * [`erf()`]/[`erfc`] — double-precision error function (Cody's rational
 //!   Chebyshev approximations), the closed-form range estimate's
-//!   (paper eq. 13) oracle: the reference kernels, [`normal`] and
-//!   Karma's bound call it,
-//! * [`normal`] — Gaussian pdf/cdf/quantile,
+//!   (paper eq. 13) oracle: the reference kernels and Karma's bound call
+//!   it,
 //! * [`stats`] — streaming (Welford) moments and covariance, used for
 //!   Scott's rule (paper eq. 3) and the dataset generators,
 //! * [`vecops`] — small dense-vector kernels shared by the solver,
@@ -16,18 +15,16 @@
 //!   columnar kernel sweeps (one AVX-512 register where the build enables
 //!   `avx512f`, an aligned array elsewhere; the workspace's only `unsafe`
 //!   code), with the branch-free lane `erf` and `exp` the Gaussian sweeps
-//!   run, pinned to within 2 ulp of [`erf`] and 1 ulp of `f64::exp`.
+//!   run, pinned to within 2 ulp of [`erf()`] and 1 ulp of `f64::exp`.
 
 #![deny(unsafe_code)]
 
 pub mod erf;
-pub mod normal;
 pub mod simd;
 pub mod stats;
 pub mod vecops;
 
 pub use erf::{erf, erfc};
-pub use normal::{normal_cdf, normal_pdf, normal_quantile};
 pub use stats::{Covariance, OnlineMoments};
 
 /// `√2`, used throughout the erf-based range integrals.

@@ -111,8 +111,8 @@ impl OnlineMoments {
 }
 
 /// Per-dimension moments plus pairwise covariances of a `d`-dimensional
-/// stream. Used by dataset generators (to verify correlation structure) and
-/// by the SCV bandwidth selector's pilot estimates.
+/// stream. The dataset generators' tests use it to verify the correlation
+/// structure of what they generate.
 #[derive(Debug, Clone)]
 pub struct Covariance {
     dims: usize,

@@ -46,8 +46,8 @@
 //!   request (plus a `serve.feedback` child when the loop closes), an
 //!   optional JSONL workload capture ([`ServeConfig::capture`]) replays
 //!   bit-for-bit through [`replay`], and the per-model q-error drift
-//!   gauges of [`observatory`] feed a Prometheus-style exposition
-//!   ([`ServeHandle::prometheus`]).
+//!   gauges of [`observatory`] feed the telemetry registry's
+//!   Prometheus-style exposition ([`kdesel_telemetry::prometheus_text`]).
 //!
 //! Latency-vs-throughput knobs live in [`ServeConfig`]; instrumentation
 //! (queue-depth gauge, batch-size and end-to-end latency histograms,

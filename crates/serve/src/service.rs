@@ -236,13 +236,6 @@ impl ServeHandle {
             .map_err(ServeError::Snapshot)
     }
 
-    /// Renders the current telemetry registry as a Prometheus-style text
-    /// exposition — the observatory's on-demand snapshot (per-model
-    /// q-error quantiles, bandwidth gauges, scheduler histograms).
-    pub fn prometheus(&self) -> String {
-        kdesel_telemetry::prometheus_text(kdesel_telemetry::registry())
-    }
-
     /// Snapshots the worker's counters and model state.
     pub fn report(&self, key: &ModelKey) -> Result<WorkerReport, ServeError> {
         let (reply, rx) = oneshot::channel();

@@ -5,12 +5,12 @@
 //! provides the same contract from scratch:
 //!
 //! * [`Objective`] / [`Bounds`] — the problem interface,
-//! * [`lbfgs`] — projected-gradient L-BFGS for box-constrained problems,
+//! * [`lbfgs()`] — projected-gradient L-BFGS for box-constrained problems,
 //!   the one local method (multistart refines each start with it; the
 //!   line searches live in [`linesearch`]),
-//! * [`multistart`] — an MLSL-style clustered-multistart global phase,
-//! * [`online`] — the Rprop/RMSprop adaptive updaters driving the
-//!   self-tuning bandwidth loop (paper §4.1, Listing 1),
+//! * [`multistart()`] — an MLSL-style clustered-multistart global phase,
+//! * [`online`] — the RMSprop updater driving the self-tuning bandwidth
+//!   loop (paper §4.1, Listing 1),
 //! * [`testfns`] — standard optimization test functions used by the test
 //!   suite and benches.
 
@@ -25,5 +25,5 @@ pub mod testfns;
 
 pub use lbfgs::{lbfgs, LbfgsConfig};
 pub use multistart::{multistart, MultistartConfig};
-pub use online::{RmsProp, RmsPropConfig, Rprop, RpropConfig};
+pub use online::{RmsProp, RmsPropConfig};
 pub use problem::{Bounds, FnObjective, Objective, OptOutcome, OptResult};

@@ -1,6 +1,6 @@
 //! MLSL-style clustered multistart for global optimization.
 //!
-//! The paper's batch bandwidth optimization "first run[s] a coarse global
+//! The paper's batch bandwidth optimization "first run\[s\] a coarse global
 //! optimization algorithm (e.g. MLSL) to get us into the right neighborhood,
 //! followed by a local optimization algorithm" (§3.4). Multi-Level Single
 //! Linkage [Rinnooy Kan & Timmer 1987] samples candidate starting points,

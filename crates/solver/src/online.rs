@@ -5,9 +5,8 @@
 //! 2012], "the mini-batch variant of the earlier Rprop": per-dimension
 //! learning rates grow when consecutive mini-batch gradients agree in sign
 //! and shrink when they disagree, and the gradient is normalized by a
-//! running average of its squared magnitude before being applied. Both
-//! Rprop and RMSprop are implemented; the paper's parameter choices are the
-//! defaults.
+//! running average of its squared magnitude before being applied. The
+//! paper's parameter choices are the defaults.
 
 /// RMSprop configuration. Defaults are the paper's (§4.1): smoothing
 /// `α = 0.9`, rates clamped to `[10⁻⁶, 50]`, multiplicative adjustment
@@ -72,7 +71,6 @@ pub struct RmsProp {
     rates: Vec<f64>,
     mean_sq: Vec<f64>,
     prev_grad: Vec<f64>,
-    steps: u64,
 }
 
 impl RmsProp {
@@ -90,7 +88,6 @@ impl RmsProp {
             rates: vec![config.rate_init.clamp(config.rate_min, config.rate_max); dims],
             mean_sq: vec![0.0; dims],
             prev_grad: vec![0.0; dims],
-            steps: 0,
             config,
         }
     }
@@ -103,7 +100,6 @@ impl RmsProp {
     /// Panics on dimension mismatch.
     pub fn step(&mut self, grad: &[f64]) -> Vec<f64> {
         assert_eq!(grad.len(), self.rates.len());
-        self.steps += 1;
         let c = &self.config;
         let mut delta = Vec::with_capacity(grad.len());
         #[allow(clippy::needless_range_loop)] // parallel indexing of state arrays
@@ -134,98 +130,6 @@ impl RmsProp {
     /// Per-dimension learning rates (for diagnostics/ablations).
     pub fn rates(&self) -> &[f64] {
         &self.rates
-    }
-
-    /// Number of updates performed.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Resets adaptation state (used after model rebuilds).
-    pub fn reset(&mut self) {
-        let dims = self.rates.len();
-        let init = self
-            .config
-            .rate_init
-            .clamp(self.config.rate_min, self.config.rate_max);
-        self.rates = vec![init; dims];
-        self.mean_sq = vec![0.0; dims];
-        self.prev_grad = vec![0.0; dims];
-        self.steps = 0;
-    }
-}
-
-/// Rprop configuration [Riedmiller & Braun 1993].
-#[derive(Debug, Clone)]
-pub struct RpropConfig {
-    /// Initial step size.
-    pub step_init: f64,
-    /// Smallest step size.
-    pub step_min: f64,
-    /// Largest step size.
-    pub step_max: f64,
-    /// Multiplicative increase on sign agreement (`η⁺`).
-    pub step_inc: f64,
-    /// Multiplicative decrease on sign change (`η⁻`).
-    pub step_dec: f64,
-}
-
-impl Default for RpropConfig {
-    fn default() -> Self {
-        Self {
-            step_init: 0.1,
-            step_min: 1e-8,
-            step_max: 50.0,
-            step_inc: 1.2,
-            step_dec: 0.5,
-        }
-    }
-}
-
-/// Rprop state (iRprop⁻ variant: on sign change the step shrinks and the
-/// update is skipped for that dimension).
-#[derive(Debug, Clone)]
-pub struct Rprop {
-    config: RpropConfig,
-    steps_sizes: Vec<f64>,
-    prev_grad: Vec<f64>,
-}
-
-impl Rprop {
-    /// Creates an updater for `dims` parameters.
-    pub fn new(dims: usize, config: RpropConfig) -> Self {
-        assert!(dims > 0);
-        Self {
-            steps_sizes: vec![config.step_init; dims],
-            prev_grad: vec![0.0; dims],
-            config,
-        }
-    }
-
-    /// Consumes one gradient, returns the update `Δ` to add to parameters.
-    pub fn step(&mut self, grad: &[f64]) -> Vec<f64> {
-        assert_eq!(grad.len(), self.steps_sizes.len());
-        let c = &self.config;
-        let mut delta = Vec::with_capacity(grad.len());
-        #[allow(clippy::needless_range_loop)] // parallel indexing of state arrays
-        for i in 0..grad.len() {
-            let g = grad[i];
-            let agreement = g * self.prev_grad[i];
-            if agreement > 0.0 {
-                self.steps_sizes[i] = (self.steps_sizes[i] * c.step_inc).min(c.step_max);
-                delta.push(-g.signum() * self.steps_sizes[i]);
-                self.prev_grad[i] = g;
-            } else if agreement < 0.0 {
-                self.steps_sizes[i] = (self.steps_sizes[i] * c.step_dec).max(c.step_min);
-                // iRprop⁻: skip the update, forget the gradient sign.
-                delta.push(0.0);
-                self.prev_grad[i] = 0.0;
-            } else {
-                delta.push(-g.signum() * self.steps_sizes[i]);
-                self.prev_grad[i] = g;
-            }
-        }
-        delta
     }
 }
 
@@ -315,14 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn rprop_converges_on_quadratic() {
-        let mut opt = Rprop::new(2, RpropConfig::default());
-        let x = run_quadratic(|g| opt.step(g), [5.0, -3.0], [1.0, 2.0], 300);
-        assert!((x[0] - 1.0).abs() < 0.05, "{x:?}");
-        assert!((x[1] - 2.0).abs() < 0.05, "{x:?}");
-    }
-
-    #[test]
     fn rmsprop_rates_grow_on_agreement_and_shrink_on_flip() {
         let mut opt = RmsProp::new(1, RmsPropConfig::default());
         let r0 = opt.rates()[0];
@@ -385,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let mut opt = RmsProp::new(2, RmsPropConfig::default());
-        opt.step(&[1.0, -1.0]);
-        opt.step(&[1.0, 1.0]);
-        opt.reset();
-        assert_eq!(opt.steps(), 0);
-        assert!(opt.rates().iter().all(|&r| (r - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
     fn gradient_batch_averages() {
         let mut batch = GradientBatch::new(2, 3);
         assert!(batch.push(&[3.0, 0.0]).is_none());
@@ -405,13 +291,5 @@ mod tests {
         assert_eq!(batch.pending(), 0);
         // The accumulator must be clean for the next batch.
         assert!(batch.push(&[1.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn rprop_skips_update_on_sign_change() {
-        let mut opt = Rprop::new(1, RpropConfig::default());
-        opt.step(&[1.0]);
-        let d = opt.step(&[-1.0]);
-        assert_eq!(d[0], 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Uniform random sampling of live rows — the `ANALYZE` entry point.
 //!
-//! The paper's model construction "utilize[s] Postgres' internal routines to
+//! The paper's model construction "utilize\[s\] Postgres' internal routines to
 //! collect a random sample of the requested size" (§5.2). These functions
 //! provide the equivalent: a uniform sample (without replacement) of the
 //! live rows of a [`Table`], plus single-row draws used when the Karma

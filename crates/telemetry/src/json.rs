@@ -1,10 +1,9 @@
 //! The workspace's one JSON codec (RFC 8259, no serde).
 //!
 //! Every on-disk format — model snapshots, measured cost profiles, the
-//! telemetry JSONL lines that workload captures are made of, the
-//! perf-trend history — is read into a [`Json`] tree by [`Json::parse`]
-//! and written from one by [`Json::write`]; each format only maps its
-//! type to and from the tree.
+//! telemetry JSONL lines that workload captures are made of — is read
+//! into a [`Json`] tree by [`Json::parse`] and written from one by
+//! [`Json::write`]; each format only maps its type to and from the tree.
 //!
 //! * The reader is strict: exactly RFC 8259 (no comments, trailing
 //!   commas, leading zeros, `NaN`, or duplicate object keys), with

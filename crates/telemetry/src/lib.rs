@@ -8,12 +8,12 @@
 //! * a process-global [`Registry`] of named [`Counter`]s, [`Gauge`]s,
 //!   and log-linear latency [`Histogram`]s (p50/p90/p99/max);
 //! * a [`Span`] RAII timer recording wall time into a histogram;
-//! * an [`EventSink`] trait for structured events, with a no-op default,
-//!   a [`RingSink`] for tests, and a [`JsonlSink`] writing one JSON
-//!   object per line;
+//! * an [`EventSink`] trait for structured events, which go nowhere
+//!   until a sink is installed: a [`RingSink`] for tests, or a
+//!   [`JsonlSink`] writing one JSON object per line to a file;
 //! * [`json`], the workspace's one JSON codec: a strict RFC 8259 reader
 //!   into a [`Json`] tree and the compact writer that the event encoder,
-//!   model snapshots, cost profiles and the bench history all use;
+//!   model snapshots and cost profiles all use;
 //! * a global enable flag: with telemetry disabled (the default) spans
 //!   skip the clock entirely, and instrumentation checks [`tracing`]
 //!   before it builds an [`Event`], so the estimate hot path is unchanged.
@@ -35,7 +35,7 @@ pub use event::{Event, Value};
 pub use expo::{escape_label_value, prometheus_name, prometheus_text};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricKind, MetricLine, Registry};
-pub use sink::{EventSink, JsonlSink, NullSink, RingSink, JSONL_SCHEMA_VERSION};
+pub use sink::{EventSink, JsonlSink, RingSink, JSONL_SCHEMA_VERSION};
 pub use trace::{next_id as next_trace_id, SpanContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};

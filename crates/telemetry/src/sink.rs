@@ -17,15 +17,6 @@ pub trait EventSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything. The behavioral equivalent of no sink, useful
-/// for exercising the tracing path without output.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _event: &Event) {}
-}
-
 /// Bounded in-memory buffer keeping the most recent events — the test
 /// sink. Overflow drops the oldest event.
 #[derive(Debug)]
@@ -75,8 +66,8 @@ impl EventSink for RingSink {
 /// an unparsable final line as a truncated file.
 pub const JSONL_SCHEMA_VERSION: u32 = 1;
 
-/// Writes one JSON object per line to a buffered writer (file or
-/// stderr). Every line carries a leading `"v"` schema-version field
+/// Writes one JSON object per line to a buffered file or another
+/// writer. Every line carries a leading `"v"` schema-version field
 /// ([`JSONL_SCHEMA_VERSION`]); lines are flushed on drop and on
 /// [`EventSink::flush`].
 pub struct JsonlSink {
@@ -96,13 +87,6 @@ impl JsonlSink {
         Ok(Self {
             writer: Mutex::new(Box::new(std::io::BufWriter::new(file))),
         })
-    }
-
-    /// Writes events to stderr.
-    pub fn stderr() -> Self {
-        Self {
-            writer: Mutex::new(Box::new(std::io::stderr())),
-        }
     }
 
     /// Wraps an arbitrary writer (used by tests).

@@ -21,21 +21,6 @@ pub struct QueryFeedback {
     pub cardinality: u64,
 }
 
-impl QueryFeedback {
-    /// Signed estimation error `p̂(Ω) − p(Ω)`.
-    #[inline]
-    pub fn signed_error(&self) -> f64 {
-        self.estimate - self.actual
-    }
-
-    /// Absolute selectivity estimation error — the paper's headline quality
-    /// metric (Figures 4, 5, 6, 8).
-    #[inline]
-    pub fn absolute_error(&self) -> f64 {
-        self.signed_error().abs()
-    }
-}
-
 /// A labelled training/test query: region plus true selectivity. Used by the
 /// batch bandwidth optimizer (§3.4) where the estimate is recomputed during
 /// optimization and only the ground truth matters.
@@ -67,18 +52,6 @@ impl LabelledQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absolute_error_is_symmetric() {
-        let feedback = |estimate| QueryFeedback {
-            region: Rect::cube(1, 0.0, 1.0),
-            estimate,
-            actual: 0.3,
-            cardinality: 30,
-        };
-        let (a, b) = (feedback(0.2), feedback(0.4));
-        assert!((a.absolute_error() - b.absolute_error()).abs() < 1e-15);
-    }
 
     #[test]
     #[should_panic(expected = "out of [0,1]")]

@@ -22,8 +22,7 @@ pub struct FiveNumberSummary {
 /// Accumulates scalar observations and answers summary queries.
 ///
 /// Observations are stored (experiments collect at most a few thousand), so
-/// exact quantiles are cheap; `mean`/`variance` use a numerically stable
-/// two-pass formulation at query time.
+/// exact quantiles are cheap.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     values: Vec<f64>,
@@ -71,21 +70,6 @@ impl Summary {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Exact quantile via linear interpolation between order statistics
     /// (type-7, the R/numpy default).
     ///
@@ -129,11 +113,6 @@ impl Summary {
     /// Read-only view of recorded observations (insertion order).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Merges another summary's observations into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.values.extend_from_slice(&other.values);
     }
 }
 
@@ -194,11 +173,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_averages_observations() {
         let s = Summary::from_values([1.0, 2.0, 3.0, 4.0]);
         assert!((s.mean() - 2.5).abs() < 1e-15);
-        assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
-        assert!((s.std_dev() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -226,19 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_observations() {
-        let mut a = Summary::from_values([1.0, 2.0]);
-        let b = Summary::from_values([3.0, 4.0]);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert!((a.mean() - 2.5).abs() < 1e-15);
-    }
-
-    #[test]
     fn single_observation() {
         let s = Summary::from_values([7.0]);
         assert_eq!(s.median(), 7.0);
-        assert_eq!(s.variance(), 0.0);
         let f = s.five_numbers();
         assert_eq!(f.min, 7.0);
         assert_eq!(f.max, 7.0);

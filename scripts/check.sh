@@ -48,6 +48,9 @@ run cargo test -q --offline --release -p kdesel --test serve \
 run cargo test -q --offline --locked --release --manifest-path perfbench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check --all
+# Rustdoc with warnings denied: a doc link left pointing at a deleted or
+# private item, or bracketed text that rustdoc reads as a link, fails here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Capture/replay determinism gate: record a 200-request mixed-tenant
 # workload, then verify its span trees and replay it at max speed.
@@ -82,9 +85,7 @@ run cargo run --release --offline --bin kdesel-calibrate -- \
 # fusion, serving and SIMD microbenches and fails on a >2x modeled-cost
 # regression of the estimate hot path, <2x modeled coalescing at batch
 # 16, or a <2x wall-clock SoA estimate sweep speedup (Epanechnikov or
-# Gaussian) (see scripts/perf_smoke.sh). Add
-# BENCH_TREND=1 to also gate each bench's metrics against the rolling
-# median of results/BENCH_history.jsonl.
+# Gaussian) (see scripts/perf_smoke.sh).
 if [[ "${PERF_SMOKE:-0}" == "1" ]]; then
     run scripts/perf_smoke.sh
 fi

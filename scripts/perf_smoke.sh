@@ -23,22 +23,15 @@
 # structure of a hot path actually changes. The SIMD gate measures wall
 # clock and is machine-sensitive.
 #
-# Every bench run also appends a git-rev-stamped metrics line to the
-# perf-trend history (results/BENCH_history.jsonl by default; this
-# script points BENCH_HISTORY_OUT at a throwaway copy seeded from the
-# checked-in history so smoke runs don't dirty the tree). BENCH_TREND=1
-# turns the history into a gate: a metric falling outside its tolerance
-# of the rolling median of the last 5 runs fails with the metric name,
-# measured value, and threshold. Trend-gate the smoke run with:
-#   BENCH_TREND=1 scripts/perf_smoke.sh
+# The smoke run writes its reports to temporary files, so it leaves the
+# tree clean.
 #
 # Usage: scripts/perf_smoke.sh
 # Refresh the checked-in reports by running, from the repo root:
 #   cargo run --release --bin bench_fusion   (writes BENCH_fusion.json)
 #   cargo run --release --bin bench_serve    (writes BENCH_serve.json)
 #   cargo run --release --bin bench_simd     (writes BENCH_simd.json)
-# and committing the results (plus the results/BENCH_history.jsonl lines
-# those runs append).
+# and committing the results.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,14 +40,7 @@ cargo build --release --offline --bin bench_fusion --bin bench_serve \
 out=$(mktemp /tmp/bench_fusion.XXXXXX.json)
 serve_out=$(mktemp /tmp/bench_serve.XXXXXX.json)
 simd_out=$(mktemp /tmp/bench_simd.XXXXXX.json)
-hist_out=$(mktemp /tmp/bench_history.XXXXXX.jsonl)
-trap 'rm -f "$out" "$serve_out" "$simd_out" "$hist_out"' EXIT
-# Seed the throwaway history with the checked-in one so BENCH_TREND=1 has
-# a rolling baseline to compare against.
-if [[ -f results/BENCH_history.jsonl ]]; then
-    cp results/BENCH_history.jsonl "$hist_out"
-fi
-export BENCH_HISTORY_OUT="$hist_out"
+trap 'rm -f "$out" "$serve_out" "$simd_out"' EXIT
 BENCH_FUSION_BASELINE=BENCH_fusion.json BENCH_FUSION_OUT="$out" \
     ./target/release/bench_fusion
 BENCH_SERVE_OUT="$serve_out" ./target/release/bench_serve

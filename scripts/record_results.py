@@ -33,7 +33,7 @@ def main() -> int:
         path = ROOT / "results" / f"{name}.txt"
         if not path.exists():
             chunks.append(f"\n### {title}\n\n*(not recorded in this run — "
-                          f"regenerate with `cargo run --release -p kdesel-bench --bin {name}`)*\n")
+                          f"regenerate with `cargo run --release --bin {name}`)*\n")
             continue
         body = path.read_text().rstrip()
         chunks.append(f"\n### {title}\n\n```\n{body}\n```\n")

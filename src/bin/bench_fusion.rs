@@ -17,7 +17,6 @@
 //! report, the run fails with exit 1 if the modeled estimate hot path
 //! regressed by more than 2x — the perf-smoke gate.
 
-use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
 use kdesel_device::{Backend, Device, DeviceStats};
 use kdesel_engine::report::{fmt, TextTable};
@@ -44,15 +43,9 @@ fn snap(device: &Device) -> (f64, DeviceStats) {
     (device.modeled_seconds(), device.stats())
 }
 
-/// Modeled seconds and launch/transfer deltas between two snapshots.
+/// Modeled seconds and stats deltas between two snapshots.
 fn delta(before: (f64, DeviceStats), after: (f64, DeviceStats)) -> (f64, DeviceStats) {
-    let stats = DeviceStats {
-        uploads: after.1.uploads - before.1.uploads,
-        downloads: after.1.downloads - before.1.downloads,
-        kernels: after.1.kernels - before.1.kernels,
-        ..Default::default()
-    };
-    (after.0 - before.0, stats)
+    (after.0 - before.0, after.1.since(&before.1))
 }
 
 fn transfers(s: &DeviceStats) -> u64 {
@@ -281,32 +274,4 @@ fn main() {
             hot_fused.modeled_seconds, base
         );
     }
-
-    // --- Perf-trend history: stamp this run; gate when BENCH_TREND=1.
-    record_and_gate(
-        HistoryEntry::stamped(
-            "fusion",
-            vec![
-                (
-                    "hot_path_modeled_seconds".to_string(),
-                    hot_fused.modeled_seconds,
-                ),
-                (
-                    "hot_path_wall_speedup".to_string(),
-                    speedup(&hot_fused, &hot_unfused),
-                ),
-                (
-                    "batch_objective_wall_speedup".to_string(),
-                    speedup(&obj_fused, &obj_looped),
-                ),
-            ],
-        ),
-        &[
-            // Modeled seconds are deterministic — drift means the fused
-            // hot path's launch/flop structure changed.
-            TrendSpec::new("hot_path_modeled_seconds", Direction::LowerIsBetter, 0.25),
-            // Wall speedups get wide machine-noise headroom.
-            TrendSpec::new("hot_path_wall_speedup", Direction::HigherIsBetter, 0.5),
-        ],
-    );
 }

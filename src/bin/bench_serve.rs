@@ -16,7 +16,6 @@
 //!
 //! Results go to `BENCH_serve.json` (override with `BENCH_SERVE_OUT`).
 
-use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
 use kdesel_device::{Backend, Device};
 use kdesel_engine::report::{fmt, TextTable};
@@ -231,26 +230,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("# perf gate ok: coalescing speedup {modeled_speedup:.1}x >= 2x");
-
-    // --- Perf-trend history: stamp this run; gate when BENCH_TREND=1.
-    let rps_fixed_16 = sweep
-        .iter()
-        .find(|s| s.max_batch == 16)
-        .map(|s| s.throughput_rps)
-        .unwrap_or(0.0);
-    record_and_gate(
-        HistoryEntry::stamped(
-            "serve",
-            vec![
-                ("modeled_speedup".to_string(), modeled_speedup),
-                ("rps_fixed_16".to_string(), rps_fixed_16),
-            ],
-        ),
-        &[
-            // Modeled speedup is deterministic — any drift is structural.
-            TrendSpec::new("modeled_speedup", Direction::HigherIsBetter, 0.25),
-            // Wall-clock throughput gets wide machine-noise headroom.
-            TrendSpec::new("rps_fixed_16", Direction::HigherIsBetter, 0.4),
-        ],
-    );
 }

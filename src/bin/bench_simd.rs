@@ -35,7 +35,6 @@
 //! less than 2x faster than the scalar AoS baseline — the perf-smoke
 //! gate.
 
-use kdesel_bench::history::{record_and_gate, Direction, HistoryEntry, TrendSpec};
 use kdesel_bench::{emit, Cli};
 use kdesel_data::Dataset;
 use kdesel_device::{Backend, Device, DeviceBuffer};
@@ -304,41 +303,4 @@ fn main() {
     if regressed {
         std::process::exit(1);
     }
-
-    // --- Perf-trend history: stamp this run; gate when BENCH_TREND=1.
-    record_and_gate(
-        HistoryEntry::stamped(
-            "simd",
-            vec![
-                (
-                    "epanechnikov_estimate_speedup".to_string(),
-                    epa_est.speedup(),
-                ),
-                ("gaussian_estimate_speedup".to_string(), gauss_est.speedup()),
-                (
-                    "epanechnikov_fused_speedup".to_string(),
-                    epa_fused.speedup(),
-                ),
-                ("gaussian_fused_speedup".to_string(), gauss_fused.speedup()),
-                (
-                    "gaussian_dict_estimate_speedup".to_string(),
-                    dict_est.speedup(),
-                ),
-                (
-                    "gaussian_dict_fused_speedup".to_string(),
-                    dict_fused.speedup(),
-                ),
-            ],
-        ),
-        &[
-            // Wall-clock SIMD speedups: wide noise headroom, gated on the
-            // sweeps the perf-smoke gate also watches.
-            TrendSpec::new(
-                "epanechnikov_estimate_speedup",
-                Direction::HigherIsBetter,
-                0.4,
-            ),
-            TrendSpec::new("gaussian_estimate_speedup", Direction::HigherIsBetter, 0.4),
-        ],
-    );
 }
